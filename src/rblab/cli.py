@@ -25,6 +25,7 @@ from .cliffords import (
     save_group,
 )
 from .correction import (
+    SingularBlockError,
     correct_from_noisy_set,
     incoherence_defect,
     optimize_correct,
@@ -129,7 +130,7 @@ def _dim(args, cfg: dict) -> int:
     if dim not in (2, 4):
         raise ConfigError(f"dim: expected 2 or 4, got {dim}")
     if dim == 4 and not getattr(args, "extended", False) and args.command.startswith("fig"):
-        raise ConfigError("two-qubit figure runs take minutes; pass --extended to confirm")
+        raise ConfigError("two-qubit figure runs are slow; pass --extended to confirm")
     return dim
 
 
@@ -474,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="overrides config seed")
         p.add_argument("--dim", type=int, default=None, choices=(2, 4))
-        p.add_argument("--extended", action="store_true", help="allow minutes-scale d=4 figure runs")
+        p.add_argument("--extended", action="store_true", help="allow the slower d=4 figure runs")
         p.add_argument("--group-cache", default=None, help="npz cache for the gate-set")
         p.set_defaults(func=func)
     return parser
@@ -487,7 +488,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateSpectrumError, GroupClosureError) as exc:
+    except (DegenerateSpectrumError, GroupClosureError, SingularBlockError) as exc:
         print(f"numerical regime error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

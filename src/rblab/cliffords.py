@@ -170,15 +170,18 @@ def save_group(group: CliffordGroup, path: str | Path) -> None:
     labels = sorted(group.generator_pulses)
     label_of = {label: i for i, label in enumerate(labels)}
     vias = np.array([-1 if e.via is None else label_of[e.via] for e in group.elements])
-    np.savez_compressed(
-        Path(path),
-        dim=group.dim,
-        ops=np.stack([e.op.mat for e in group.elements]),
-        parents=np.array([e.parent for e in group.elements]),
-        vias=vias,
-        labels=json.dumps(labels),
-        gen_hash=generators_hash(group.dim, group.generator_pulses),
-    )
+    # numpy appends .npz to a path without it; writing through a file object
+    # keeps the cache at exactly `path`, where load_group will look for it
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            dim=group.dim,
+            ops=np.stack([e.op.mat for e in group.elements]),
+            parents=np.array([e.parent for e in group.elements]),
+            vias=vias,
+            labels=json.dumps(labels),
+            gen_hash=generators_hash(group.dim, group.generator_pulses),
+        )
 
 
 def load_group(

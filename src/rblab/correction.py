@@ -22,6 +22,7 @@ from .channels import (
     SIGMA_Z,
     SuperOp,
     avg_gate_fidelity,
+    check_unitary,
     identity_superop,
     pauli_basis,
     unitary_to_superop,
@@ -42,6 +43,14 @@ class ImproperRotationError(RuntimeError):
 
     An improper factor cannot come from a high-fidelity channel; it signals
     input far outside the regime where the correction is meaningful.
+    """
+
+
+class SingularBlockError(ValueError):
+    """The right-error block is near-singular, so its polar split is undefined.
+
+    A high-fidelity channel has a well-conditioned Bloch block; a singular one
+    signals input far outside the regime where the correction is meaningful.
     """
 
 
@@ -98,7 +107,9 @@ def polar_correct(right_error_block: np.ndarray) -> PolarFactors:
         raise ValueError(f"expected a 3x3 Bloch block, got shape {block.shape}")
     smin = np.linalg.svd(block, compute_uv=False).min()
     if smin <= 1e-6:
-        raise ValueError(f"block is near-singular (smallest singular value {smin:.3e})")
+        raise SingularBlockError(
+            f"block is near-singular (smallest singular value {smin:.3e})"
+        )
     v_tr, d_tr = _polar(block, side="left")  # block = d_tr @ v_tr
     det = np.linalg.det(v_tr)
     if det < 1.0 - 1e-8:
@@ -116,10 +127,53 @@ def su_generators(dim: int) -> np.ndarray:
     return pauli_basis(dim)[1:]
 
 
-def _exp_i(generators: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _exp_i(
+    generators: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(i H) for H = sum_l theta_l G_l, with the eigenpairs (w, V) of H."""
     h = np.tensordot(theta, generators, axes=1)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)) @ v.conj().T, w, v
+
+
+class _CorrectedFidelity:
+    """Average fidelity of (right error) o U(theta) and its exact theta-gradient.
+
+    With the Bloch block B padded by a zero identity row and column, and
+    Q_j = sum_k B_kj P_k over the unnormalized Paulis,
+    f(U) = 1/d + (d-1)/(d^2 n) Re sum_j tr(P_j U Q_j U'), which equals the
+    fidelity read off the transfer matrix of U without building it.
+    """
+
+    def __init__(self, block: np.ndarray, dim: int):
+        n = dim ** 2 - 1
+        padded = np.zeros((n + 1, n + 1))
+        padded[1:, 1:] = block
+        self.dim = dim
+        self.paulis = pauli_basis(dim)
+        self.gens = su_generators(dim)
+        self.q = np.tensordot(padded.T, self.paulis, axes=1)
+        self.scale = (dim - 1.0) / (dim ** 2 * n)
+
+    def evaluate(self, theta: np.ndarray) -> tuple[float, tuple]:
+        """f at theta, plus the eigenpairs of H and M = sum_j Q_j U' P_j for the gradient."""
+        u, w, v = _exp_i(self.gens, theta)
+        m = np.einsum("jab,jbc->ac", self.q, u.conj().T @ self.paulis)
+        value = 1.0 / self.dim + self.scale * float(np.einsum("ab,ba->", u, m).real)
+        return value, (w, v, m)
+
+    def gradient(self, state: tuple) -> np.ndarray:
+        """Exact df/dtheta from the state `evaluate` returned at the same theta."""
+        w, v, m = state
+        # Daleckii-Krein: d exp(iH) along P_l is V (Phi o V'P_lV) V' with
+        # Phi_ab = (e^{iw_a} - e^{iw_b}) / (w_a - w_b), written in a form that
+        # stays exact for equal or nearly equal eigenvalues
+        half_sum = 0.5 * (w[:, None] + w[None, :])
+        half_gap = 0.5 * (w[:, None] - w[None, :])
+        phi = 1j * np.exp(1j * half_sum) * np.sinc(half_gap / np.pi)
+        k = (v.conj().T @ m @ v).T * phi
+        z = v.conj() @ k @ v.T
+        return 2.0 * self.scale * np.einsum("lcd,cd->l", self.gens, z).real
 
 
 @dataclass(frozen=True)
@@ -138,49 +192,37 @@ def optimize_correct(
     dim: int,
     seed: int = 0,
     random_starts: int = 8,
-    step: float = 1e-5,
     learning_rate: float = 0.5,
     grad_tol: float = 1e-9,
     max_iterations: int = 500,
 ) -> CorrectionResult:
     """Unitary maximizing the average fidelity of (right error) o (correction).
 
-    Ascends by central-difference gradients with backtracking line search over
-    the d^2 - 1 rotation parameters, from the identity and `random_starts`
-    seeded random starting points; the best value wins, ties broken by the
-    earliest start.  Non-convergence is reported through the flag, not raised.
+    The correction is exp(i sum_l theta_l P_l) over the d^2 - 1 non-identity
+    Paulis.  Gradient ascent on theta uses the exact gradient and a
+    backtracking line search, from the identity and `random_starts` seeded
+    random starting points; the best value wins, ties broken by the earliest
+    start.  Non-convergence is reported through the flag, not raised.
     """
     block = np.asarray(right_error_block, dtype=float)
     n = dim ** 2 - 1
     if block.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} Bloch block, got shape {block.shape}")
-    gens = su_generators(dim)
-
-    def fidelity(theta: np.ndarray) -> float:
-        u_block = unitary_to_superop(_exp_i(gens, theta)).mat[1:, 1:]
-        return 1.0 / dim + (dim - 1.0) / dim * float(np.sum(block * u_block.T)) / n
-
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        grad = np.empty(n)
-        for k in range(n):
-            bump = np.zeros(n)
-            bump[k] = step
-            grad[k] = (fidelity(theta + bump) - fidelity(theta - bump)) / (2 * step)
-        return grad
+    objective = _CorrectedFidelity(block, dim)
 
     starts = [np.zeros(n)]
     for k in range(random_starts):
         rng = np.random.default_rng([seed, k])
         starts.append(rng.normal(scale=0.5, size=n))
 
-    best: CorrectionResult | None = None
+    best = None  # (fidelity, theta, converged, iterations, start_index)
     for start_index, theta in enumerate(starts):
         theta = theta.copy()
-        value = fidelity(theta)
+        value, state = objective.evaluate(theta)
         converged = False
         iterations = 0
         for iterations in range(1, max_iterations + 1):
-            grad = gradient(theta)
+            grad = objective.gradient(state)
             gnorm = np.linalg.norm(grad)
             if gnorm < grad_tol:
                 converged = True
@@ -188,24 +230,26 @@ def optimize_correct(
             lr = learning_rate
             while lr > 1e-12:
                 candidate = theta + lr * grad
-                candidate_value = fidelity(candidate)
+                candidate_value, candidate_state = objective.evaluate(candidate)
                 if candidate_value > value:
-                    theta, value = candidate, candidate_value
+                    theta, value, state = candidate, candidate_value, candidate_state
                     break
                 lr *= 0.5
             else:
                 converged = True  # no ascent direction left at float resolution
                 break
-        result = CorrectionResult(
-            unitary=_exp_i(gens, theta),
-            fidelity=value,
-            converged=converged,
-            iterations=iterations,
-            start_index=start_index,
-        )
-        if best is None or result.fidelity > best.fidelity + 1e-14:
-            best = result
-    return best
+        if best is None or value > best[0] + 1e-14:
+            best = (value, theta, converged, iterations, start_index)
+    value, theta, converged, iterations, start_index = best
+    unitary = _exp_i(objective.gens, theta)[0]
+    check_unitary(unitary)
+    return CorrectionResult(
+        unitary=unitary,
+        fidelity=value,
+        converged=converged,
+        iterations=iterations,
+        start_index=start_index,
+    )
 
 
 def incoherence_defect(block: np.ndarray) -> float:

@@ -49,8 +49,10 @@ def build_twirl(group: CliffordGroup, noisy_set: list[SuperOp]) -> TwirlSuperop:
             f"noisy set has {len(noisy_set)} elements, group has {len(group)}"
         )
     n = group.dim ** 2
-    pi = traceless_projector(group.dim)
-    ideal = np.stack([e.op.mat @ pi for e in group.elements]).reshape(len(group), n * n)
+    # G Pi_tr is G with column 0 zeroed; done in place to avoid one temporary per gate
+    ideal = np.stack([e.op.mat for e in group.elements])
+    ideal[:, :, 0] = 0.0
+    ideal = ideal.reshape(len(group), n * n)
     noisy = np.stack([s.mat for s in noisy_set]).reshape(len(group), n * n)
     # mean of kron(A_k, B_k) assembled from the (jk),(lm) moment matrix
     moments = ideal.T @ noisy / len(group)

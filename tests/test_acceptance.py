@@ -1,13 +1,12 @@
 """Acceptance checks: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the two-qubit check is marked `extended` and deselected by default.
+lines.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from rblab.channels import random_unitary, traceless_projector
 from rblab.cliffords import generate_clifford_group
@@ -322,7 +321,6 @@ def test_criterion_10_composite_incoherence():
     assert ok
 
 
-@pytest.mark.extended
 def test_criterion_11_two_qubit_extended():
     start = time.perf_counter()
     group = generate_clifford_group(4)

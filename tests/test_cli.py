@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rblab import cli
 from rblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 
 CONFIG_DIR = None  # set lazily from repo layout in fixtures
@@ -78,6 +79,28 @@ class TestConfigErrors:
         code = main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
         assert code == EXIT_NUMERICAL
         assert "numerical regime" in capsys.readouterr().err
+
+    def test_singular_right_error_exit_code(self, tmp_path, capsys, cache):
+        # a relabeled gate-set has a singular order-4 right-error block
+        cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "relabeling"}})
+        code = main(["correct", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical regime" in err and "near-singular" in err
+
+
+class TestGroupCache:
+    def test_cache_path_without_suffix_is_reused(self, tmp_path, monkeypatch):
+        path = tmp_path / "g2cache"
+        assert main(["gen-group", "--dim", "2", "--group-cache", str(path)]) == 0
+        assert path.exists()
+
+        def regenerate(dim):
+            raise AssertionError("group regenerated despite a cache at the given path")
+
+        monkeypatch.setattr(cli, "generate_clifford_group", regenerate)
+        assert main(["gen-group", "--dim", "2", "--group-cache", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g2cache"]
 
 
 class TestSpectrumAndCurve:

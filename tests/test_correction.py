@@ -15,12 +15,16 @@ from rblab.channels import (
 from rblab.correction import (
     CorrectionResult,
     ImproperRotationError,
+    SingularBlockError,
+    _CorrectedFidelity,
+    _exp_i,
     correct_from_noisy_set,
     incoherence_defect,
     lift_rotation,
     optimize_correct,
     perturbation_report,
     polar_correct,
+    su_generators,
     verify_decay_law,
 )
 from rblab.noise import (
@@ -116,7 +120,7 @@ class TestPolarCorrect:
         assert abs(-refined.fun - block_fidelity(block @ factors.rotation_block.T)) < 1e-6
 
     def test_near_singular_rejected(self):
-        with pytest.raises(ValueError, match="near-singular"):
+        with pytest.raises(SingularBlockError, match="near-singular"):
             polar_correct(np.diag([1.0, 1.0, 1e-8]))
 
     def test_improper_rotation_rejected(self):
@@ -152,6 +156,39 @@ class TestOptimizeCorrect:
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="Bloch block"):
             optimize_correct(np.eye(4), 2)
+
+
+def transfer_matrix_fidelity(block, dim, theta):
+    """The optimizer's objective read off the transfer matrix of U(theta)."""
+    n = dim ** 2 - 1
+    u_block = unitary_to_superop(_exp_i(su_generators(dim), theta)[0]).mat[1:, 1:]
+    return 1.0 / dim + (dim - 1.0) / dim * float(np.sum(block * u_block.T)) / n
+
+
+class TestExactGradient:
+    """The closed-form objective and gradient against the transfer-matrix route."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("kind", ["zero", "single_axis", "random", "large"])
+    def test_matches_central_differences(self, dim, kind, rng):
+        n = dim ** 2 - 1
+        block = np.eye(n) + rng.normal(scale=0.3, size=(n, n))
+        theta = {
+            "zero": np.zeros(n),  # every eigenvalue of H equal
+            "single_axis": 0.4 * np.eye(n)[n - 1],  # degenerate pairs at d=4
+            "random": rng.normal(scale=0.5, size=n),
+            "large": rng.normal(scale=2.0, size=n),  # eigenvalues of order pi
+        }[kind]
+        objective = _CorrectedFidelity(block, dim)
+        value, state = objective.evaluate(theta)
+        assert value == pytest.approx(transfer_matrix_fidelity(block, dim, theta), abs=1e-13)
+        step = 1e-5
+        numeric = np.array([
+            (transfer_matrix_fidelity(block, dim, theta + step * e)
+             - transfer_matrix_fidelity(block, dim, theta - step * e)) / (2 * step)
+            for e in np.eye(n)
+        ])
+        assert np.max(np.abs(objective.gradient(state) - numeric)) < 1e-8
 
 
 class TestIncoherenceDefect:
