@@ -25,6 +25,7 @@ from .cliffords import (
     save_group,
 )
 from .correction import (
+    ImproperRotationError,
     SingularBlockError,
     correct_from_noisy_set,
     incoherence_defect,
@@ -314,6 +315,7 @@ def cmd_rb(args) -> int:
         f"B: {fit.b!r}",
         f"p: {fit.p!r}",
         f"p_95_interval: [{fit.p_interval[0]!r}, {fit.p_interval[1]!r}]",
+        f"bootstrap_samples: {fit.bootstrap_samples}",
         f"flagged: {fit.flagged}",
         f"message: {fit.message}",
         "depth,mean_survival,residual",
@@ -488,7 +490,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateSpectrumError, GroupClosureError, SingularBlockError) as exc:
+    except (
+        DegenerateSpectrumError, GroupClosureError, ImproperRotationError, SingularBlockError
+    ) as exc:
         print(f"numerical regime error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -106,6 +106,19 @@ class CliffordGroup:
         return int(rng.integers(0, len(self.elements)))
 
 
+def compose_sequences(mats: np.ndarray, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Apply each row of gate indices to `start`, first column first.
+
+    `mats` stacks the transfer matrices, `idx` has one sequence per row, and
+    each step is one batched matmul over all sequences.  Returns one
+    product per row, shaped `(len(idx),) + start.shape`.
+    """
+    out = np.broadcast_to(start, (len(idx),) + start.shape)
+    for j in range(idx.shape[1]):
+        out = mats[idx[:, j]] @ out
+    return out
+
+
 def generate_clifford_group(
     dim: int,
     generators: dict[str, PulseSpec] | None = None,

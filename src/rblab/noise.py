@@ -209,6 +209,11 @@ def channel_from_spec(spec, dim: int) -> SuperOp:
             )
     except KeyError as exc:
         raise ConfigError(f"channel spec {kind!r} is missing key {exc.args[0]!r}") from None
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        fields = ", ".join(f"{key}={value!r}" for key, value in spec.items() if key != "channel")
+        raise ConfigError(f"channel spec {kind!r} with {fields}: {exc}") from None
     raise ConfigError(f"unknown channel kind {kind!r}")
 
 

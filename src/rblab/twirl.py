@@ -22,7 +22,7 @@ from .channels import (
     unvec,
     vec,
 )
-from .cliffords import CliffordGroup
+from .cliffords import CliffordGroup, compose_sequences
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -386,26 +386,21 @@ def fidelity_curve_mc(
     depths = np.asarray(list(depths), dtype=int)
     basis_u = np.asarray(basis_u, dtype=complex)
     us = unitary_to_superop(basis_u).mat
-    ideal_mats = [e.op.mat for e in group.elements]
-    noisy_mats = [s.mat for s in noisy_set]
+    ideal_mats = np.stack([e.op.mat for e in group.elements])
+    noisy_mats = np.stack([s.mat for s in noisy_set])
     dim = group.dim
     n = dim ** 2 - 1
+    eye = np.eye(dim ** 2)
 
     means = np.empty(depths.size)
     errs = np.empty(depths.size)
     for i, m in enumerate(depths):
         rng = np.random.default_rng([seed, int(m)])
-        vals = np.empty(samples)
-        for k in range(samples):
-            idx = rng.integers(0, len(group), size=m)
-            ideal = np.eye(dim ** 2)
-            noisy = np.eye(dim ** 2)
-            for j in idx:
-                ideal = ideal_mats[j] @ ideal
-                noisy = noisy_mats[j] @ noisy
-            target = us @ ideal @ us.T
-            f_tr = np.sum(target[:, 1:] * noisy[:, 1:]) / n
-            vals[k] = 1.0 / dim + (dim - 1.0) / dim * f_tr
+        idx = rng.integers(0, len(group), size=(samples, int(m)))
+        target = us @ compose_sequences(ideal_mats, idx, eye) @ us.T
+        noisy = compose_sequences(noisy_mats, idx, eye)
+        f_tr = np.array([np.sum(t[:, 1:] * g[:, 1:]) for t, g in zip(target, noisy)]) / n
+        vals = 1.0 / dim + (dim - 1.0) / dim * f_tr
         means[i] = vals.mean()
         errs[i] = vals.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
     return MonteCarloCurve(

@@ -5,6 +5,7 @@ import pytest
 
 from rblab import cli
 from rblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
+from rblab.correction import ImproperRotationError
 
 CONFIG_DIR = None  # set lazily from repo layout in fixtures
 
@@ -88,6 +89,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "numerical regime" in err and "near-singular" in err
 
+    def test_out_of_range_channel_parameter_exit_code(self, tmp_path, capsys, cache):
+        error = {"channel": "depolarizing", "q": -0.3}
+        cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "right", "error": error}})
+        code = main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "q=-0.3" in err and "outside [0, 1]" in err
+
+    def test_improper_rotation_exit_code(self, tmp_path, capsys, cache, monkeypatch):
+        def improper(block):
+            raise ImproperRotationError("rotation factor has determinant -1.0")
+
+        monkeypatch.setattr(cli, "polar_correct", improper)
+        cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 0.1}})
+        code = main(["correct", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical regime" in err and "determinant" in err
+
 
 class TestGroupCache:
     def test_cache_path_without_suffix_is_reused(self, tmp_path, monkeypatch):
@@ -153,6 +173,15 @@ class TestRB:
         assert len(cols["depth"]) == 40
         fit_text = (tmp_path / "rb_fit.txt").read_text()
         assert "p:" in fit_text and "p_95_interval" in fit_text
+
+    def test_rb_fit_reports_bootstrap_samples(self, tmp_path, cache):
+        cfg = write_config(
+            tmp_path,
+            {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 0.1}, "sequences": 10, "seed": 3},
+        )
+        assert main(["rb", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache]) == 0
+        lines = (tmp_path / "rb_fit.txt").read_text().splitlines()
+        assert "bootstrap_samples: 200" in lines
 
 
 class TestFigures:

@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import curve_fit
 
 from rblab.channels import traceless_projector
+from rblab.cliffords import generate_clifford_group
 from rblab.noise import NoiseModel, build_noisy_gateset, depolarizing
 from rblab.rb import (
     RBConfig,
@@ -139,3 +144,181 @@ class TestFitDecay:
         # same decay constant within the joint confidence region
         assert spam.p_interval[0] <= plain.p <= spam.p_interval[1]
         assert overrot_spectrum.p == pytest.approx(spam.p, abs=4 * (spam.p_interval[1] - spam.p_interval[0]))
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_D2 = sorted(path.stem for path in CONFIG_DIR.glob("*_d2.json"))
+
+
+def shipped_table(group, name):
+    """The survival table `rblab rb --config configs/<name>.json` fits."""
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 2), group)
+    rb_cfg = RBConfig(
+        depths=tuple(cfg["depths"]), sequences=cfg.get("sequences", 200), seed=cfg["seed"]
+    )
+    return run_rb(group, noisy, rb_cfg)
+
+
+def curve_fit_reference(depths, means):
+    """Three-parameter curve_fit from a log-linear start: an independent route."""
+    shifted = means - 0.5
+    mask = shifted > 1e-12
+    slope, intercept = np.polyfit(depths[mask], np.log(shifted[mask]), 1)
+    start = (float(np.exp(intercept)), 0.5, float(np.clip(np.exp(slope), 1e-6, 1.0)))
+    popt, _ = curve_fit(
+        lambda m, a, b, p: a * p ** m + b, depths.astype(float), means, p0=start, maxfev=10_000
+    )
+    return popt
+
+
+def rss(depths, means, a, b, p):
+    return float(np.sum((means - (a * p ** depths.astype(float) + b)) ** 2))
+
+
+def brute_force_min_rss(depths, means, points=100_000):
+    """Lowest RSS over a dense p grid, with A and B solved by plain least squares."""
+    p = np.linspace(0.0, 1.02, points)
+    x = p[:, None] ** depths.astype(float)
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = means - means.mean()
+    sxx = (xc ** 2).sum(axis=1)
+    a = np.where(sxx > 0, xc @ yc / np.where(sxx > 0, sxx, 1.0), 0.0)
+    return float(((yc - a[:, None] * xc) ** 2).sum(axis=1).min())
+
+
+def synthetic_table(p, a, b, noise, seed, depths=(1, 2, 4, 8, 16, 32, 64, 128)):
+    rng = np.random.default_rng(seed)
+    depths = np.asarray(depths)
+    curve = a * p ** depths + b
+    survivals = curve + rng.normal(scale=noise, size=(60, depths.size))
+    return SurvivalTable(depths=depths, survivals=survivals, seed=seed)
+
+
+SYNTHETIC = [
+    (0.97, 0.5, 0.5, 0.005, 1),
+    (0.9, 0.45, 0.52, 0.01, 2),
+    (0.995, 0.48, 0.5, 0.002, 3),
+    (0.9995, 0.5, 0.49, 0.001, 4),
+    (0.99995, 0.5, 0.5, 0.0005, 5),
+    (0.6, 0.4, 0.5, 0.002, 6),
+    (0.98, 0.3, 0.45, 0.0, 7),
+]
+
+
+class TestFitAgainstIndependentRoutes:
+    """The profile fit is checked against curve_fit and a brute-force grid."""
+
+    def check(self, table):
+        fit = fit_decay(table, dim=2, bootstrap=20)
+        depths, means = table.depths, table.means
+        ours = rss(depths, means, fit.a, fit.b, fit.p)
+        a_cf, b_cf, p_cf = curve_fit_reference(depths, means)
+        # the floor is the RSS that p's 1e-12 bracket allows on noise-free tables,
+        # where both routes sit at rounding level
+        floor = 1e-20
+        if 0.0 <= p_cf <= 1.02:
+            assert ours <= rss(depths, means, a_cf, b_cf, p_cf) * (1 + 1e-9) + floor
+        if p_cf < 0.999:
+            assert fit.p == pytest.approx(p_cf, abs=1e-6)
+        assert brute_force_min_rss(depths, means) >= ours * (1 - 1e-9) - floor
+        return fit, p_cf
+
+    @pytest.mark.parametrize("name", [n for n in SHIPPED_D2 if n != "relabeling_d2"])
+    def test_shipped_configs(self, group24, name):
+        fit, _ = self.check(shipped_table(group24, name))
+        assert not fit.flagged
+        assert fit.bootstrap_samples == 20
+
+    @pytest.mark.parametrize("p, a, b, noise, seed", SYNTHETIC)
+    def test_synthetic_tables(self, p, a, b, noise, seed):
+        fit, _ = self.check(synthetic_table(p, a, b, noise, seed))
+        if noise == 0.0:
+            assert fit.p == pytest.approx(p, abs=1e-9)
+
+    def test_two_basins_picks_the_lower(self):
+        # noisy means whose profile RSS has a second, higher basin near p = 0.07
+        means = np.array([0.6155, 0.5102, 0.4856, 0.6, 0.5374, 0.4719, 0.4519, 0.4649])
+        depths = np.array([1, 2, 4, 8, 16, 32, 64, 128])
+        fit = fit_decay(SurvivalTable(depths, means[None, :], seed=0), bootstrap=10)
+        ours = rss(depths, means, fit.a, fit.b, fit.p)
+        assert brute_force_min_rss(depths, means) >= ours * (1 - 1e-9)
+        assert 0.9 < fit.p < 1.0 and not fit.flagged
+
+    def test_bootstrap_matches_per_resample_fits(self, group24):
+        # reference: the resampled means drawn one depth at a time, each fitted alone
+        table = shipped_table(group24, "overrotation_d2")
+        fit = fit_decay(table, dim=2, bootstrap=12, seed=99)
+        rng = np.random.default_rng(99)
+        n_seq, n_depths = table.survivals.shape
+        for p_boot in fit.bootstrap_p:
+            resampled = np.empty((1, n_depths))
+            for di in range(n_depths):
+                resampled[0, di] = table.survivals[rng.integers(0, n_seq, size=n_seq), di].mean()
+            alone = fit_decay(SurvivalTable(table.depths, resampled, seed=0), bootstrap=0)
+            assert p_boot == pytest.approx(alone.p, abs=1e-9)
+
+
+def reference_run_rb(group, noisy_set, config):
+    """Per-sequence loop: one gate at a time, one sequence at a time."""
+    rho, mu = config.resolve(group.dim)
+    table = np.empty((config.sequences, len(config.depths)))
+    for di, m in enumerate(config.depths):
+        for k in range(config.sequences):
+            idx = np.random.default_rng([config.seed, m, k]).integers(0, len(group), size=m)
+            vec = rho
+            ideal = np.eye(group.dim ** 2)
+            for j in idx:
+                vec = noisy_set[j].mat @ vec
+                ideal = group.elements[j].op.mat @ ideal
+            vec = noisy_set[group.find(ideal.T)].mat @ vec
+            table[k, di] = mu @ vec
+    return table
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize(
+        "model, spam",
+        [
+            (NoiseModel.z_tilt(0.1), {}),
+            (NoiseModel.over_rotation(0.07), {"meas_noise": depolarizing(0.95)}),
+            (NoiseModel.left(depolarizing(0.99)), {"prep_noise": depolarizing(0.98)}),
+        ],
+    )
+    def test_d2_matches_per_sequence_loop(self, group24, model, spam):
+        noisy = build_noisy_gateset(model, group24)
+        config = RBConfig(depths=(1, 2, 5, 16, 33), sequences=25, seed=8, **spam)
+        table = run_rb(group24, noisy, config)
+        assert np.array_equal(table.survivals, reference_run_rb(group24, noisy, config))
+
+    def test_d4_matches_per_sequence_loop(self):
+        group = generate_clifford_group(4)
+        noisy = build_noisy_gateset(NoiseModel.z_tilt(0.1, cz_epsilon=0.1), group)
+        config = RBConfig(depths=(1, 3, 6), sequences=6, seed=19)
+        table = run_rb(group, noisy, config)
+        assert np.array_equal(table.survivals, reference_run_rb(group, noisy, config))
+
+
+class TestFitEdgeCases:
+    def test_flat_data_gives_unit_decay(self):
+        depths = np.array([1, 2, 4, 8, 16])
+        table = SurvivalTable(depths=depths, survivals=np.full((6, 5), 0.8), seed=3)
+        fit = fit_decay(table, dim=2, bootstrap=20)
+        assert fit.p == 1.0 and fit.a == 0.0
+        assert fit.b == pytest.approx(0.8, abs=1e-15)
+        assert fit.p_interval == (1.0, 1.0)
+        assert not fit.flagged
+
+    def test_rising_data_is_flagged_at_upper_bound(self):
+        depths = np.array([1, 2, 4, 8, 16, 32])
+        table = SurvivalTable(depths=depths, survivals=np.tile(0.6 + 0.01 * 1.05 ** depths, (5, 1)), seed=4)
+        fit = fit_decay(table, dim=2, bootstrap=10)
+        assert fit.flagged and "outside" in fit.message
+        assert fit.p == pytest.approx(1.02, abs=1e-6)
+
+    def test_alternating_data_is_flagged_at_lower_bound(self):
+        depths = np.array([1, 2, 3, 4, 5])
+        table = SurvivalTable(depths=depths, survivals=np.tile(0.5 + 0.3 * (-0.6) ** depths, (5, 1)), seed=5)
+        fit = fit_decay(table, dim=2, bootstrap=10)
+        assert fit.flagged and "outside" in fit.message
+        assert fit.p == pytest.approx(0.0, abs=1e-6)
