@@ -10,11 +10,10 @@ restores the plain p^m decay law up to second order in the infidelity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import polar as _polar
-from scipy.spatial.transform import Rotation
 
 from .channels import (
     SIGMA_X,
@@ -54,13 +53,52 @@ class SingularBlockError(ValueError):
     """
 
 
+def _rotation_vector(r3: np.ndarray) -> np.ndarray:
+    """Rotation vector (unit axis times angle in [0, pi]) of a 3x3 rotation matrix.
+
+    Reads off Markley's quaternion, branching on the largest of the diagonal
+    and the trace, takes the sign with w >= 0 (at w == 0, the first non-zero
+    of x, y, z positive), and scales the vector part by angle / sin(angle/2),
+    through its series below angle 1e-3.  The operation order, including the
+    explicit sums of squares in both norms, is that of scipy's
+    `Rotation.from_matrix(r3).as_rotvec()`, so the result is bit-identical to
+    it for orthogonal input.
+    """
+    m = [[float(x) for x in row] for row in r3]
+    trace = m[0][0] + m[1][1] + m[2][2]
+    decision = [m[0][0], m[1][1], m[2][2], trace]
+    choice = decision.index(max(decision))
+    if choice == 3:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
+    else:
+        i = choice
+        j = (i + 1) % 3
+        k = (j + 1) % 3
+        q = [0.0] * 4
+        q[i] = 1 - trace + 2 * m[i][i]
+        q[j] = m[j][i] + m[i][j]
+        q[k] = m[k][i] + m[i][k]
+        q[3] = m[k][j] - m[j][k]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    x, y, z, w = (c / norm for c in q)
+    if w < 0 or (w == 0 and next((c for c in (x, y, z) if c != 0), 0.0) < 0):
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    return np.array([scale * x, scale * y, scale * z])
+
+
 def lift_rotation(r3: np.ndarray) -> np.ndarray:
     """SU(2) element whose Bloch action is the given 3x3 rotation matrix.
 
     The two lifts differ by a global sign, which the channel picture ignores.
     """
     r3 = np.asarray(r3, dtype=float)
-    rotvec = Rotation.from_matrix(r3).as_rotvec()
+    rotvec = _rotation_vector(r3)
     angle = float(np.linalg.norm(rotvec))
     if angle == 0.0:
         return np.eye(2, dtype=complex)
@@ -87,11 +125,11 @@ class PolarFactors:
 
     @property
     def rotation_angle(self) -> float:
-        return float(np.linalg.norm(Rotation.from_matrix(self.rotation_block).as_rotvec()))
+        return float(np.linalg.norm(_rotation_vector(self.rotation_block)))
 
     @property
     def rotation_axis(self) -> np.ndarray:
-        rotvec = Rotation.from_matrix(self.rotation_block).as_rotvec()
+        rotvec = _rotation_vector(self.rotation_block)
         norm = np.linalg.norm(rotvec)
         return rotvec / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
 
@@ -105,12 +143,15 @@ def polar_correct(right_error_block: np.ndarray) -> PolarFactors:
     block = np.asarray(right_error_block, dtype=float)
     if block.shape != (3, 3):
         raise ValueError(f"expected a 3x3 Bloch block, got shape {block.shape}")
-    smin = np.linalg.svd(block, compute_uv=False).min()
+    w, s, vh = np.linalg.svd(block, full_matrices=False)
+    smin = s.min()
     if smin <= 1e-6:
         raise SingularBlockError(
             f"block is near-singular (smallest singular value {smin:.3e})"
         )
-    v_tr, d_tr = _polar(block, side="left")  # block = d_tr @ v_tr
+    # left polar split block = d_tr @ v_tr from the same SVD
+    v_tr = w @ vh
+    d_tr = (w * s) @ w.T
     det = np.linalg.det(v_tr)
     if det < 1.0 - 1e-8:
         raise ImproperRotationError(f"rotation factor has determinant {det}")

@@ -187,13 +187,6 @@ class TwirlSpectrum:
             v = self.twirl.mat.T @ v
         return unvec(v).T / self.p ** m
 
-    def left_error_op_at(self, m: int) -> np.ndarray:
-        pi = traceless_projector(self.dim)
-        v = vec(pi)
-        for _ in range(m):
-            v = self.twirl.mat @ v
-        return unvec(v) / self.p ** m
-
     # -- basis expansion -----------------------------------------------------
 
     def _basis_superop(self, basis_u: np.ndarray | SuperOp) -> SuperOp:

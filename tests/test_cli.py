@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rblab
 from rblab import cli
 from rblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from rblab.correction import ImproperRotationError
 
-CONFIG_DIR = None  # set lazily from repo layout in fixtures
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def read_csv(path):
@@ -224,6 +229,45 @@ class TestFigures:
         assert text.startswith("# rblab ")
         assert "# seed=13" in text
         assert "# model=" in text
+
+
+def run_child(code, block_scipy):
+    """Run `code` in a fresh interpreter that finds this rblab first on its path."""
+    src = str(Path(rblab.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    prelude = "import sys\n"
+    if block_scipy:
+        prelude += "sys.modules['scipy'] = None\n"  # any scipy import now fails
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestNoScipy:
+    """The library needs numpy only; scipy serves the tests as a reference."""
+
+    def test_import_does_not_load_scipy(self):
+        child = run_child(
+            "import rblab.cli\nassert 'scipy' not in sys.modules, 'scipy was imported'\n",
+            block_scipy=False,
+        )
+        assert child.returncode == 0, child.stderr
+
+    def test_correct_runs_with_scipy_blocked(self, tmp_path, cache):
+        cfg = str(CONFIG_DIR / "overrotation_d2.json")
+        blocked = tmp_path / "blocked"
+        in_suite = tmp_path / "in_suite"
+        args = ["correct", "--config", cfg, "--out", str(blocked), "--group-cache", cache]
+        child = run_child(
+            "import rblab.cli\n"
+            f"sys.exit(rblab.cli.main({args!r}))\n",
+            block_scipy=True,
+        )
+        assert child.returncode == 0, child.stderr
+        assert main(["correct", "--config", cfg, "--out", str(in_suite), "--group-cache", cache]) == 0
+        assert (blocked / "correct.csv").read_bytes() == (in_suite / "correct.csv").read_bytes()
 
 
 @pytest.mark.extended

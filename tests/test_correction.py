@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import polar as scipy_polar
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
@@ -18,6 +19,7 @@ from rblab.correction import (
     SingularBlockError,
     _CorrectedFidelity,
     _exp_i,
+    _rotation_vector,
     correct_from_noisy_set,
     incoherence_defect,
     lift_rotation,
@@ -67,6 +69,103 @@ class TestLift:
 
     def test_identity(self):
         assert np.array_equal(lift_rotation(np.eye(3)), np.eye(2))
+
+
+# angles where the rotation-vector read-off changes branch: zero, both sides
+# of the 1e-3 series switch, a log-spaced sweep, and just short of pi
+SWITCH = 1e-3
+ROTVEC_ANGLES = [
+    0.0,
+    np.nextafter(SWITCH, 0.0),
+    SWITCH,
+    np.nextafter(SWITCH, 1.0),
+    SWITCH * (1 - 1e-9),
+    SWITCH * (1 + 1e-9),
+    *np.logspace(-8, np.log10(np.pi), 25),
+    np.pi - 1e-9,
+]
+ROTVEC_AXES = [
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0),
+    (1.0, 1.0, 0.0),
+    (1.0, -2.0, 3.0),
+]
+# half-turn axes: the quaternion's w is exactly 0, so the sign rule decides;
+# about (0, -1, 2) the chosen branch leaves x = 0 and y < 0, which flips
+HALF_TURN_AXES = [
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0),
+    (1.0, 1.0, 0.0),
+    (1.0, -1.0, 0.0),
+    (0.0, -1.0, 2.0),
+    (-1.0, 2.0, 2.0),
+]
+
+
+def unit(axis):
+    return np.asarray(axis) / np.linalg.norm(axis)
+
+
+def half_turn(axis):
+    """Exact-as-floats rotation by pi about `axis`: 2 n n^T - I, symmetric by construction."""
+    n = unit(axis)
+    return 2.0 * np.outer(n, n) - np.eye(3)
+
+
+def rotation_inputs():
+    for angle in ROTVEC_ANGLES:
+        for axis in ROTVEC_AXES:
+            yield f"{angle!r}@{axis}", Rotation.from_rotvec(angle * unit(axis)).as_matrix()
+    for axis in HALF_TURN_AXES:
+        yield f"pi@{axis}", half_turn(axis)
+        yield f"rotvec-pi@{axis}", Rotation.from_rotvec(np.pi * unit(axis)).as_matrix()
+    # rounding in the norms shows up on a few per thousand generic rotations
+    rng = np.random.default_rng(20261018)
+    for k in range(2000):
+        n = unit(rng.normal(size=3))
+        yield f"random-{k}", Rotation.from_rotvec(rng.uniform(0.0, np.pi) * n).as_matrix()
+
+
+ROTATION_INPUTS = list(rotation_inputs())
+
+
+class TestScipyFreeRoutes:
+    """The numpy polar split and rotation vector agree with scipy bit for bit."""
+
+    def test_polar_matches_scipy(self, rng):
+        for _ in range(200):
+            rot = Rotation.from_rotvec(rng.normal(scale=1.0, size=3)).as_matrix()
+            block = (np.eye(3) + rng.normal(scale=0.05, size=(3, 3))) @ rot
+            v_ref, d_ref = scipy_polar(block, side="left")
+            factors = polar_correct(block)
+            assert np.array_equal(factors.rotation_block, v_ref)
+            assert np.array_equal(factors.incoherent_block, d_ref)
+
+    def test_rotation_vector_matches_scipy(self):
+        mismatched = [
+            name
+            for name, r3 in ROTATION_INPUTS
+            if not np.array_equal(_rotation_vector(r3), Rotation.from_matrix(r3).as_rotvec())
+        ]
+        assert not mismatched
+
+    def test_lift_reproduces_block(self):
+        for name, r3 in ROTATION_INPUTS:
+            u = lift_rotation(r3)  # raises if its own reproduction check fails
+            assert np.max(np.abs(unitary_to_superop(u).mat[1:, 1:] - r3)) <= 1e-8, name
+
+    def test_half_turn_sign_rule_is_exercised(self):
+        # w == 0 and the first non-zero of x, y, z negative: the vector flips
+        assert np.array_equal(np.sign(_rotation_vector(half_turn((0.0, -1.0, 2.0)))), [0, 1, -1])
+
+    def test_polar_factors_read_angle_and_axis_like_scipy(self, rng):
+        rot = Rotation.from_rotvec(rng.normal(scale=0.5, size=3)).as_matrix()
+        factors = polar_correct(0.95 * rot)
+        rotvec = Rotation.from_matrix(factors.rotation_block).as_rotvec()
+        assert factors.rotation_angle == float(np.linalg.norm(rotvec))
+        assert np.array_equal(factors.rotation_axis, rotvec / np.linalg.norm(rotvec))
 
 
 class TestPolarCorrect:
