@@ -94,7 +94,12 @@ def model_summary(model: NoiseModel) -> str:
 
 def obtain_group(dim: int, cache: str | None) -> CliffordGroup:
     if cache is not None and Path(cache).exists():
-        group = load_group(cache)
+        try:
+            group = load_group(cache)
+        except (ValueError, GroupClosureError) as exc:
+            raise ConfigError(
+                f"group cache {cache} is unusable, delete it to rebuild: {exc}"
+            ) from exc
         if group.dim != dim:
             raise ConfigError(
                 f"group cache {cache} holds a dimension-{group.dim} gate-set, need {dim}"
@@ -130,8 +135,6 @@ def _dim(args, cfg: dict) -> int:
     dim = args.dim if args.dim is not None else int(cfg.get("dim", 2))
     if dim not in (2, 4):
         raise ConfigError(f"dim: expected 2 or 4, got {dim}")
-    if dim == 4 and not getattr(args, "extended", False) and args.command.startswith("fig"):
-        raise ConfigError("two-qubit figure runs are slow; pass --extended to confirm")
     return dim
 
 
@@ -477,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="overrides config seed")
         p.add_argument("--dim", type=int, default=None, choices=(2, 4))
-        p.add_argument("--extended", action="store_true", help="allow the slower d=4 figure runs")
         p.add_argument("--group-cache", default=None, help="npz cache for the gate-set")
         p.set_defaults(func=func)
     return parser

@@ -1,35 +1,32 @@
 """Generation, indexing, and inversion of the 24- and 11520-element Clifford gate-sets.
 
-Elements are deduplicated in transfer-matrix form (which kills global phase)
-by a rounded canonical key; Clifford transfer matrices are signed permutations,
-so entries sit far from the rounding boundary.  Each element keeps the first
-generator word found by breadth-first closure, i.e. a minimal-length pulse
-sequence, which noise models replay with imperfect generators.
+In the normalised Pauli basis every Clifford transfer matrix is a signed
+permutation, one +-1 per row (Gottesman, quant-ph/9807006).  The group stores
+element k as one int8 table row of length d^2 whose entry r is
+`sign * (col + 1)` for the +-1 at (r, col), so composing two elements is a
+gather and equality is exact.  Breadth-first closure gives each element its
+parent and the generator applied last, i.e. a minimal-length pulse sequence;
+the float transfer matrices are rebuilt by replaying those steps, and noise
+models replay them with imperfect generators.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
+import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from .channels import SIGMA_I, SIGMA_X, SIGMA_Y, SuperOp, unitary_to_superop
+from .channels import DERIVED_TOL, SIGMA_I, SIGMA_X, SIGMA_Y, unitary_to_superop
 from .noise import CZ_HAMILTONIAN, PulseSpec
 
 GROUP_ORDER = {2: 24, 4: 11520}
-CLOSURE_CAP = {2: 25, 4: 12000}
 
 
 class GroupClosureError(RuntimeError):
-    """Closure did not terminate at a known group order."""
-
-
-def canonical_key(mat: np.ndarray) -> bytes:
-    """Entries rounded to 6 decimals in fixed order; adding 0.0 kills -0.0."""
-    return (np.round(mat, 6) + 0.0).tobytes()
+    """A generator is not Clifford, or closure did not give the known group order."""
 
 
 def default_generators(dim: int) -> dict[str, PulseSpec]:
@@ -50,60 +47,143 @@ def default_generators(dim: int) -> dict[str, PulseSpec]:
     raise ValueError(f"unsupported dimension {dim}")
 
 
-@dataclass(frozen=True)
-class CliffordElement:
-    """One gate: its transfer matrix, minimal generator word, and BFS parent."""
+def table_row(mat: np.ndarray) -> np.ndarray | None:
+    """Table row of a signed-permutation transfer matrix, or None if it is not one."""
+    ints = np.rint(mat)
+    # an integer matrix with orthonormal rows has one +-1 per row, in distinct columns
+    if np.max(np.abs(mat - ints)) > DERIVED_TOL or np.any(ints @ ints.T != np.eye(len(ints))):
+        return None
+    return (ints @ np.arange(1, len(ints) + 1)).astype(np.int8)
 
-    index: int
-    op: SuperOp
-    word: tuple[str, ...]
-    key: bytes
-    parent: int  # -1 for the identity
-    via: str | None  # generator label applied last
+
+def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Table rows of `a @ b` (b acts first); leading axes broadcast."""
+    cols = np.abs(a).astype(np.intp) - 1
+    return np.take_along_axis(b, cols, axis=-1) * np.sign(a)
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    raw = np.ascontiguousarray(rows, dtype=np.int8).tobytes()
+    step = rows.shape[-1]
+    return [raw[i:i + step] for i in range(0, len(raw), step)]
+
+
+def _generator_rows(generators: dict[str, PulseSpec]) -> np.ndarray:
+    rows = []
+    for label, spec in generators.items():
+        row = table_row(unitary_to_superop(spec.unitary()).mat)
+        if row is None:
+            raise GroupClosureError(f"generator {label!r} is not a Clifford gate")
+        rows.append(row)
+    return np.stack(rows)
 
 
 class CliffordGroup:
-    """Closed, indexed gate-set with an inverse table.
+    """Closed, indexed gate-set with an exact inverse table.
 
-    Immutable once generated; safe to share across threads.
+    Element k is generator `labels[vias[k]]` applied after element
+    `parents[k]` (the identity, element 0, has parent and via -1), in
+    breadth-first order; `table[k]` is its signed permutation and `mats[k]`
+    its float transfer matrix.  The constructor checks the table exactly:
+    each row is its generator applied to its parent's row, the rows are
+    distinct, and there are `GROUP_ORDER[dim]` of them.  Immutable; safe to
+    share across threads.
     """
 
     def __init__(
         self,
         dim: int,
-        elements: list[CliffordElement],
         generator_pulses: dict[str, PulseSpec],
+        table: np.ndarray,
+        parents: np.ndarray,
+        vias: np.ndarray,
     ):
         self.dim = dim
-        self.elements = tuple(elements)
         self.generator_pulses = dict(generator_pulses)
+        self.labels = tuple(self.generator_pulses)
         self.generator_ops = {
             label: unitary_to_superop(spec.unitary())
             for label, spec in self.generator_pulses.items()
         }
-        self._index = {e.key: e.index for e in self.elements}
-        inv = np.empty(len(self.elements), dtype=np.int64)
-        for e in self.elements:
-            # unitary transfer matrices are orthogonal: inverse == transpose
-            inv[e.index] = self._index[canonical_key(e.op.mat.T)]
-        inv.setflags(write=False)
-        self.inverse_table = inv
+        gen_rows = _generator_rows(generator_pulses)
+        n, size = dim ** 2, GROUP_ORDER.get(dim)
+        table = np.asarray(table, dtype=np.int8)
+        parents = np.asarray(parents, dtype=np.int32)
+        vias = np.asarray(vias, dtype=np.int8)
+        if table.shape != (size, n) or parents.shape != (size,) or vias.shape != (size,):
+            raise GroupClosureError(
+                f"group table has shape {table.shape}, expected {size} elements of length {n}"
+            )
+        steps = parents[1:]
+        # breadth-first order: parents never decrease and each precedes its child
+        if not (
+            parents[0] == vias[0] == -1
+            and np.array_equal(table[0], np.arange(1, n + 1))
+            and steps[0] == 0
+            and np.all(np.diff(steps) >= 0)
+            and np.all(steps < np.arange(1, size))
+            and np.all((vias[1:] >= 0) & (vias[1:] < len(gen_rows)))
+        ):
+            raise GroupClosureError("group is not rooted at the identity in breadth-first order")
+        bad = np.any(compose_rows(gen_rows[vias[1:]], table[steps]) != table[1:], axis=1)
+        if bad.any():
+            k = int(np.argmax(bad)) + 1
+            raise GroupClosureError(
+                f"element {k} is not generator {self.labels[vias[k]]!r} "
+                f"applied to element {parents[k]}"
+            )
+        self._index = {key: k for k, key in enumerate(_row_keys(table))}
+        if len(self._index) != size:
+            raise GroupClosureError(f"group has {size - len(self._index)} repeated elements")
+        for arr in (table, parents, vias):
+            arr.setflags(write=False)
+        self.table, self.parents, self.vias = table, parents, vias
+
+        # unitary transfer matrices are orthogonal: the inverse is the transpose,
+        # whose entry c is the signed (row + 1) of the row that maps onto column c
+        rows_of = np.argsort(np.abs(table), axis=1)
+        inv_rows = np.take_along_axis(np.sign(table), rows_of, axis=1) * (rows_of + 1)
+        self.inverse_table = self.indices(inv_rows)
+        self.inverse_table.setflags(write=False)
+
+        self.mats = self.replay({label: op.mat for label, op in self.generator_ops.items()})
+        self.mats.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def op(self, index: int) -> SuperOp:
-        return self.elements[index].op
+        return len(self.parents)
 
     def inverse(self, index: int) -> int:
         return int(self.inverse_table[index])
 
     def find(self, mat: np.ndarray) -> int | None:
         """Index of the element with this transfer matrix, or None."""
-        return self._index.get(canonical_key(np.asarray(mat)))
+        row = table_row(mat)
+        return None if row is None else self._index.get(row.tobytes())
+
+    def indices(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each table row in `rows` (shape `(k, d^2)`); KeyError if absent."""
+        return np.array([self._index[key] for key in _row_keys(rows)], dtype=np.int64)
 
     def random_element(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, len(self.elements)))
+        return int(rng.integers(0, len(self)))
+
+    def replay(self, generators: dict[str, np.ndarray]) -> np.ndarray:
+        """Every element's transfer matrix rebuilt from the given generator matrices.
+
+        Element k is `generators[label] @ element[parent]`, one batched matmul
+        per breadth-first level, which rounds exactly like per-element products.
+        """
+        gens = np.stack([generators[label] for label in self.labels])
+        n = self.dim ** 2
+        out = np.empty((len(self), n, n))
+        out[0] = np.eye(n)
+        start = 1
+        while start < len(self):
+            # the level ends where the first child of its own elements begins
+            stop = int(np.searchsorted(self.parents, start))
+            out[start:stop] = gens[self.vias[start:stop]] @ out[self.parents[start:stop]]
+            start = stop
+        return out
 
 
 def compose_sequences(mats: np.ndarray, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -120,47 +200,37 @@ def compose_sequences(mats: np.ndarray, idx: np.ndarray, start: np.ndarray) -> n
 
 
 def generate_clifford_group(
-    dim: int,
-    generators: dict[str, PulseSpec] | None = None,
-    cap: int | None = None,
+    dim: int, generators: dict[str, PulseSpec] | None = None
 ) -> CliffordGroup:
-    """Breadth-first closure of the generators under left multiplication."""
+    """Breadth-first closure of the generators under left multiplication.
+
+    Candidates of one level are ordered parent first, then generator order,
+    and each is kept when its row is new.
+    """
     if generators is None:
         generators = default_generators(dim)
-    if cap is None:
-        cap = CLOSURE_CAP.get(dim, 0)
-    gen_ops = {label: unitary_to_superop(spec.unitary()) for label, spec in generators.items()}
-
-    identity = SuperOp(dim, np.eye(dim ** 2))
-    elements = [CliffordElement(0, identity, (), canonical_key(identity.mat), -1, None)]
-    seen = {elements[0].key}
-    frontier = [elements[0]]
-    while frontier:
-        next_frontier = []
-        for elem in frontier:
-            for label, gen in gen_ops.items():
-                op = gen @ elem.op
-                key = canonical_key(op.mat)
-                if key in seen:
-                    continue
-                if len(elements) >= cap:
-                    raise GroupClosureError(
-                        f"closure exceeded {cap} elements; wrong generators or tolerance"
-                    )
-                new = CliffordElement(
-                    len(elements), op, elem.word + (label,), key, elem.index, label
-                )
-                elements.append(new)
-                next_frontier.append(new)
+    gen_rows = _generator_rows(generators)
+    n_gen, n = gen_rows.shape
+    frontier = np.arange(1, n + 1, dtype=np.int8)[None]  # the identity
+    seen = {frontier.tobytes()}
+    rows, parents, vias = [frontier], [np.array([-1])], [np.array([-1])]
+    first = 0  # index of the frontier's first element
+    while len(frontier):
+        cands = compose_rows(gen_rows[None], frontier[:, None]).reshape(-1, n)
+        new = []
+        for c, key in enumerate(_row_keys(cands)):
+            if key not in seen:
                 seen.add(key)
-        frontier = next_frontier
-
-    expected = GROUP_ORDER.get(dim)
-    if expected is not None and len(elements) != expected:
-        raise GroupClosureError(
-            f"closure terminated at {len(elements)} elements, expected {expected}"
-        )
-    return CliffordGroup(dim, elements, generators)
+                new.append(c)
+        new = np.array(new, dtype=np.intp)
+        parents.append(first + new // n_gen)
+        vias.append(new % n_gen)
+        first += len(frontier)
+        frontier = cands[new]
+        rows.append(frontier)
+    return CliffordGroup(
+        dim, generators, np.concatenate(rows), np.concatenate(parents), np.concatenate(vias)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +239,10 @@ def generate_clifford_group(
 
 
 def generators_hash(dim: int, generators: dict[str, PulseSpec]) -> str:
+    """Digest of the generators in their order, which fixes the element order."""
     h = hashlib.sha256()
     h.update(str(dim).encode())
-    for label in sorted(generators):
-        spec = generators[label]
+    for label, spec in generators.items():
         h.update(label.encode())
         h.update(np.round(np.asarray(spec.hamiltonian, dtype=complex), 12).tobytes())
         h.update(np.float64(spec.angle).tobytes())
@@ -180,44 +250,42 @@ def generators_hash(dim: int, generators: dict[str, PulseSpec]) -> str:
 
 
 def save_group(group: CliffordGroup, path: str | Path) -> None:
-    labels = sorted(group.generator_pulses)
-    label_of = {label: i for i, label in enumerate(labels)}
-    vias = np.array([-1 if e.via is None else label_of[e.via] for e in group.elements])
-    # numpy appends .npz to a path without it; writing through a file object
-    # keeps the cache at exactly `path`, where load_group will look for it
-    with open(path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            dim=group.dim,
-            ops=np.stack([e.op.mat for e in group.elements]),
-            parents=np.array([e.parent for e in group.elements]),
-            vias=vias,
-            labels=json.dumps(labels),
-            gen_hash=generators_hash(group.dim, group.generator_pulses),
-        )
+    """Write the integer table, parents and vias; a reader never sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        # a file object keeps numpy from appending .npz to the name
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                dim=group.dim,
+                table=group.table,
+                parents=group.parents,
+                vias=group.vias,
+                gen_hash=generators_hash(group.dim, group.generator_pulses),
+            )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_group(
     path: str | Path, generators: dict[str, PulseSpec] | None = None
 ) -> CliffordGroup:
-    """Load a cached group; the cache must match the generators' content hash."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        dim = int(data["dim"])
-        if generators is None:
-            generators = default_generators(dim)
-        if str(data["gen_hash"]) != generators_hash(dim, generators):
-            raise ValueError("group cache was built from different generators")
-        labels = json.loads(str(data["labels"]))
-        ops = data["ops"]
-        parents = data["parents"]
-        vias = data["vias"]
-    elements = []
-    words: list[tuple[str, ...]] = []
-    for i in range(ops.shape[0]):
-        parent = int(parents[i])
-        via = None if vias[i] < 0 else labels[int(vias[i])]
-        word = () if parent < 0 else words[parent] + (via,)
-        words.append(word)
-        op = SuperOp(dim, ops[i])
-        elements.append(CliffordElement(i, op, word, canonical_key(op.mat), parent, via))
-    return CliffordGroup(dim, elements, generators)
+    """Load a cached group, checked exactly by the `CliffordGroup` constructor.
+
+    Raises ValueError when the file cannot be read or was built from other
+    generators, and GroupClosureError when its table fails the check.
+    """
+    try:
+        with np.load(Path(path), allow_pickle=False) as data:
+            dim = int(data["dim"])
+            gen_hash = str(data["gen_hash"])
+            table, parents, vias = data["table"], data["parents"], data["vias"]
+    except (OSError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"unreadable group cache ({type(exc).__name__}: {exc})") from exc
+    if generators is None:
+        generators = default_generators(dim)
+    if gen_hash != generators_hash(dim, generators):
+        raise ValueError("group cache was built from different generators")
+    return CliffordGroup(dim, generators, table, parents, vias)

@@ -305,31 +305,6 @@ def incoherence_defect(block: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class PerturbationReport:
-    """Per-gate deviations from conjugated targets and their mean infidelity."""
-
-    deltas: list[np.ndarray]
-    mean_infidelity: float
-
-
-def perturbation_report(
-    group: CliffordGroup, noisy_set: list[SuperOp], basis_u: np.ndarray
-) -> PerturbationReport:
-    """Deviations noisy_gate o (U target U')^{-1} - identity for each gate."""
-    us = unitary_to_superop(np.asarray(basis_u, dtype=complex))
-    eye = np.eye(group.dim ** 2)
-    deltas = []
-    for e, noisy in zip(group.elements, noisy_set):
-        target = us.mat @ e.op.mat @ us.mat.T
-        deltas.append(noisy.mat @ target.T - eye)
-    mean_delta = np.mean(deltas, axis=0)
-    mean_infidelity = 1.0 - avg_gate_fidelity(
-        SuperOp(group.dim, eye + mean_delta), identity_superop(group.dim)
-    )
-    return PerturbationReport(deltas=deltas, mean_infidelity=mean_infidelity)
-
-
-@dataclass(frozen=True)
 class DecayLawReport:
     """How well f_tr at a corrected basis follows the plain p^m decay."""
 

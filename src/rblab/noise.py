@@ -2,9 +2,8 @@
 
 A noise model maps every element of an ideal Clifford gate-set to a noisy
 transfer matrix, index-aligned with the group.  Generator-replacement kinds
-(over-rotation, z-tilt) rebuild each element from noisy pulses via its stored
-generator word; the remaining kinds compose fixed error channels around the
-ideal element.
+(over-rotation, z-tilt) replay the group's closure steps with noisy pulses;
+the remaining kinds compose fixed error channels around the ideal element.
 """
 
 from __future__ import annotations
@@ -394,33 +393,15 @@ def _noisy_generators(model: NoiseModel, group: "CliffordGroup") -> dict[str, Su
 
 def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> list[SuperOp]:
     """Noisy transfer matrices, index-aligned with the ideal group."""
-    if model.kind == "ideal":
-        return [e.op for e in group.elements]
-
+    mats = group.mats
     if model.kind in ("over_rotation", "z_tilt"):
         gens = _noisy_generators(model, group)
-        noisy: list[SuperOp] = [identity_superop(group.dim)] * len(group)
-        for e in group.elements:
-            if e.parent < 0:
-                continue  # identity: empty word, no pulses applied
-            if e.via is None:
-                raise ConfigError(f"element {e.index} has no generator word")
-            noisy[e.index] = gens[e.via] @ noisy[e.parent]
-        return noisy
-
+        mats = group.replay({label: op.mat for label, op in gens.items()})
     fixed = _resolve_errors(model, group.dim)
-    if model.kind in ("conjugation", "relabeling"):
-        u = fixed["u"]
-        u_inv = SuperOp(group.dim, u.mat.T)
-        return [u @ e.op @ u_inv for e in group.elements]
-    left = fixed.get("left")
-    right = fixed.get("right")
-    out = []
-    for e in group.elements:
-        op = e.op
-        if right is not None:
-            op = op @ right
-        if left is not None:
-            op = left @ op
-        out.append(op)
-    return out
+    if "u" in fixed:  # conjugation and relabeling
+        mats = fixed["u"].mat @ mats @ fixed["u"].mat.T
+    if "right" in fixed:
+        mats = mats @ fixed["right"].mat
+    if "left" in fixed:
+        mats = fixed["left"].mat @ mats
+    return [SuperOp(group.dim, m) for m in mats]

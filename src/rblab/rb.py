@@ -1,7 +1,7 @@
 """Motion-reversal benchmarking: sequence sampling, survival, and decay fitting.
 
 Sequences are sampled uniformly from the group, inverted through the ideal
-composition (key lookup, then implemented with the noisy counterpart), and the
+composition (exact lookup, then implemented with the noisy counterpart), and the
 survival probability <effect | noisy circuit | state> is recorded exactly; the
 only randomness is the sequence draw.  Each (depth, sequence) pair derives its
 own generator from the base seed, so results do not depend on execution order.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import SuperOp, pauli_basis
-from .cliffords import CliffordGroup, compose_sequences
+from .cliffords import CliffordGroup, compose_rows, compose_sequences
 
 
 def default_state(dim: int) -> np.ndarray:
@@ -97,7 +97,6 @@ def run_rb(group: CliffordGroup, noisy_set: list[SuperOp], config: RBConfig) -> 
     if depths.size < 1 or depths.min() < 1:
         raise ValueError("depths must be positive")
     noisy_mats = np.stack([s.mat for s in noisy_set])
-    ideal_mats = np.stack([e.op.mat for e in group.elements])
     n_elems = len(group)
 
     table = np.empty((config.sequences, depths.size))
@@ -110,10 +109,10 @@ def run_rb(group: CliffordGroup, noisy_set: list[SuperOp], config: RBConfig) -> 
             dtype=np.int64,
         ).reshape(config.sequences, m)
         vecs = compose_sequences(noisy_mats, idx, rho[:, None])
-        ideals = compose_sequences(ideal_mats, idx, np.eye(dim ** 2))
-        inv = [group.find(ideal.T) for ideal in ideals]
-        if None in inv:
-            raise RuntimeError("inversion lookup failed for a closed group")
+        ideal = group.table[idx[:, 0]]
+        for j in range(1, m):
+            ideal = compose_rows(group.table[idx[:, j]], ideal)
+        inv = group.inverse_table[group.indices(ideal)]
         vecs = noisy_mats[inv] @ vecs
         # one 1-D dot per sequence: a batched product rounds differently
         table[:, di] = [mu @ v for v in vecs[:, :, 0]]

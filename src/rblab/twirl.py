@@ -49,8 +49,8 @@ def build_twirl(group: CliffordGroup, noisy_set: list[SuperOp]) -> TwirlSuperop:
             f"noisy set has {len(noisy_set)} elements, group has {len(group)}"
         )
     n = group.dim ** 2
-    # G Pi_tr is G with column 0 zeroed; done in place to avoid one temporary per gate
-    ideal = np.stack([e.op.mat for e in group.elements])
+    # G Pi_tr is G with column 0 zeroed, done in place on one copy of the group's stack
+    ideal = group.mats.copy()
     ideal[:, :, 0] = 0.0
     ideal = ideal.reshape(len(group), n * n)
     noisy = np.stack([s.mat for s in noisy_set]).reshape(len(group), n * n)
@@ -193,32 +193,6 @@ class TwirlSpectrum:
         if isinstance(basis_u, SuperOp):
             return basis_u
         return unitary_to_superop(np.asarray(basis_u, dtype=complex))
-
-    def overlaps(self, basis_u: np.ndarray | SuperOp) -> tuple[float, float]:
-        """Overlap scalars of the basis direction with the dominant eigenpair."""
-        us = self._basis_superop(basis_u).mat
-        norm_pi = np.sqrt(self.dim ** 2 - 1)
-        a = hs_inner(self.right_error_op.T, us) / norm_pi
-        b = hs_inner(us, self.left_error_op) / norm_pi
-        return a, b
-
-    def residual_vectors(
-        self, basis_u: np.ndarray | SuperOp
-    ) -> tuple[float, np.ndarray, float, np.ndarray]:
-        """(a, w, b, v): overlaps and the unit vectors orthogonal to the eigenpair."""
-        us = self._basis_superop(basis_u).mat
-        pi = traceless_projector(self.dim)
-        u_vec = vec(us @ pi) / np.sqrt(self.dim ** 2 - 1)
-        a, b = self.overlaps(SuperOp(self.dim, us))
-        a = min(1.0, max(-1.0, a))
-        b = min(1.0, max(-1.0, b))
-        w = u_vec - a * vec(self.right_error_op.T)
-        v = u_vec - b * vec(self.left_error_op)
-        if np.sqrt(1 - a ** 2) > 1e-12:
-            w = w / np.sqrt(1 - a ** 2)
-        if np.sqrt(1 - b ** 2) > 1e-12:
-            v = v / np.sqrt(1 - b ** 2)
-        return a, w, b, v
 
     def decay_amplitude(self, basis_u: np.ndarray | SuperOp) -> float:
         """Coefficient of p^m in the exact fidelity curve for this target basis."""
@@ -379,7 +353,6 @@ def fidelity_curve_mc(
     depths = np.asarray(list(depths), dtype=int)
     basis_u = np.asarray(basis_u, dtype=complex)
     us = unitary_to_superop(basis_u).mat
-    ideal_mats = np.stack([e.op.mat for e in group.elements])
     noisy_mats = np.stack([s.mat for s in noisy_set])
     dim = group.dim
     n = dim ** 2 - 1
@@ -390,7 +363,7 @@ def fidelity_curve_mc(
     for i, m in enumerate(depths):
         rng = np.random.default_rng([seed, int(m)])
         idx = rng.integers(0, len(group), size=(samples, int(m)))
-        target = us @ compose_sequences(ideal_mats, idx, eye) @ us.T
+        target = us @ compose_sequences(group.mats, idx, eye) @ us.T
         noisy = compose_sequences(noisy_mats, idx, eye)
         f_tr = np.array([np.sum(t[:, 1:] * g[:, 1:]) for t, g in zip(target, noisy)]) / n
         vals = 1.0 / dim + (dim - 1.0) / dim * f_tr

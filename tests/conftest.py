@@ -34,3 +34,8 @@ def overrot_spectrum(group24, overrot_noisy):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(scope="session")
+def group11520():
+    return generate_clifford_group(4)

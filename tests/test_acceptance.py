@@ -313,10 +313,10 @@ def test_criterion_09_order_four_sufficiency():
     noisy, spectrum = spectrum_of(group, NoiseModel.z_tilt(0.1))
     pi = traceless_projector(2)
     acc = np.zeros((4, 4))
-    for e1 in group.elements:
-        for e2 in group.elements:
-            ideal = e2.op.mat @ e1.op.mat
-            nz = noisy[e2.index].mat @ noisy[e1.index].mat
+    for k1, mat1 in enumerate(group.mats):
+        for k2, mat2 in enumerate(group.mats):
+            ideal = mat2 @ mat1
+            nz = noisy[k2].mat @ noisy[k1].mat
             acc += pi @ ideal.T @ nz
     acc /= len(group) ** 2
     enum_err = float(np.max(np.abs(acc / spectrum.p ** 2 - spectrum.right_error_op_at(2))))

@@ -9,8 +9,11 @@ import pytest
 
 import rblab
 from rblab import cli
+from rblab.channels import SIGMA_X, SIGMA_Y
 from rblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
+from rblab.cliffords import generate_clifford_group, save_group
 from rblab.correction import ImproperRotationError
+from rblab.noise import PulseSpec
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -62,9 +65,6 @@ class TestConfigErrors:
     def test_unknown_model_kind(self, tmp_path, cache):
         cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "cosmic_rays"}})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache]) == EXIT_CONFIG
-
-    def test_two_qubit_figures_need_extended_flag(self, tmp_path, cache):
-        assert main(["fig-delta", "--dim", "4", "--out", str(tmp_path)]) == EXIT_CONFIG
 
     def test_unreadable_config(self, tmp_path):
         code = main(["spectrum", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -126,6 +126,36 @@ class TestGroupCache:
         monkeypatch.setattr(cli, "generate_clifford_group", regenerate)
         assert main(["gen-group", "--dim", "2", "--group-cache", str(path)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g2cache"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "swapped_rows", "old_format", "other_generators"])
+    def test_bad_cache_exits_2_and_is_kept(self, tmp_path, capsys, cache, damage):
+        path = tmp_path / "g2.npz"
+        with np.load(cache) as data:
+            fields = {key: data[key] for key in data.files}
+        if damage == "truncated":
+            raw = Path(cache).read_bytes()
+            path.write_bytes(raw[: len(raw) // 2])
+        elif damage == "swapped_rows":
+            fields["table"] = fields["table"][[0, 1, 2, 3, 4, 6, 5, *range(7, 24)]]
+            np.savez(path, **fields)
+        elif damage == "old_format":
+            # the float-key layout: one transfer matrix per element under "ops"
+            ops = generate_clifford_group(2).mats
+            fields = {k: v for k, v in fields.items() if k != "table"}
+            np.savez_compressed(path, ops=ops, **fields)
+        else:
+            other = {"x": PulseSpec(SIGMA_X, -np.pi / 2), "y": PulseSpec(SIGMA_Y, -np.pi / 2)}
+            save_group(generate_clifford_group(2, generators=other), path)
+        before = path.read_bytes()
+        code = main([
+            "spectrum", "--config", str(CONFIG_DIR / "overrotation_d2.json"),
+            "--out", str(tmp_path), "--group-cache", str(path),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+        assert path.read_bytes() == before
+        assert not (tmp_path / "spectrum.csv").exists()
 
 
 class TestSpectrumAndCurve:
@@ -270,14 +300,13 @@ class TestNoScipy:
         assert (blocked / "correct.csv").read_bytes() == (in_suite / "correct.csv").read_bytes()
 
 
-@pytest.mark.extended
 class TestTwoQubitFigures:
     def test_fig_delta_extended(self, tmp_path):
         cache = tmp_path / "g4.npz"
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"max_depth": 12, "seed": 19}))
         assert main([
-            "fig-delta", "--dim", "4", "--extended", "--config", str(cfg),
+            "fig-delta", "--dim", "4", "--config", str(cfg),
             "--out", str(tmp_path), "--group-cache", str(cache),
         ]) == 0
         meta, cols = read_csv(tmp_path / "fig_delta.csv")

@@ -1,16 +1,51 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from rblab.channels import SIGMA_X, SIGMA_Y, identity_superop, unitary_to_superop
+from rblab.channels import (
+    SIGMA_X,
+    SIGMA_Y,
+    SuperOp,
+    identity_superop,
+    random_unitary,
+    unitary_to_superop,
+)
 from rblab.cliffords import (
     GroupClosureError,
-    canonical_key,
+    compose_rows,
     default_generators,
     generate_clifford_group,
     load_group,
     save_group,
 )
-from rblab.noise import CZ_HAMILTONIAN, PulseSpec, pulse
+from rblab.noise import (
+    CZ_HAMILTONIAN,
+    NoiseModel,
+    PulseSpec,
+    _noisy_generators,
+    build_noisy_gateset,
+    depolarizing,
+    pulse,
+)
+
+
+def word(group, k):
+    """Generator labels of element k, first applied first, rebuilt from the closure."""
+    labels = []
+    while group.parents[k] >= 0:
+        labels.append(group.labels[group.vias[k]])
+        k = group.parents[k]
+    return tuple(reversed(labels))
+
+
+def loop_replay(group, gens):
+    """Per-element reference for the batched replay: one matmul per element, in index order."""
+    mats = [np.eye(group.dim ** 2)]
+    for k in range(1, len(group)):
+        mats.append(gens[group.labels[group.vias[k]]] @ mats[group.parents[k]])
+    return np.stack(mats)
 
 
 class TestGeneration:
@@ -18,36 +53,36 @@ class TestGeneration:
         assert len(group24) == 24
 
     def test_identity_element_has_empty_word(self, group24):
-        assert group24.elements[0].word == ()
-        assert np.array_equal(group24.elements[0].op.mat, np.eye(4))
+        assert word(group24, 0) == ()
+        assert np.array_equal(group24.mats[0], np.eye(4))
 
     def test_words_replay_to_ops(self, group24):
-        for e in group24.elements:
+        for k, mat in enumerate(group24.mats):
             op = identity_superop(2)
-            for label in e.word:
+            for label in word(group24, k):
                 op = group24.generator_ops[label] @ op
-            assert np.max(np.abs(op.mat - e.op.mat)) < 1e-10
+            assert np.max(np.abs(op.mat - mat)) < 1e-10
 
     def test_bfs_words_are_minimal_from_parents(self, group24):
-        for e in group24.elements:
-            if e.parent >= 0:
-                assert len(e.word) == len(group24.elements[e.parent].word) + 1
+        for k, parent in enumerate(group24.parents):
+            if parent >= 0:
+                assert len(word(group24, k)) == len(word(group24, parent)) + 1
 
     def test_closure_cap_fires_for_wrong_generators(self):
         bad = {"t": PulseSpec(SIGMA_X, np.pi / 4)}  # pi/8-type gate: not Clifford
         with pytest.raises(GroupClosureError):
-            generate_clifford_group(2, generators=bad, cap=40)
+            generate_clifford_group(2, generators=bad)
 
     def test_composition_closure_random_pairs(self, group24, rng):
         for _ in range(100):
             g = group24.random_element(rng)
             h = group24.random_element(rng)
-            product = group24.op(g).mat @ group24.op(h).mat
+            product = group24.mats[g] @ group24.mats[h]
             assert group24.find(product) is not None
 
     def test_entries_are_signed_integers(self, group24):
-        for e in group24.elements:
-            assert np.max(np.abs(e.op.mat - np.round(e.op.mat))) < 1e-12
+        for mat in group24.mats:
+            assert np.max(np.abs(mat - np.round(mat))) < 1e-12
 
 
 class TestInverse:
@@ -57,17 +92,17 @@ class TestInverse:
     def test_generator_inverse_product(self, group24):
         idx = group24.find(group24.generator_ops["x"].mat)
         inv = group24.inverse(idx)
-        product = group24.op(inv) @ group24.op(idx)
-        assert np.max(np.abs(product.mat - np.eye(4))) < 1e-10
+        product = group24.mats[inv] @ group24.mats[idx]
+        assert np.max(np.abs(product - np.eye(4))) < 1e-10
 
     def test_all_inverses(self, group24):
-        for e in group24.elements:
-            inv = group24.inverse(e.index)
-            assert np.max(np.abs((group24.op(inv) @ e.op).mat - np.eye(4))) < 1e-10
+        for k, mat in enumerate(group24.mats):
+            inv = group24.inverse(k)
+            assert np.max(np.abs(group24.mats[inv] @ mat - np.eye(4))) < 1e-10
 
     def test_involution(self, group24):
-        for e in group24.elements:
-            assert group24.inverse(group24.inverse(e.index)) == e.index
+        for k in range(len(group24)):
+            assert group24.inverse(group24.inverse(k)) == k
 
 
 class TestRandomElement:
@@ -118,9 +153,9 @@ class TestCache:
         save_group(group24, path)
         loaded = load_group(path)
         assert len(loaded) == len(group24)
-        for a, b in zip(loaded.elements, group24.elements):
-            assert a.word == b.word
-            assert np.array_equal(a.op.mat, b.op.mat)
+        for k in range(len(group24)):
+            assert word(loaded, k) == word(group24, k)
+        assert np.array_equal(loaded.mats, group24.mats)
         assert np.array_equal(loaded.inverse_table, group24.inverse_table)
 
     def test_load_rejects_mismatched_generators(self, group24, tmp_path):
@@ -134,28 +169,95 @@ class TestCache:
             load_group(path, generators=other)
 
 
-class TestCanonicalKey:
-    def test_negative_zero_insensitive(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        b = np.array([[-0.0, 1.0], [1.0, -0.0]])
-        assert canonical_key(a) == canonical_key(b)
-
+class TestDefaultGenerators:
     def test_default_generators_unknown_dim(self):
         with pytest.raises(ValueError):
             default_generators(3)
 
 
-@pytest.mark.extended
 class TestTwoQubitGroup:
-    def test_order_and_structure(self):
-        group = generate_clifford_group(4)
+    def test_order_and_structure(self, group11520):
+        group = group11520
         assert len(group) == 11520
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = group.random_element(rng)
             h = group.random_element(rng)
-            assert group.find(group.op(g).mat @ group.op(h).mat) is not None
+            assert group.find(group.mats[g] @ group.mats[h]) is not None
         for _ in range(50):
             g = group.random_element(rng)
             inv = group.inverse(g)
-            assert np.max(np.abs((group.op(inv) @ group.op(g)).mat - np.eye(16))) < 1e-10
+            assert np.max(np.abs(group.mats[inv] @ group.mats[g] - np.eye(16))) < 1e-10
+
+    def test_every_inverse_is_exact_on_the_table(self, group11520):
+        table = group11520.table
+        inverses = table[group11520.inverse_table]
+        identity = np.broadcast_to(table[0], table.shape)
+        assert np.array_equal(compose_rows(inverses, table), identity)
+        assert np.array_equal(compose_rows(table, inverses), identity)
+
+
+class TestElementOrder:
+    """The element order is an output contract: RB draws element indices."""
+
+    def test_single_qubit_parents_and_vias(self, group24):
+        assert group24.parents.tolist() == [
+            -1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 6, 7, 8, 8, 9, 10, 11, 13, 14, 17, 18
+        ]
+        assert [group24.labels[v] if v >= 0 else None for v in group24.vias] == [
+            None, "x", "y", "x", "y", "x", "y", "x", "y", "x", "y", "x",
+            "x", "y", "y", "x", "y", "x", "y", "x", "x", "x", "x", "x",
+        ]
+
+    def test_two_qubit_order_digest(self, group11520):
+        # digest of json.dumps([parents, via labels]) from the float-key closure
+        vias = [group11520.labels[v] if v >= 0 else None for v in group11520.vias]
+        payload = json.dumps([group11520.parents.tolist(), vias]).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "fb295e83b385e37f990958f76b6694e8d2d90c9136545d065c4af0fe5f340cb5"
+        )
+
+
+
+class TestReplay:
+    """The batched replay rounds exactly like per-element products."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_mats_equal_per_element_products(self, group24, group11520, dim):
+        group = group24 if dim == 2 else group11520
+        gens = {label: op.mat for label, op in group.generator_ops.items()}
+        assert np.array_equal(group.mats, loop_replay(group, gens))
+        assert not group.mats.flags.writeable
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NoiseModel.over_rotation(0.1),
+            NoiseModel.over_rotation(0.07, cz_epsilon=0.03),
+            NoiseModel.z_tilt(0.1),
+            NoiseModel.z_tilt(0.05, cz_epsilon=0.02),
+        ],
+        ids=["over_rotation", "over_rotation_cz", "z_tilt", "z_tilt_cz"],
+    )
+    def test_noisy_replay_equals_per_element_products(self, group24, group11520, dim, model):
+        group = group24 if dim == 2 else group11520
+        gens = {label: op.mat for label, op in _noisy_generators(model, group).items()}
+        noisy = np.stack([op.mat for op in build_noisy_gateset(model, group)])
+        assert np.array_equal(noisy, loop_replay(group, gens))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_fixed_channel_models_equal_per_element_products(self, group24, group11520, dim):
+        group = group24 if dim == 2 else group11520
+        rng = np.random.default_rng(5)
+        u = random_unitary(dim, rng)
+        us = unitary_to_superop(u).mat
+        left = depolarizing(0.97, dim).mat
+        right = unitary_to_superop(random_unitary(dim, rng)).mat
+        conj = build_noisy_gateset(NoiseModel.conjugation(u), group)
+        model = NoiseModel.sandwich(depolarizing(0.97, dim), SuperOp(dim, right))
+        sandwich = build_noisy_gateset(model, group)
+        for mat, c, s in zip(group.mats, conj, sandwich):
+            assert np.array_equal(c.mat, us @ mat @ np.ascontiguousarray(us.T))
+            assert np.array_equal(s.mat, left @ (mat @ right))
+

@@ -24,7 +24,6 @@ from rblab.correction import (
     incoherence_defect,
     lift_rotation,
     optimize_correct,
-    perturbation_report,
     polar_correct,
     su_generators,
     verify_decay_law,
@@ -38,6 +37,7 @@ from rblab.noise import (
     rotation,
 )
 from rblab.twirl import build_twirl, dominant_spectrum, order_m_error_blocks
+from test_twirl import perturbation_report
 
 # values computed once from the tilt model via the grid+refine oracle below
 ZTILT_CORRECTION_ANGLE = 0.0864951677497197
@@ -331,7 +331,7 @@ class TestVerifyDecayLaw:
     def test_sandwich_fixed_error_match(self, group24):
         left = depolarizing(0.999)
         right = rotation("y", 0.05)
-        noisy = [SuperOp(2, left.mat @ e.op.mat @ right.mat) for e in group24.elements]
+        noisy = [SuperOp(2, left.mat @ mat @ right.mat) for mat in group24.mats]
         spectrum = dominant_spectrum(build_twirl(group24, noisy))
         basis = correct_from_noisy_set(group24, noisy, spectrum=spectrum)
         report = verify_decay_law(
@@ -415,21 +415,22 @@ class TestHypothesisFailure:
     def test_decay_straddles_identity_basis_fidelity(self, group24, axis, angle):
         rot = rotation(axis, angle)
         dep = depolarizing(0.99)
+        ideal = [SuperOp(2, mat) for mat in group24.mats]
         conj_left = [
-            SuperOp(2, rot.mat @ dep.mat @ e.op.mat @ rot.mat.T)
-            for e in group24.elements
+            SuperOp(2, rot.mat @ dep.mat @ mat @ rot.mat.T)
+            for mat in group24.mats
         ]
         double_daggered = [
-            SuperOp(2, rot.mat.T @ dep.mat @ e.op.mat @ rot.mat.T)
-            for e in group24.elements
+            SuperOp(2, rot.mat.T @ dep.mat @ mat @ rot.mat.T)
+            for mat in group24.mats
         ]
         f1 = np.mean(
-            [traceless_fidelity(nz, e.op) for nz, e in zip(conj_left, group24.elements)]
+            [traceless_fidelity(nz, op) for nz, op in zip(conj_left, ideal)]
         )
         f2 = np.mean(
             [
-                traceless_fidelity(nz, e.op)
-                for nz, e in zip(double_daggered, group24.elements)
+                traceless_fidelity(nz, op)
+                for nz, op in zip(double_daggered, ideal)
             ]
         )
         p1 = dominant_spectrum(build_twirl(group24, conj_left)).p

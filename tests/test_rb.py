@@ -71,9 +71,9 @@ class TestRunRB:
         rho = default_state(2)
         mu = default_effect(2)
         total = 0.0
-        for e in group24.elements:
-            inv = group24.inverse(e.index)
-            total += mu @ (noisy[inv].mat @ (noisy[e.index].mat @ rho))
+        for k in range(len(group24)):
+            inv = group24.inverse(k)
+            total += mu @ (noisy[inv].mat @ (noisy[k].mat @ rho))
         mean = total / len(group24)
         pi = traceless_projector(2)
         p = np.trace(err.mat[1:, 1:]) / 3
@@ -270,7 +270,7 @@ def reference_run_rb(group, noisy_set, config):
             ideal = np.eye(group.dim ** 2)
             for j in idx:
                 vec = noisy_set[j].mat @ vec
-                ideal = group.elements[j].op.mat @ ideal
+                ideal = group.mats[j] @ ideal
             vec = noisy_set[group.find(ideal.T)].mat @ vec
             table[k, di] = mu @ vec
     return table

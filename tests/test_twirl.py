@@ -1,15 +1,19 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from rblab.channels import (
     SuperOp,
+    avg_gate_fidelity,
+    hs_inner,
+    identity_superop,
     infidelity,
     random_unitary,
     traceless_projector,
     unitary_to_superop,
     vec,
 )
-from rblab.correction import perturbation_report
 from rblab.noise import (
     NoiseModel,
     build_noisy_gateset,
@@ -28,8 +32,47 @@ from rblab.twirl import (
 )
 
 
+@dataclass(frozen=True)
+class PerturbationReport:
+    """Per-gate deviations from conjugated targets and their mean infidelity."""
+
+    deltas: list[np.ndarray]
+    mean_infidelity: float
+
+
+def perturbation_report(group, noisy_set, basis_u) -> PerturbationReport:
+    """Deviations noisy_gate o (U target U')^{-1} - identity for each gate."""
+    us = unitary_to_superop(np.asarray(basis_u, dtype=complex))
+    eye = np.eye(group.dim ** 2)
+    deltas = []
+    for ideal, noisy in zip(group.mats, noisy_set):
+        target = us.mat @ ideal @ us.mat.T
+        deltas.append(noisy.mat @ target.T - eye)
+    mean_delta = np.mean(deltas, axis=0)
+    mean_infidelity = 1.0 - avg_gate_fidelity(
+        SuperOp(group.dim, eye + mean_delta), identity_superop(group.dim)
+    )
+    return PerturbationReport(deltas=deltas, mean_infidelity=mean_infidelity)
+
+
+def residual_vectors(spectrum, basis_u):
+    """Overlaps a, b of the basis direction with the eigenpair, and unit residuals w, v."""
+    us = unitary_to_superop(np.asarray(basis_u, dtype=complex)).mat
+    norm_pi = np.sqrt(spectrum.dim ** 2 - 1)
+    u_vec = vec(us @ traceless_projector(spectrum.dim)) / norm_pi
+    a = min(1.0, max(-1.0, hs_inner(spectrum.right_error_op.T, us) / norm_pi))
+    b = min(1.0, max(-1.0, hs_inner(us, spectrum.left_error_op) / norm_pi))
+    w = u_vec - a * vec(spectrum.right_error_op.T)
+    v = u_vec - b * vec(spectrum.left_error_op)
+    if np.sqrt(1 - a ** 2) > 1e-12:
+        w = w / np.sqrt(1 - a ** 2)
+    if np.sqrt(1 - b ** 2) > 1e-12:
+        v = v / np.sqrt(1 - b ** 2)
+    return a, w, b, v
+
+
 def make_sandwich(group, left, right):
-    return [SuperOp(2, left.mat @ e.op.mat @ right.mat) for e in group.elements]
+    return [SuperOp(2, left.mat @ mat @ right.mat) for mat in group.mats]
 
 
 class TestBuildTwirl:
@@ -129,10 +172,10 @@ class TestOrderMErrors:
         pi = traceless_projector(2)
         acc_r = np.zeros((4, 4))
         acc_l = np.zeros((4, 4))
-        for e1 in group24.elements:
-            for e2 in group24.elements:
-                ideal = e2.op.mat @ e1.op.mat
-                noisy = ztilt_noisy[e2.index].mat @ ztilt_noisy[e1.index].mat
+        for k1, mat1 in enumerate(group24.mats):
+            for k2, mat2 in enumerate(group24.mats):
+                ideal = mat2 @ mat1
+                noisy = ztilt_noisy[k2].mat @ ztilt_noisy[k1].mat
                 acc_r += pi @ ideal.T @ noisy
                 acc_l += noisy @ ideal.T @ pi
         acc_r /= len(group24) ** 2
@@ -213,7 +256,7 @@ class TestFidelityCurveExact:
     def test_residual_vector_expansion_reconstructs_curve(self, ztilt_spectrum, rng):
         # w, v and the deflated remainder give an independent route to D(m, U)
         u = random_unitary(2, rng)
-        a, w, b, v = ztilt_spectrum.residual_vectors(u)
+        a, w, b, v = residual_vectors(ztilt_spectrum, u)
         curve = fidelity_curve_exact(ztilt_spectrum, u, range(1, 9))
         delta_m = np.eye(16)
         for i, m in enumerate(curve.depths):
