@@ -96,10 +96,6 @@ class SuperOp:
             raise ValueError("dimension mismatch in composition")
         return SuperOp(self.dim, self.mat @ other.mat)
 
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Act on a Pauli-coefficient vector."""
-        return self.mat @ coeffs
-
 
 def identity_superop(dim: int) -> SuperOp:
     return SuperOp(dim, np.eye(dim ** 2))
@@ -162,11 +158,6 @@ def traceless_projector(dim: int) -> np.ndarray:
     pi[0, 0] = 0.0
     pi.setflags(write=False)
     return pi
-
-
-def traceless_block(mat: np.ndarray) -> np.ndarray:
-    """The (d**2 - 1) x (d**2 - 1) submatrix acting on Bloch components."""
-    return np.asarray(mat)[1:, 1:]
 
 
 def block_fidelity(block: np.ndarray) -> float:

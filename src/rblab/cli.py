@@ -367,13 +367,6 @@ def cmd_fig_delta(args) -> int:
     return 0
 
 
-def _log_fit(depths: np.ndarray, fidelity: np.ndarray, dim: int, lo: int, hi: int):
-    mask = (depths >= lo) & (depths <= hi)
-    y = np.log(fidelity[mask] - 1.0 / dim)
-    slope, intercept = np.polyfit(depths[mask].astype(float), y, 1)
-    return slope, 1.0 / dim + np.exp(intercept)
-
-
 def cmd_fig_pbloch(args) -> int:
     cfg = load_config(args.config)
     dim = _dim(args, cfg)
@@ -396,7 +389,7 @@ def cmd_fig_pbloch(args) -> int:
     columns = [("m", list(curves["identity"].depths))]
     ms = curves["identity"].depths
     for name, curve in curves.items():
-        slope, intercept = _log_fit(curve.depths, curve.fidelity, dim, 5, 10)
+        slope, intercept = curve.log_fit(5, 10)
         meta[f"intercept_{name}"] = repr(float(intercept))
         meta[f"slope_{name}"] = repr(float(slope))
         fit_vals = 1.0 / dim + (intercept - 1.0 / dim) * np.exp(slope * ms.astype(float))

@@ -3,9 +3,10 @@
 The coherent part of the order-4 right error is what separates the decay
 parameter from the gate-set circuit fidelity at a fixed target frame.  For a
 single qubit the polar decomposition of the 3x3 Bloch block isolates that
-rotation analytically; in general it is recovered by gradient ascent over the
-special unitary group.  Composing the targets with the recovered unitary
-restores the plain p^m decay law up to second order in the infidelity.
+rotation analytically; in general it is recovered by steepest ascent on the
+unitary group, re-centred at the current unitary on every step and driven by
+a closed-form commutator gradient.  Composing the targets with the recovered
+unitary restores the plain p^m decay law up to second order in the infidelity.
 """
 
 from __future__ import annotations
@@ -168,22 +169,21 @@ def su_generators(dim: int) -> np.ndarray:
     return pauli_basis(dim)[1:]
 
 
-def _exp_i(
-    generators: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(i H) for H = sum_l theta_l G_l, with the eigenpairs (w, V) of H."""
-    h = np.tensordot(theta, generators, axes=1)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T, w, v
+def _exp_i(generators: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """exp(i H) for H = sum_l theta_l G_l."""
+    w, v = np.linalg.eigh(np.tensordot(theta, generators, axes=1))
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 class _CorrectedFidelity:
-    """Average fidelity of (right error) o U(theta) and its exact theta-gradient.
+    """Average fidelity of (right error) o U and its left-trivialised gradient.
 
     With the Bloch block B padded by a zero identity row and column, and
-    Q_j = sum_k B_kj P_k over the unnormalized Paulis,
-    f(U) = 1/d + (d-1)/(d^2 n) Re sum_j tr(P_j U Q_j U'), which equals the
-    fidelity read off the transfer matrix of U without building it.
+    Q_j = sum_k B_kj P_k over the unnormalized Paulis, A_j = U Q_j U' gives
+    f(U) = 1/d + (d-1)/(d^2 n) Re sum_j tr(P_j A_j), which equals the
+    fidelity read off the transfer matrix of U without building it.  Along
+    exp(i t P_l) U the derivative at t = 0 is Re i tr(P_l C) times the same
+    factor, with the commutator sum C = sum_j [A_j, P_j].
     """
 
     def __init__(self, block: np.ndarray, dim: int):
@@ -196,25 +196,14 @@ class _CorrectedFidelity:
         self.q = np.tensordot(padded.T, self.paulis, axes=1)
         self.scale = (dim - 1.0) / (dim ** 2 * n)
 
-    def evaluate(self, theta: np.ndarray) -> tuple[float, tuple]:
-        """f at theta, plus the eigenpairs of H and M = sum_j Q_j U' P_j for the gradient."""
-        u, w, v = _exp_i(self.gens, theta)
-        m = np.einsum("jab,jbc->ac", self.q, u.conj().T @ self.paulis)
-        value = 1.0 / self.dim + self.scale * float(np.einsum("ab,ba->", u, m).real)
-        return value, (w, v, m)
-
-    def gradient(self, state: tuple) -> np.ndarray:
-        """Exact df/dtheta from the state `evaluate` returned at the same theta."""
-        w, v, m = state
-        # Daleckii-Krein: d exp(iH) along P_l is V (Phi o V'P_lV) V' with
-        # Phi_ab = (e^{iw_a} - e^{iw_b}) / (w_a - w_b), written in a form that
-        # stays exact for equal or nearly equal eigenvalues
-        half_sum = 0.5 * (w[:, None] + w[None, :])
-        half_gap = 0.5 * (w[:, None] - w[None, :])
-        phi = 1j * np.exp(1j * half_sum) * np.sinc(half_gap / np.pi)
-        k = (v.conj().T @ m @ v).T * phi
-        z = v.conj() @ k @ v.T
-        return 2.0 * self.scale * np.einsum("lcd,cd->l", self.gens, z).real
+    def evaluate(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        """f at U and its gradient g_l = d/dt f(exp(i t P_l) U) at t = 0."""
+        a = u @ self.q @ u.conj().T
+        overlap = float(np.einsum("jab,jba->", self.paulis, a).real)
+        value = 1.0 / self.dim + self.scale * overlap
+        c = np.sum(a @ self.paulis - self.paulis @ a, axis=0)
+        grad = -self.scale * np.einsum("lab,ba->l", self.gens, c).imag
+        return value, grad
 
 
 @dataclass(frozen=True)
@@ -228,6 +217,51 @@ class CorrectionResult:
     start_index: int
 
 
+def _seeded_starts(dim: int, seed: int, random_starts: int) -> list[np.ndarray]:
+    """The identity, then exp(i sum_l theta_l P_l) with theta from default_rng([seed, k])."""
+    gens = su_generators(dim)
+    starts = [np.eye(dim, dtype=complex)]
+    for k in range(random_starts):
+        rng = np.random.default_rng([seed, k])
+        starts.append(_exp_i(gens, rng.normal(scale=0.5, size=len(gens))))
+    return starts
+
+
+def _ascend(
+    objective: _CorrectedFidelity,
+    u: np.ndarray,
+    learning_rate: float,
+    grad_tol: float,
+    max_iterations: int,
+) -> tuple[float, np.ndarray, bool, int]:
+    """Steepest ascent from U, re-centred at the current U on every step.
+
+    Each accepted step is U <- exp(i lr G) U with G = sum_l g_l P_l, the step
+    length halved from `learning_rate` until the fidelity rises.  Returns the
+    fidelity, U, whether the gradient norm fell below `grad_tol` (or no
+    ascent was left at float resolution) and the iteration count.
+    """
+    value, grad = objective.evaluate(u)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        if np.linalg.norm(grad) < grad_tol:
+            converged = True
+            break
+        lr = learning_rate
+        while lr > 1e-12:
+            candidate = _exp_i(objective.gens, lr * grad) @ u
+            candidate_value, candidate_grad = objective.evaluate(candidate)
+            if candidate_value > value:
+                u, value, grad = candidate, candidate_value, candidate_grad
+                break
+            lr *= 0.5
+        else:
+            converged = True  # no ascent direction left at float resolution
+            break
+    return value, u, converged, iterations
+
+
 def optimize_correct(
     right_error_block: np.ndarray,
     dim: int,
@@ -239,11 +273,12 @@ def optimize_correct(
 ) -> CorrectionResult:
     """Unitary maximizing the average fidelity of (right error) o (correction).
 
-    The correction is exp(i sum_l theta_l P_l) over the d^2 - 1 non-identity
-    Paulis.  Gradient ascent on theta uses the exact gradient and a
-    backtracking line search, from the identity and `random_starts` seeded
-    random starting points; the best value wins, ties broken by the earliest
-    start.  Non-convergence is reported through the flag, not raised.
+    Steepest ascent on the unitary group itself: every step moves U along
+    exp(i t sum_l g_l P_l) U over the d^2 - 1 non-identity Paulis, with g the
+    closed-form commutator gradient at the current U, and a backtracking line
+    search.  It runs from the identity and `random_starts` seeded random
+    unitaries; the best value wins, ties broken by the earliest start.
+    Non-convergence is reported through the flag, not raised.
     """
     block = np.asarray(right_error_block, dtype=float)
     n = dim ** 2 - 1
@@ -251,38 +286,14 @@ def optimize_correct(
         raise ValueError(f"expected a {n}x{n} Bloch block, got shape {block.shape}")
     objective = _CorrectedFidelity(block, dim)
 
-    starts = [np.zeros(n)]
-    for k in range(random_starts):
-        rng = np.random.default_rng([seed, k])
-        starts.append(rng.normal(scale=0.5, size=n))
-
-    best = None  # (fidelity, theta, converged, iterations, start_index)
-    for start_index, theta in enumerate(starts):
-        theta = theta.copy()
-        value, state = objective.evaluate(theta)
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            grad = objective.gradient(state)
-            gnorm = np.linalg.norm(grad)
-            if gnorm < grad_tol:
-                converged = True
-                break
-            lr = learning_rate
-            while lr > 1e-12:
-                candidate = theta + lr * grad
-                candidate_value, candidate_state = objective.evaluate(candidate)
-                if candidate_value > value:
-                    theta, value, state = candidate, candidate_value, candidate_state
-                    break
-                lr *= 0.5
-            else:
-                converged = True  # no ascent direction left at float resolution
-                break
+    best = None  # (fidelity, unitary, converged, iterations, start_index)
+    for start_index, start in enumerate(_seeded_starts(dim, seed, random_starts)):
+        value, u, converged, iterations = _ascend(
+            objective, start, learning_rate, grad_tol, max_iterations
+        )
         if best is None or value > best[0] + 1e-14:
-            best = (value, theta, converged, iterations, start_index)
-    value, theta, converged, iterations, start_index = best
-    unitary = _exp_i(objective.gens, theta)[0]
+            best = (value, u, converged, iterations, start_index)
+    value, unitary, converged, iterations, start_index = best
     check_unitary(unitary)
     return CorrectionResult(
         unitary=unitary,

@@ -177,16 +177,6 @@ class TwirlSpectrum:
         ):
             raise DegenerateSpectrumError("deflated remainder does not annihilate the eigenpair")
 
-    # -- finite-depth error operators ---------------------------------------
-
-    def right_error_op_at(self, m: int) -> np.ndarray:
-        """Depth-m right-error operator (converges to right_error_op as m grows)."""
-        pi = traceless_projector(self.dim)
-        v = vec(pi)
-        for _ in range(m):
-            v = self.twirl.mat.T @ v
-        return unvec(v).T / self.p ** m
-
     # -- basis expansion -----------------------------------------------------
 
     def _basis_superop(self, basis_u: np.ndarray | SuperOp) -> SuperOp:
@@ -279,6 +269,17 @@ class FidelityCurve:
     residual: np.ndarray  # f_tr - C p^m at each depth
     ratio_deviation: np.ndarray  # f_tr(m+1)/f_tr(m) - p at each depth
     p: float
+
+    def log_fit(self, lo: int, hi: int) -> tuple[float, float]:
+        """Straight-line fit of log(F - 1/d) against m over lo <= m <= hi.
+
+        Returns the slope and the intercept A of F(m) = 1/d + (A - 1/d) exp(slope m).
+        """
+        dim = self.basis.shape[0]
+        mask = (self.depths >= lo) & (self.depths <= hi)
+        y = np.log(self.fidelity[mask] - 1.0 / dim)
+        slope, intercept = np.polyfit(self.depths[mask].astype(float), y, 1)
+        return slope, 1.0 / dim + np.exp(intercept)
 
 
 def fidelity_curve_exact(

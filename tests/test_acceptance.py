@@ -24,6 +24,7 @@ from rblab.twirl import (
     fidelity_curve_exact,
     order_m_error_blocks,
 )
+from test_twirl import right_error_op_at
 
 COMPOSITE_FACTORS = [
     {"channel": "dephasing", "axis": "z", "q": 0.999},
@@ -169,13 +170,6 @@ def test_criterion_05_deviation_reproduction():
     assert ok
 
 
-def _log_intercept(curve, dim, lo=5, hi=10):
-    mask = (curve.depths >= lo) & (curve.depths <= hi)
-    y = np.log(curve.fidelity[mask] - 1.0 / dim)
-    slope, intercept = np.polyfit(curve.depths[mask].astype(float), y, 1)
-    return 1.0 / dim + np.exp(intercept)
-
-
 def test_criterion_06_intercept_reproduction():
     """Order of the short-depth fit intercepts for the over-rotation model.
 
@@ -208,7 +202,7 @@ def test_criterion_06_intercept_reproduction():
         noisy, spectrum = spectrum_of(group, NoiseModel.over_rotation(eps))
         basis = correct_from_noisy_set(group, noisy, spectrum=spectrum)
         for key, frame in zip(frames, (basis, np.eye(2), basis @ basis)):
-            intercept = _log_intercept(fidelity_curve_exact(spectrum, frame, depths), 2)
+            _, intercept = fidelity_curve_exact(spectrum, frame, depths).log_fit(5, 10)
             exact = 0.5 + 0.5 * spectrum.decay_amplitude(unitary_to_superop(frame))
             fit_err = max(fit_err, abs(intercept - exact))
             dev[key].append(abs(1.0 - intercept))
@@ -301,8 +295,8 @@ def test_criterion_09_order_four_sufficiency():
     gaps = {}
     for name, model in models.items():
         noisy, spectrum = spectrum_of(group, model)
-        a4 = spectrum.right_error_op_at(4)
-        a8 = spectrum.right_error_op_at(8)
+        a4 = right_error_op_at(spectrum, 4)
+        a8 = right_error_op_at(spectrum, 8)
         gaps[name] = (
             float(np.linalg.norm(a4 - a8)),
             5 * (1 - spectrum.p) ** 2,
@@ -319,7 +313,7 @@ def test_criterion_09_order_four_sufficiency():
             nz = noisy[k2].mat @ noisy[k1].mat
             acc += pi @ ideal.T @ nz
     acc /= len(group) ** 2
-    enum_err = float(np.max(np.abs(acc / spectrum.p ** 2 - spectrum.right_error_op_at(2))))
+    enum_err = float(np.max(np.abs(acc / spectrum.p ** 2 - right_error_op_at(spectrum, 2))))
     ok = close and enum_err <= 1e-10
     worst = max(gap / bound for gap, bound in gaps.values())
     announce(

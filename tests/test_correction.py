@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,16 @@ from rblab.channels import (
     traceless_fidelity,
     unitary_to_superop,
 )
+from rblab.cli import load_config, model_from_config
 from rblab.correction import (
     CorrectionResult,
     ImproperRotationError,
     SingularBlockError,
     _CorrectedFidelity,
+    _ascend,
     _exp_i,
     _rotation_vector,
+    _seeded_starts,
     correct_from_noisy_set,
     incoherence_defect,
     lift_rotation,
@@ -38,6 +43,8 @@ from rblab.noise import (
 )
 from rblab.twirl import build_twirl, dominant_spectrum, order_m_error_blocks
 from test_twirl import perturbation_report
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # values computed once from the tilt model via the grid+refine oracle below
 ZTILT_CORRECTION_ANGLE = 0.0864951677497197
@@ -257,15 +264,15 @@ class TestOptimizeCorrect:
             optimize_correct(np.eye(4), 2)
 
 
-def transfer_matrix_fidelity(block, dim, theta):
-    """The optimizer's objective read off the transfer matrix of U(theta)."""
+def transfer_matrix_fidelity(block, dim, u):
+    """The optimizer's objective read off the transfer matrix of U."""
     n = dim ** 2 - 1
-    u_block = unitary_to_superop(_exp_i(su_generators(dim), theta)[0]).mat[1:, 1:]
+    u_block = unitary_to_superop(u).mat[1:, 1:]
     return 1.0 / dim + (dim - 1.0) / dim * float(np.sum(block * u_block.T)) / n
 
 
 class TestExactGradient:
-    """The closed-form objective and gradient against the transfer-matrix route."""
+    """The closed-form objective and commutator gradient against the transfer-matrix route."""
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("kind", ["zero", "single_axis", "random", "large"])
@@ -273,21 +280,47 @@ class TestExactGradient:
         n = dim ** 2 - 1
         block = np.eye(n) + rng.normal(scale=0.3, size=(n, n))
         theta = {
-            "zero": np.zeros(n),  # every eigenvalue of H equal
-            "single_axis": 0.4 * np.eye(n)[n - 1],  # degenerate pairs at d=4
+            "zero": np.zeros(n),  # U is the identity
+            "single_axis": 0.4 * np.eye(n)[n - 1],  # degenerate eigenvalues of U at d=4
             "random": rng.normal(scale=0.5, size=n),
-            "large": rng.normal(scale=2.0, size=n),  # eigenvalues of order pi
+            "large": rng.normal(scale=2.0, size=n),  # eigenvalues of H of order pi
         }[kind]
-        objective = _CorrectedFidelity(block, dim)
-        value, state = objective.evaluate(theta)
-        assert value == pytest.approx(transfer_matrix_fidelity(block, dim, theta), abs=1e-13)
+        gens = su_generators(dim)
+        u = _exp_i(gens, theta)
+        value, grad = _CorrectedFidelity(block, dim).evaluate(u)
+        assert value == pytest.approx(transfer_matrix_fidelity(block, dim, u), abs=1e-13)
         step = 1e-5
         numeric = np.array([
-            (transfer_matrix_fidelity(block, dim, theta + step * e)
-             - transfer_matrix_fidelity(block, dim, theta - step * e)) / (2 * step)
+            (transfer_matrix_fidelity(block, dim, _exp_i(gens, step * e) @ u)
+             - transfer_matrix_fidelity(block, dim, _exp_i(gens, -step * e) @ u)) / (2 * step)
             for e in np.eye(n)
         ])
-        assert np.max(np.abs(objective.gradient(state) - numeric)) < 1e-8
+        assert np.max(np.abs(grad - numeric)) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def ztilt_d4_right_block(group11520):
+    cfg = load_config(str(CONFIG_DIR / "ztilt_d4.json"))
+    noisy = build_noisy_gateset(model_from_config(cfg, 4), group11520)
+    right_blk, _ = order_m_error_blocks(group11520, noisy, 4)
+    return right_blk
+
+
+class TestAscentFromEveryStart:
+    """Re-centred ascent reaches the same maximum from every seeded start."""
+
+    @pytest.mark.parametrize("seed", [0, 19])
+    def test_every_start_converges_to_the_best(self, ztilt_d4_right_block, seed):
+        objective = _CorrectedFidelity(ztilt_d4_right_block, 4)
+        best = optimize_correct(ztilt_d4_right_block, 4, seed=seed)
+        starts = _seeded_starts(4, seed, 8)
+        assert len(starts) == 9
+        for start in starts:
+            value, u, converged, iterations = _ascend(objective, start, 0.5, 1e-9, 500)
+            assert converged and iterations <= 50
+            assert abs(value - best.fidelity) <= 1e-12
+            direct = transfer_matrix_fidelity(ztilt_d4_right_block, 4, u)
+            assert value == pytest.approx(direct, abs=1e-13)
 
 
 class TestIncoherenceDefect:
