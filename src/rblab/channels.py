@@ -142,15 +142,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def fro_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(a), 2))
-
-
 @lru_cache(maxsize=None)
 def traceless_projector(dim: int) -> np.ndarray:
     """Projector onto the traceless hyperplane: diag(0, 1, ..., 1)."""
@@ -158,13 +149,6 @@ def traceless_projector(dim: int) -> np.ndarray:
     pi[0, 0] = 0.0
     pi.setflags(write=False)
     return pi
-
-
-def block_fidelity(block: np.ndarray) -> float:
-    """Traceless-hyperplane fidelity of a channel given its Bloch block."""
-    block = np.asarray(block)
-    n = block.shape[0]
-    return float(np.trace(block)) / n
 
 
 def traceless_fidelity(e: SuperOp, g: SuperOp) -> float:

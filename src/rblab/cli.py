@@ -1,5 +1,16 @@
 """Command-line front end: wires JSON configs to the library and emits CSV data.
 
+Each command reads its config through one `_Setup`, which builds the model,
+group, noisy set, spectrum and correction on first use, so the command only
+formats library results.  Accepted config values, anything else being a
+configuration error: dim 2 or 4 and seed an integer >= 0 (--dim and --seed
+override them); depths a non-empty list of integers, >= 0 for curve and
+correct and >= 1 for rb; sequences an integer >= 1; basis identity,
+corrected or corrected-squared; spam an object with optional prep and meas
+channels; max_depth an integer >= 1 for fig-delta and >= 10 for fig-pbloch,
+whose fits span m = 5..10; theta_grid [start, stop, num] with finite start
+and stop and an integer num >= 1; cz_epsilon a finite number.
+
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
 the same manifest.  Exit codes: 0 success, 2 configuration error, 3 numerical
@@ -9,14 +20,16 @@ regime error (e.g. a degenerate dominant eigenvalue).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import math
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channels import unitary_to_superop
 from .cliffords import (
     CliffordGroup,
     GroupClosureError,
@@ -25,17 +38,17 @@ from .cliffords import (
     save_group,
 )
 from .correction import (
+    CorrectionResult,
     ImproperRotationError,
     SingularBlockError,
-    correct_from_noisy_set,
+    correct_block,
     incoherence_defect,
-    optimize_correct,
-    polar_correct,
 )
 from .noise import ConfigError, NoiseModel, build_noisy_gateset, channel_from_spec
 from .rb import RBConfig, fit_decay, run_rb
 from .twirl import (
     DegenerateSpectrumError,
+    TwirlSpectrum,
     build_twirl,
     dominant_spectrum,
     fidelity_curve_exact,
@@ -80,12 +93,10 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def model_from_config(cfg: dict, dim: int, default: NoiseModel | None = None) -> NoiseModel:
-    if "model" in cfg:
-        return NoiseModel.from_config(cfg["model"], dim)
-    if default is not None:
-        return default
-    raise ConfigError("model: missing from config")
+def model_from_config(cfg: dict, dim: int) -> NoiseModel:
+    if "model" not in cfg:
+        raise ConfigError("model: missing from config")
+    return NoiseModel.from_config(cfg["model"], dim)
 
 
 def model_summary(model: NoiseModel) -> str:
@@ -111,31 +122,88 @@ def obtain_group(dim: int, cache: str | None) -> CliffordGroup:
     return group
 
 
-def _default_fig_model(kind: str, dim: int) -> NoiseModel:
-    cz = 0.1 if dim == 4 else 0.0
-    if kind == "z_tilt":
-        return NoiseModel.z_tilt(0.1, cz_epsilon=cz)
-    return NoiseModel.over_rotation(0.1, cz_epsilon=cz if dim == 4 else None)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _meta(args, model: NoiseModel | None, seed: int, dim: int) -> dict:
-    meta = {"dim": dim, "seed": seed}
-    if model is not None:
-        meta["model"] = model_summary(model)
-    return meta
+def _integer(name: str, value, minimum: int) -> int:
+    if not _is_int(value) or value < minimum:
+        raise ConfigError(f"{name}: expected an integer >= {minimum}, got {value!r}")
+    return value
 
 
-def _seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
+def _finite(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
 
 
-def _dim(args, cfg: dict) -> int:
-    dim = args.dim if args.dim is not None else int(cfg.get("dim", 2))
-    if dim not in (2, 4):
-        raise ConfigError(f"dim: expected 2 or 4, got {dim}")
-    return dim
+class _Setup:
+    """The config, dim, seed and output directory that every command shares.
+
+    The model (which a figure command may set first), group, noisy set,
+    spectrum and correction are built on first use.
+    """
+
+    def __init__(self, args):
+        self.cfg = load_config(args.config)
+        self.dim = args.dim if args.dim is not None else self.cfg.get("dim", 2)
+        if not _is_int(self.dim) or self.dim not in (2, 4):
+            raise ConfigError(f"dim: expected 2 or 4, got {self.dim!r}")
+        seed = args.seed if args.seed is not None else self.cfg.get("seed", 0)
+        self.seed = _integer("seed", seed, 0)
+        self.out = Path(args.out)
+        self._group_cache = args.group_cache
+
+    def integer(self, key: str, default: int, minimum: int) -> int:
+        return _integer(key, self.cfg.get(key, default), minimum)
+
+    def depths(self, default: list[int], minimum: int) -> list[int]:
+        depths = self.cfg.get("depths", default)
+        if not (isinstance(depths, list) and depths) or any(
+            not _is_int(m) or m < minimum for m in depths
+        ):
+            raise ConfigError(
+                f"depths: expected a non-empty list of integers >= {minimum}, got {depths!r}"
+            )
+        return depths
+
+    @cached_property
+    def model(self) -> NoiseModel:
+        return model_from_config(self.cfg, self.dim)
+
+    @cached_property
+    def group(self) -> CliffordGroup:
+        return obtain_group(self.dim, self._group_cache)
+
+    @cached_property
+    def noisy(self) -> list:
+        return build_noisy_gateset(self.model, self.group)
+
+    @cached_property
+    def spectrum(self) -> TwirlSpectrum:
+        return dominant_spectrum(build_twirl(self.group, self.noisy))
+
+    @cached_property
+    def correction(self) -> CorrectionResult:
+        right_blk, _ = order_m_error_blocks(self.group, self.noisy, 4, twirl=self.spectrum.twirl)
+        return correct_block(right_blk, self.dim, seed=self.seed)
+
+    def for_model(self, model: NoiseModel) -> "_Setup":
+        """The same config, seed, output directory and group with another model."""
+        other = copy.copy(self)
+        for name in ("noisy", "spectrum", "correction"):
+            vars(other).pop(name, None)
+        other.group = self.group
+        other.model = model
+        return other
+
+    def meta(self, **extra) -> dict:
+        return {"dim": self.dim, "seed": self.seed, "model": model_summary(self.model), **extra}
+
+    def output(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
 
 
 # ---------------------------------------------------------------------------
@@ -144,72 +212,47 @@ def _dim(args, cfg: dict) -> int:
 
 
 def cmd_gen_group(args) -> int:
-    cfg = load_config(args.config)
-    dim = _dim(args, cfg)
-    group = obtain_group(dim, args.group_cache)
-    print(f"group of {len(group)} elements (dim {dim})")
+    s = _Setup(args)
+    print(f"group of {len(s.group)} elements (dim {s.dim})")
     if args.group_cache:
         print(f"cache: {args.group_cache}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    dim = _dim(args, cfg)
-    seed = _seed(args, cfg)
-    model = model_from_config(cfg, dim)
-    group = obtain_group(dim, args.group_cache)
-    noisy = build_noisy_gateset(model, group)
-    twirl = build_twirl(group, noisy)
-    spectrum = dominant_spectrum(twirl)
-    radius = nondominant_radius(twirl)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    s = _Setup(args)
+    p = s.spectrum.p
+    radius = nondominant_radius(s.spectrum.twirl)
     write_csv(
-        out / "spectrum.csv",
-        _meta(args, model, seed, dim),
+        s.output("spectrum.csv"),
+        s.meta(),
         [
-            ("p", [spectrum.p]),
-            ("one_minus_p", [1.0 - spectrum.p]),
+            ("p", [p]),
+            ("one_minus_p", [1.0 - p]),
             ("nondominant_radius", [radius]),
         ],
     )
-    print(f"p = {spectrum.p!r}  (1-p = {1.0 - spectrum.p:.3e}, subleading radius {radius:.3e})")
+    print(f"p = {p!r}  (1-p = {1.0 - p:.3e}, subleading radius {radius:.3e})")
     return 0
 
 
-def _basis_matrix(name: str, group, noisy, spectrum, seed: int) -> np.ndarray:
-    if name == "identity":
-        return np.eye(group.dim, dtype=complex)
-    u = correct_from_noisy_set(group, noisy, spectrum=spectrum, seed=seed)
-    if name == "corrected":
-        return u
-    if name == "corrected-squared":
-        return u @ u
-    raise ConfigError(
-        f"basis: expected identity|corrected|corrected-squared, got {name!r}"
-    )
-
-
 def cmd_curve(args) -> int:
-    cfg = load_config(args.config)
-    dim = _dim(args, cfg)
-    seed = _seed(args, cfg)
-    model = model_from_config(cfg, dim)
-    depths = [int(m) for m in cfg.get("depths", range(1, 33))]
-    basis_name = cfg.get("basis", "identity")
-    group = obtain_group(dim, args.group_cache)
-    noisy = build_noisy_gateset(model, group)
-    spectrum = dominant_spectrum(build_twirl(group, noisy))
-    basis = _basis_matrix(basis_name, group, noisy, spectrum, seed)
-    curve = fidelity_curve_exact(spectrum, basis, depths)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(args, model, seed, dim)
-    meta["p"] = repr(curve.p)
+    s = _Setup(args)
+    depths = s.depths(list(range(1, 33)), minimum=0)
+    basis_name = s.cfg.get("basis", "identity")
+    if basis_name == "identity":
+        basis = np.eye(s.dim, dtype=complex)
+    elif basis_name in ("corrected", "corrected-squared"):
+        u = s.correction.unitary
+        basis = u if basis_name == "corrected" else u @ u
+    else:
+        raise ConfigError(
+            f"basis: expected identity|corrected|corrected-squared, got {basis_name!r}"
+        )
+    curve = fidelity_curve_exact(s.spectrum, basis, depths)
     write_csv(
-        out / "curve.csv",
-        meta,
+        s.output("curve.csv"),
+        s.meta(p=repr(curve.p)),
         [
             ("m", list(curve.depths)),
             ("F", list(curve.fidelity)),
@@ -225,95 +268,67 @@ def cmd_curve(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    cfg = load_config(args.config)
-    dim = _dim(args, cfg)
-    seed = _seed(args, cfg)
-    model = model_from_config(cfg, dim)
-    group = obtain_group(dim, args.group_cache)
-    noisy = build_noisy_gateset(model, group)
-    twirl = build_twirl(group, noisy)
-    spectrum = dominant_spectrum(twirl)
-    right_blk, _ = order_m_error_blocks(group, noisy, 4, twirl=twirl)
-
-    meta = _meta(args, model, seed, dim)
-    meta["p"] = repr(spectrum.p)
-    if dim == 2:
-        factors = polar_correct(right_blk)
-        basis = factors.correction
-        corrected_block = right_blk @ factors.rotation_block.T
-        achieved = 0.5 + 0.5 * np.trace(corrected_block) / 3.0
-        meta["rotation_angle"] = repr(factors.rotation_angle)
-        meta["rotation_axis"] = json.dumps([round(x, 12) for x in factors.rotation_axis])
+    s = _Setup(args)
+    depths = s.depths(list(range(1, 33)), minimum=0)
+    result = s.correction
+    p = s.spectrum.p
+    meta = s.meta(p=repr(p))
+    if result.polar is not None:
+        meta["rotation_angle"] = repr(result.polar.rotation_angle)
+        meta["rotation_axis"] = json.dumps([round(x, 12) for x in result.polar.rotation_axis])
     else:
-        result = optimize_correct(right_blk, dim, seed=seed)
-        basis = result.unitary
-        u_blk = unitary_to_superop(basis).mat[1:, 1:]
-        corrected_block = right_blk @ u_blk
-        achieved = result.fidelity
         meta["converged"] = result.converged
-    meta["achieved_fidelity"] = repr(float(achieved))
-    meta["incoherence_defect"] = repr(incoherence_defect(corrected_block))
+    meta["achieved_fidelity"] = repr(result.fidelity)
+    meta["incoherence_defect"] = repr(incoherence_defect(result.corrected_block))
 
-    depths = [int(m) for m in cfg.get("depths", range(1, 33))]
-    curve = fidelity_curve_exact(spectrum, basis, depths)
-    resid = np.abs(curve.traceless_fidelity - spectrum.p ** curve.depths.astype(float))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    curve = fidelity_curve_exact(s.spectrum, result.unitary, depths)
+    p_power = p ** curve.depths.astype(float)
+    resid = np.abs(curve.traceless_fidelity - p_power)
     write_csv(
-        out / "correct.csv",
+        s.output("correct.csv"),
         meta,
         [
             ("m", list(curve.depths)),
             ("f_tr_corrected", list(curve.traceless_fidelity)),
-            ("p_power", list(spectrum.p ** curve.depths.astype(float))),
+            ("p_power", list(p_power)),
             ("abs_residual", list(resid)),
         ],
     )
     print(
-        f"correction found: achieved fidelity {float(achieved)!r}, "
+        f"correction found: achieved fidelity {result.fidelity!r}, "
         f"max decay-law residual {resid.max():.3e}"
     )
     return 0
 
 
 def cmd_rb(args) -> int:
-    cfg = load_config(args.config)
-    dim = _dim(args, cfg)
-    seed = _seed(args, cfg)
-    model = model_from_config(cfg, dim)
-    group = obtain_group(dim, args.group_cache)
-    noisy = build_noisy_gateset(model, group)
-
-    spam = cfg.get("spam", {}) or {}
-    prep = channel_from_spec(spam["prep"], dim) if spam.get("prep") else None
-    meas = channel_from_spec(spam["meas"], dim) if spam.get("meas") else None
+    s = _Setup(args)
+    depths = s.depths([1, 2, 4, 8, 16, 32, 64, 128], minimum=1)
+    sequences = s.integer("sequences", 200, minimum=1)
+    spam = s.cfg.get("spam") or {}
+    if not isinstance(spam, dict):
+        raise ConfigError(f"spam: expected an object with prep and meas channels, got {spam!r}")
+    prep = channel_from_spec(spam["prep"], s.dim) if spam.get("prep") else None
+    meas = channel_from_spec(spam["meas"], s.dim) if spam.get("meas") else None
     rb_cfg = RBConfig(
-        depths=tuple(int(m) for m in cfg.get("depths", (1, 2, 4, 8, 16, 32, 64, 128))),
-        sequences=int(cfg.get("sequences", 200)),
-        seed=seed,
-        prep_noise=prep,
-        meas_noise=meas,
+        depths=tuple(depths), sequences=sequences, seed=s.seed, prep_noise=prep, meas_noise=meas
     )
-    table = run_rb(group, noisy, rb_cfg)
-    fit = fit_decay(table, dim=dim)
+    table = run_rb(s.group, s.noisy, rb_cfg)
+    fit = fit_decay(table, dim=s.dim)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    depth_col, seq_col, surv_col = [], [], []
-    for di, m in enumerate(table.depths):
-        for k in range(table.survivals.shape[0]):
-            depth_col.append(int(m))
-            seq_col.append(k)
-            surv_col.append(table.survivals[k, di])
     write_csv(
-        out / "rb_survival.csv",
-        _meta(args, model, seed, dim),
-        [("depth", depth_col), ("sequence", seq_col), ("survival", surv_col)],
+        s.output("rb_survival.csv"),
+        s.meta(),
+        [
+            ("depth", [int(m) for m in table.depths for _ in range(sequences)]),
+            ("sequence", list(range(sequences)) * table.depths.size),
+            ("survival", list(table.survivals.T.ravel())),
+        ],
     )
     lines = [
         f"rblab {__version__}",
-        f"model: {model_summary(model)}",
-        f"seed: {seed}",
+        f"model: {model_summary(s.model)}",
+        f"seed: {s.seed}",
         f"A: {fit.a!r}",
         f"B: {fit.b!r}",
         f"p: {fit.p!r}",
@@ -325,7 +340,7 @@ def cmd_rb(args) -> int:
     ]
     for di, m in enumerate(table.depths):
         lines.append(f"{m},{fit.mean_survival[di]!r},{fit.residuals[di]!r}")
-    (out / "rb_fit.txt").write_text("\n".join(lines) + "\n")
+    s.output("rb_fit.txt").write_text("\n".join(lines) + "\n")
     print(f"fitted p = {fit.p!r}  95% interval {fit.p_interval}")
     if fit.flagged:
         print(f"fit flagged: {fit.message}")
@@ -333,28 +348,18 @@ def cmd_rb(args) -> int:
 
 
 def cmd_fig_delta(args) -> int:
-    cfg = load_config(args.config)
-    dim = _dim(args, cfg)
-    seed = _seed(args, cfg)
-    model = model_from_config(cfg, dim, default=_default_fig_model("z_tilt", dim))
-    max_depth = int(cfg.get("max_depth", 30))
-    group = obtain_group(dim, args.group_cache)
-    noisy = build_noisy_gateset(model, group)
-    spectrum = dominant_spectrum(build_twirl(group, noisy))
-    u = correct_from_noisy_set(group, noisy, spectrum=spectrum, seed=seed)
-
-    depths = range(1, max_depth + 1)
-    curve_i = fidelity_curve_exact(spectrum, np.eye(dim, dtype=complex), depths)
-    curve_u = fidelity_curve_exact(spectrum, u, depths)
+    s = _Setup(args)
+    if "model" not in s.cfg:
+        s.model = NoiseModel.z_tilt(0.1, cz_epsilon=0.1 if s.dim == 4 else 0.0)
+    depths = range(1, s.integer("max_depth", 30, minimum=1) + 1)
+    u = s.correction.unitary
+    curve_i = fidelity_curve_exact(s.spectrum, np.eye(s.dim, dtype=complex), depths)
+    curve_u = fidelity_curve_exact(s.spectrum, u, depths)
     infid_1 = 1.0 - curve_i.fidelity[0]
-    p = spectrum.p
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(args, model, seed, dim)
-    meta["p"] = repr(p)
+    p = s.spectrum.p
     write_csv(
-        out / "fig_delta.csv",
-        meta,
+        s.output("fig_delta.csv"),
+        s.meta(p=repr(p)),
         [
             ("m", list(curve_i.depths)),
             ("abs_delta_identity", list(np.abs(curve_i.ratio_deviation))),
@@ -368,36 +373,28 @@ def cmd_fig_delta(args) -> int:
 
 
 def cmd_fig_pbloch(args) -> int:
-    cfg = load_config(args.config)
-    dim = _dim(args, cfg)
-    seed = _seed(args, cfg)
-    model = model_from_config(cfg, dim, default=_default_fig_model("over_rotation", dim))
-    max_depth = int(cfg.get("max_depth", 12))
-    group = obtain_group(dim, args.group_cache)
-    noisy = build_noisy_gateset(model, group)
-    spectrum = dominant_spectrum(build_twirl(group, noisy))
-    u = correct_from_noisy_set(group, noisy, spectrum=spectrum, seed=seed)
-
-    depths = range(1, max_depth + 1)
+    s = _Setup(args)
+    if "model" not in s.cfg:
+        s.model = NoiseModel.over_rotation(0.1, cz_epsilon=0.1 if s.dim == 4 else None)
+    # the log fits run over m = 5..10, so the curves must reach depth 10
+    depths = range(1, s.integer("max_depth", 12, minimum=10) + 1)
+    u = s.correction.unitary
     curves = {
-        "identity": fidelity_curve_exact(spectrum, np.eye(dim, dtype=complex), depths),
-        "corrected": fidelity_curve_exact(spectrum, u, depths),
-        "corrected_sq": fidelity_curve_exact(spectrum, u @ u, depths),
+        "identity": fidelity_curve_exact(s.spectrum, np.eye(s.dim, dtype=complex), depths),
+        "corrected": fidelity_curve_exact(s.spectrum, u, depths),
+        "corrected_sq": fidelity_curve_exact(s.spectrum, u @ u, depths),
     }
-    meta = _meta(args, model, seed, dim)
-    meta["p"] = repr(spectrum.p)
+    meta = s.meta(p=repr(s.spectrum.p))
     columns = [("m", list(curves["identity"].depths))]
     ms = curves["identity"].depths
     for name, curve in curves.items():
         slope, intercept = curve.log_fit(5, 10)
         meta[f"intercept_{name}"] = repr(float(intercept))
         meta[f"slope_{name}"] = repr(float(slope))
-        fit_vals = 1.0 / dim + (intercept - 1.0 / dim) * np.exp(slope * ms.astype(float))
+        fit_vals = 1.0 / s.dim + (intercept - 1.0 / s.dim) * np.exp(slope * ms.astype(float))
         columns.append((f"F_{name}", list(curve.fidelity)))
         columns.append((f"fit_{name}", list(fit_vals)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "fig_pbloch.csv", meta, columns)
+    write_csv(s.output("fig_pbloch.csv"), meta, columns)
     print(
         "fig-pbloch written; intercepts: "
         + ", ".join(f"{n}={meta[f'intercept_{n}']}" for n in curves)
@@ -406,36 +403,27 @@ def cmd_fig_pbloch(args) -> int:
 
 
 def cmd_fig_basis(args) -> int:
-    cfg = load_config(args.config)
-    dim = _dim(args, cfg)
-    seed = _seed(args, cfg)
-    grid_cfg = cfg.get("theta_grid", [0.0, 0.3, 31])
-    if not (isinstance(grid_cfg, (list, tuple)) and len(grid_cfg) == 3):
-        raise ConfigError("theta_grid: expected [start, stop, num]")
-    thetas = np.linspace(float(grid_cfg[0]), float(grid_cfg[1]), int(grid_cfg[2]))
-    cz_eps = float(cfg.get("cz_epsilon", 0.1 if dim == 4 else 0.0))
-    group = obtain_group(dim, args.group_cache)
+    s = _Setup(args)
+    grid_cfg = s.cfg.get("theta_grid", [0.0, 0.3, 31])
+    if not (isinstance(grid_cfg, list) and len(grid_cfg) == 3):
+        raise ConfigError(f"theta_grid: expected [start, stop, num], got {grid_cfg!r}")
+    start, stop = (_finite("theta_grid", x) for x in grid_cfg[:2])
+    thetas = np.linspace(start, stop, _integer("theta_grid", grid_cfg[2], 1))
+    cz_eps = _finite("cz_epsilon", s.cfg.get("cz_epsilon", 0.1 if s.dim == 4 else 0.0))
 
     infid_i, infid_u, half_gap = [], [], []
     for theta in thetas:
-        model = NoiseModel.z_tilt(float(theta), cz_epsilon=cz_eps)
-        noisy = build_noisy_gateset(model, group)
-        spectrum = dominant_spectrum(build_twirl(group, noisy))
-        u = correct_from_noisy_set(group, noisy, spectrum=spectrum, seed=seed)
-        curve_i = fidelity_curve_exact(spectrum, np.eye(dim, dtype=complex), [1])
-        curve_u = fidelity_curve_exact(spectrum, u, [1])
+        run = s.for_model(NoiseModel.z_tilt(float(theta), cz_epsilon=cz_eps))
+        u = run.correction.unitary
+        curve_i = fidelity_curve_exact(run.spectrum, np.eye(s.dim, dtype=complex), [1])
+        curve_u = fidelity_curve_exact(run.spectrum, u, [1])
         infid_i.append(1.0 - curve_i.fidelity[0])
         infid_u.append(1.0 - curve_u.fidelity[0])
-        half_gap.append((1.0 - spectrum.p) * (dim - 1.0) / dim)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(args, None, seed, dim)
-    meta["model"] = json.dumps(
-        {"kind": "z_tilt", "theta_grid": list(grid_cfg), "cz_epsilon": cz_eps}
-    )
+        half_gap.append((1.0 - run.spectrum.p) * (s.dim - 1.0) / s.dim)
+    model = {"kind": "z_tilt", "theta_grid": list(grid_cfg), "cz_epsilon": cz_eps}
     write_csv(
-        out / "fig_basis.csv",
-        meta,
+        s.output("fig_basis.csv"),
+        {"dim": s.dim, "seed": s.seed, "model": json.dumps(model)},
         [
             ("theta_z", list(thetas)),
             ("infid_identity", infid_i),

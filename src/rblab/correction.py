@@ -208,13 +208,19 @@ class _CorrectedFidelity:
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    """Outcome of the fidelity maximization over unitary corrections."""
+    """A correction unitary, its fidelity and the right-error block it corrects.
+
+    `polar` holds the one-qubit polar split, which is exact (converged after
+    zero iterations from start 0); it is None on the SU(d) ascent.
+    """
 
     unitary: np.ndarray
     fidelity: float
+    corrected_block: np.ndarray
     converged: bool
     iterations: int
     start_index: int
+    polar: PolarFactors | None = None
 
 
 def _seeded_starts(dim: int, seed: int, random_starts: int) -> list[np.ndarray]:
@@ -298,9 +304,29 @@ def optimize_correct(
     return CorrectionResult(
         unitary=unitary,
         fidelity=value,
+        corrected_block=block @ unitary_to_superop(unitary).mat[1:, 1:],
         converged=converged,
         iterations=iterations,
         start_index=start_index,
+    )
+
+
+def correct_block(right_error_block: np.ndarray, dim: int, seed: int = 0) -> CorrectionResult:
+    """Correction of an order-4 right-error Bloch block: for one qubit the polar
+    split, with fidelity 1/2 + tr(D)/6 for its positive factor D; otherwise the
+    seeded SU(d) ascent of `optimize_correct`."""
+    if dim != 2:
+        return optimize_correct(right_error_block, dim, seed=seed)
+    factors = polar_correct(right_error_block)
+    corrected = np.asarray(right_error_block, dtype=float) @ factors.rotation_block.T
+    return CorrectionResult(
+        unitary=factors.correction,
+        fidelity=float(0.5 + 0.5 * np.trace(corrected) / 3.0),
+        corrected_block=corrected,
+        converged=True,
+        iterations=0,
+        start_index=0,
+        polar=factors,
     )
 
 
@@ -393,10 +419,8 @@ def correct_from_noisy_set(
 ) -> np.ndarray:
     """Correction unitary from the order-4 right error of a noisy gate-set.
 
-    Single qubits use the analytic polar route; two qubits use gradient ascent.
+    See `correct_block` for the route taken.
     """
     twirl = spectrum.twirl if spectrum is not None else None
     right_blk, _ = order_m_error_blocks(group, noisy_set, 4, twirl=twirl)
-    if group.dim == 2:
-        return polar_correct(right_blk).correction
-    return optimize_correct(right_blk, group.dim, seed=seed).unitary
+    return correct_block(right_blk, group.dim, seed=seed).unitary

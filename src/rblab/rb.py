@@ -96,6 +96,8 @@ def run_rb(group: CliffordGroup, noisy_set: list[SuperOp], config: RBConfig) -> 
     depths = np.asarray(config.depths, dtype=int)
     if depths.size < 1 or depths.min() < 1:
         raise ValueError("depths must be positive")
+    if config.sequences < 1:
+        raise ValueError("sequences must be positive")
     noisy_mats = np.stack([s.mat for s in noisy_set])
     n_elems = len(group)
 

@@ -8,12 +8,10 @@ from rblab.channels import (
     SuperOp,
     avg_gate_fidelity,
     check_unitary,
-    fro_norm,
     hs_inner,
     identity_superop,
     pauli_basis,
     random_unitary,
-    spectral_norm,
     traceless_fidelity,
     traceless_projector,
     unitary_to_superop,
@@ -105,14 +103,6 @@ class TestInnerProductsAndNorms:
             assert np.array_equal(pi @ pi, pi)
             assert np.linalg.matrix_rank(pi) == dim ** 2 - 1
             assert hs_inner(pi, pi) == pytest.approx(dim ** 2 - 1, abs=1e-14)
-
-    def test_spectral_norm_of_identity(self):
-        assert spectral_norm(np.eye(7)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_fro_norm_of_depolarizing_block(self):
-        q = 0.7
-        block = depolarizing(q).mat[1:, 1:]
-        assert fro_norm(block) == pytest.approx(q * np.sqrt(3), abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):

@@ -11,9 +11,10 @@ import rblab
 from rblab import cli
 from rblab.channels import SIGMA_X, SIGMA_Y
 from rblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
-from rblab.cliffords import generate_clifford_group, save_group
-from rblab.correction import ImproperRotationError
-from rblab.noise import PulseSpec
+from rblab.cliffords import generate_clifford_group, load_group, save_group
+from rblab.correction import ImproperRotationError, correct_block, incoherence_defect
+from rblab.noise import NoiseModel, PulseSpec, build_noisy_gateset
+from rblab.twirl import build_twirl, order_m_error_blocks
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -106,12 +107,35 @@ class TestConfigErrors:
         def improper(block):
             raise ImproperRotationError("rotation factor has determinant -1.0")
 
-        monkeypatch.setattr(cli, "polar_correct", improper)
+        monkeypatch.setattr(rblab.correction, "polar_correct", improper)
         cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 0.1}})
         code = main(["correct", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical regime" in err and "determinant" in err
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("curve", {"depths": [-1, 2]}, "depths"),
+            # the name is checked before the relabeling model's singular block is corrected
+            ("curve", {"model": {"kind": "relabeling"}, "basis": "bogus"}, "basis"),
+            ("rb", {"depths": [0, 1]}, "depths"),
+            ("rb", {"sequences": 0}, "sequences"),
+            ("fig-basis", {"theta_grid": [0, 0.1, -1]}, "theta_grid"),
+            ("fig-basis", {"theta_grid": [0, "a", 3]}, "theta_grid"),
+            ("fig-delta", {"max_depth": 0}, "max_depth"),
+            ("fig-pbloch", {"max_depth": 4}, "max_depth"),
+            ("spectrum", {"seed": "x"}, "seed"),
+        ],
+    )
+    def test_bad_field_exits_2_and_names_it(self, tmp_path, capsys, cache, command, payload, field):
+        cfg = write_config(tmp_path, {"model": {"kind": "z_tilt", "theta_z": 0.1}, **payload})
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out), "--group-cache", cache])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}: expected")
+        assert not out.exists()
 
 
 class TestGroupCache:
@@ -187,6 +211,38 @@ class TestSpectrumAndCurve:
         f = np.array([float(x) for x in cols["F"]])
         ftr = np.array([float(x) for x in cols["f_tr"]])
         assert np.allclose(f, 0.5 + 0.5 * ftr, atol=1e-12)
+
+
+class TestCorrect:
+    def test_meta_formats_the_library_result_d2(self, tmp_path, cache):
+        cfg = CONFIG_DIR / "ztilt_d2.json"
+        assert main(["correct", "--config", str(cfg), "--out", str(tmp_path), "--group-cache", cache]) == 0
+        meta, _ = read_csv(tmp_path / "correct.csv")
+        result = library_correction(cfg, load_group(cache))
+        assert meta["rotation_angle"] == repr(result.polar.rotation_angle)
+        assert meta["rotation_axis"] == json.dumps([round(x, 12) for x in result.polar.rotation_axis])
+        assert meta["achieved_fidelity"] == repr(result.fidelity)
+        assert meta["incoherence_defect"] == repr(incoherence_defect(result.corrected_block))
+        assert "converged" not in meta
+
+    def test_meta_formats_the_library_result_d4(self, tmp_path):
+        cache = tmp_path / "g4.npz"
+        assert main(["gen-group", "--dim", "4", "--group-cache", str(cache)]) == 0
+        cfg = CONFIG_DIR / "ztilt_d4.json"
+        assert main(["correct", "--config", str(cfg), "--out", str(tmp_path), "--group-cache", str(cache)]) == 0
+        meta, _ = read_csv(tmp_path / "correct.csv")
+        result = library_correction(cfg, load_group(cache))
+        assert meta["converged"] == "True"
+        assert meta["achieved_fidelity"] == repr(result.fidelity)
+        assert "rotation_angle" not in meta
+
+
+def library_correction(config_path, group):
+    cfg = json.loads(config_path.read_text())
+    noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], group.dim), group)
+    twirl = build_twirl(group, noisy)
+    right_blk, _ = order_m_error_blocks(group, noisy, 4, twirl=twirl)
+    return correct_block(right_blk, group.dim, seed=cfg["seed"])
 
 
 class TestRB:

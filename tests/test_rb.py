@@ -87,6 +87,10 @@ class TestRunRB:
         with pytest.raises(ValueError, match="index-aligned"):
             run_rb(group24, ztilt_noisy[:-1], RBConfig())
 
+    def test_no_sequences_rejected(self, group24, ztilt_noisy):
+        with pytest.raises(ValueError, match="sequences must be positive"):
+            run_rb(group24, ztilt_noisy, RBConfig(sequences=0))
+
 
 class TestFitDecay:
     def test_exact_synthetic_recovery(self):

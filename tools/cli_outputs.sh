@@ -1,0 +1,47 @@
+#!/bin/sh
+# Run every shipped config and figure command through the CLI and keep what
+# each run wrote, printed and returned, so two source trees can be compared:
+#
+#   tools/cli_outputs.sh OUTDIR_A            # in the first tree
+#   tools/cli_outputs.sh OUTDIR_B            # in the second tree
+#   diff -r OUTDIR_A OUTDIR_B
+#
+# Runs every configs/*.json with spectrum, curve, correct and rb, then
+# fig-delta, fig-pbloch and fig-basis at --dim 2 and fig-delta at --dim 4,
+# all with --seed 7.  Each run gets OUTDIR/<name>/ holding its output files
+# and stdout.txt, stderr.txt and exit_code.txt; the group caches it builds
+# are kept in OUTDIR/cache/.  Nothing is written into the repository.
+set -eu
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1/cache"
+out=$(cd "$1" && pwd)
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONDONTWRITEBYTECODE=1
+python=${PYTHON:-python3}
+
+run() {  # run NAME DIM COMMAND ARGS...
+    name=$1 dim=$2
+    shift 2
+    mkdir -p "$out/$name"
+    code=0
+    "$python" -m rblab.cli "$@" --out "$out/$name" --seed 7 \
+        --group-cache "$out/cache/g$dim.npz" \
+        >"$out/$name/stdout.txt" 2>"$out/$name/stderr.txt" || code=$?
+    echo "$code" >"$out/$name/exit_code.txt"
+}
+
+for config in "$root"/configs/*.json; do
+    stem=$(basename "$config" .json)
+    dim=$("$python" -c 'import json, sys; print(json.load(open(sys.argv[1])).get("dim", 2))' "$config")
+    for command in spectrum curve correct rb; do
+        run "$stem-$command" "$dim" "$command" --config "$config"
+    done
+done
+for command in fig-delta fig-pbloch fig-basis; do
+    run "$command-d2" 2 "$command" --dim 2
+done
+run fig-delta-d4 4 fig-delta --dim 4
