@@ -28,8 +28,8 @@ _PAULIS_1Q = (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 @lru_cache(maxsize=None)
-def _pauli_stack(dim: int) -> np.ndarray:
-    """Unnormalized Pauli basis as a (dim**2, dim, dim) stack."""
+def pauli_basis(dim: int) -> np.ndarray:
+    """Unnormalized Pauli operators for dimension 2 or 4, identity first (read-only)."""
     if dim == 2:
         stack = np.stack(_PAULIS_1Q)
     elif dim == 4:
@@ -40,11 +40,6 @@ def _pauli_stack(dim: int) -> np.ndarray:
     return stack
 
 
-def pauli_basis(dim: int) -> np.ndarray:
-    """Unnormalized Pauli operators for dimension 2 or 4, identity first."""
-    return _pauli_stack(dim)
-
-
 def check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
     """Raise ValueError when u'u deviates from the identity by more than tol."""
     u = np.asarray(u)
@@ -53,15 +48,6 @@ def check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
     if defect > tol:
         raise ValueError(f"matrix is not unitary: orthogonality defect {defect:.3e}")
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
 
 
 @dataclass(frozen=True)
@@ -106,7 +92,7 @@ def unitary_to_superop(u: np.ndarray, tol: float = 1e-8) -> SuperOp:
     u = np.asarray(u, dtype=complex)
     check_unitary(u, tol)
     dim = u.shape[0]
-    paulis = _pauli_stack(dim)
+    paulis = pauli_basis(dim)
     conj = u @ paulis @ u.conj().T
     mat = np.einsum("jab,kba->jk", paulis, conj) / dim
     if np.max(np.abs(mat.imag)) > DERIVED_TOL:
@@ -164,9 +150,3 @@ def avg_gate_fidelity(e: SuperOp, g: SuperOp) -> float:
     d = e.dim
     return 1.0 / d + (d - 1.0) / d * traceless_fidelity(e, g)
 
-
-def infidelity(e: SuperOp, g: SuperOp | None = None) -> float:
-    """1 - average fidelity; target defaults to the identity channel."""
-    if g is None:
-        g = identity_superop(e.dim)
-    return 1.0 - avg_gate_fidelity(e, g)

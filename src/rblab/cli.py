@@ -44,7 +44,7 @@ from .correction import (
     correct_block,
     incoherence_defect,
 )
-from .noise import ConfigError, NoiseModel, build_noisy_gateset, channel_from_spec
+from .noise import ConfigError, NoiseModel, build_noisy_gateset, field_channel
 from .rb import RBConfig, fit_decay, run_rb
 from .twirl import (
     DegenerateSpectrumError,
@@ -118,7 +118,10 @@ def obtain_group(dim: int, cache: str | None) -> CliffordGroup:
         return group
     group = generate_clifford_group(dim)
     if cache is not None:
-        save_group(group, cache)
+        try:
+            save_group(group, cache)
+        except OSError as exc:
+            raise ConfigError(f"group cache {cache} cannot be written: {exc.strerror or exc}") from exc
     return group
 
 
@@ -308,8 +311,8 @@ def cmd_rb(args) -> int:
     spam = s.cfg.get("spam") or {}
     if not isinstance(spam, dict):
         raise ConfigError(f"spam: expected an object with prep and meas channels, got {spam!r}")
-    prep = channel_from_spec(spam["prep"], s.dim) if spam.get("prep") else None
-    meas = channel_from_spec(spam["meas"], s.dim) if spam.get("meas") else None
+    prep = field_channel("spam.prep", spam["prep"], s.dim) if spam.get("prep") else None
+    meas = field_channel("spam.meas", spam["meas"], s.dim) if spam.get("meas") else None
     rb_cfg = RBConfig(
         depths=tuple(depths), sequences=sequences, seed=s.seed, prep_noise=prep, meas_noise=meas
     )

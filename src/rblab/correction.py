@@ -21,21 +21,13 @@ from .channels import (
     SIGMA_Y,
     SIGMA_Z,
     SuperOp,
-    avg_gate_fidelity,
     check_unitary,
-    identity_superop,
     pauli_basis,
     unitary_to_superop,
 )
 from .cliffords import CliffordGroup
 from .noise import pulse
-from .twirl import (
-    TwirlSpectrum,
-    build_twirl,
-    dominant_spectrum,
-    fidelity_curve_exact,
-    order_m_error_blocks,
-)
+from .twirl import TwirlSpectrum, order_m_error_blocks
 
 
 class ImproperRotationError(RuntimeError):
@@ -268,21 +260,19 @@ def _ascend(
     return value, u, converged, iterations
 
 
-def optimize_correct(
-    right_error_block: np.ndarray,
-    dim: int,
-    seed: int = 0,
-    random_starts: int = 8,
-    learning_rate: float = 0.5,
-    grad_tol: float = 1e-9,
-    max_iterations: int = 500,
-) -> CorrectionResult:
+_RANDOM_STARTS = 8
+_LEARNING_RATE = 0.5
+_GRAD_TOL = 1e-9
+_MAX_ITERATIONS = 500
+
+
+def optimize_correct(right_error_block: np.ndarray, dim: int, seed: int = 0) -> CorrectionResult:
     """Unitary maximizing the average fidelity of (right error) o (correction).
 
     Steepest ascent on the unitary group itself: every step moves U along
     exp(i t sum_l g_l P_l) U over the d^2 - 1 non-identity Paulis, with g the
     closed-form commutator gradient at the current U, and a backtracking line
-    search.  It runs from the identity and `random_starts` seeded random
+    search.  It runs from the identity and _RANDOM_STARTS seeded random
     unitaries; the best value wins, ties broken by the earliest start.
     Non-convergence is reported through the flag, not raised.
     """
@@ -293,9 +283,9 @@ def optimize_correct(
     objective = _CorrectedFidelity(block, dim)
 
     best = None  # (fidelity, unitary, converged, iterations, start_index)
-    for start_index, start in enumerate(_seeded_starts(dim, seed, random_starts)):
+    for start_index, start in enumerate(_seeded_starts(dim, seed, _RANDOM_STARTS)):
         value, u, converged, iterations = _ascend(
-            objective, start, learning_rate, grad_tol, max_iterations
+            objective, start, _LEARNING_RATE, _GRAD_TOL, _MAX_ITERATIONS
         )
         if best is None or value > best[0] + 1e-14:
             best = (value, u, converged, iterations, start_index)
@@ -341,86 +331,15 @@ def incoherence_defect(block: np.ndarray) -> float:
     return abs(float(np.trace(block)) / n - float(np.linalg.norm(block)) / np.sqrt(n))
 
 
-@dataclass(frozen=True)
-class DecayLawReport:
-    """How well f_tr at a corrected basis follows the plain p^m decay."""
-
-    p: float
-    depths: np.ndarray
-    max_residual: float  # max |f_tr(m) - p^m|
-    envelope: float  # envelope_const * (1 - p)^2
-    passed: bool
-    match_residual: float | None  # fixed-error fidelity match, when channels given
-    multiplicativity_residual: float
-
-
-def verify_decay_law(
-    group: CliffordGroup,
-    noisy_set: list[SuperOp],
-    basis_u: np.ndarray,
-    depths,
-    envelope_const: float = 10.0,
-    floor: float = 1e-12,
-    spectrum: TwirlSpectrum | None = None,
-    left_error: SuperOp | None = None,
-    right_error: SuperOp | None = None,
-) -> DecayLawReport:
-    """Check the corrected-basis decay law against its second-order envelope.
-
-    The floor keeps the check meaningful for exactly solvable models where
-    1 - p vanishes and the envelope falls below float resolution.  When the
-    model is a fixed left/right sandwich and those channels are supplied, also
-    compares the fidelity of their product to the depth-1 gate-set circuit
-    fidelity at the corrected basis.
-    """
-    if spectrum is None:
-        spectrum = dominant_spectrum(build_twirl(group, noisy_set))
-    basis_u = np.asarray(basis_u, dtype=complex)
-    curve = fidelity_curve_exact(spectrum, basis_u, depths)
-    p = spectrum.p
-    residual = np.max(
-        np.abs(curve.traceless_fidelity - p ** curve.depths.astype(float))
-    )
-    envelope = max(envelope_const * (1.0 - p) ** 2, floor)
-
-    match_residual = None
-    if left_error is not None and right_error is not None:
-        lhs = avg_gate_fidelity(right_error @ left_error, identity_superop(group.dim))
-        rhs = fidelity_curve_exact(spectrum, basis_u, [1]).fidelity[0]
-        match_residual = abs(lhs - rhs)
-
-    # multiplicativity of projector overlaps once the right error is decohered
-    right_blk, left_blk = order_m_error_blocks(group, noisy_set, 4)
-    us = unitary_to_superop(basis_u)
-    u_blk = us.mat[1:, 1:]
-    n = group.dim ** 2 - 1
-    d_blk = right_blk @ u_blk
-    l_blk = u_blk.T @ left_blk
-    mult_residual = abs(
-        np.trace(d_blk @ l_blk) / n - (np.trace(d_blk) / n) * (np.trace(l_blk) / n)
-    )
-
-    return DecayLawReport(
-        p=p,
-        depths=curve.depths,
-        max_residual=float(residual),
-        envelope=float(envelope),
-        passed=bool(residual <= envelope),
-        match_residual=match_residual,
-        multiplicativity_residual=float(mult_residual),
-    )
-
-
 def correct_from_noisy_set(
     group: CliffordGroup,
     noisy_set: list[SuperOp],
     spectrum: TwirlSpectrum | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """Correction unitary from the order-4 right error of a noisy gate-set.
 
-    See `correct_block` for the route taken.
+    See `correct_block` for the route taken, with seed 0 for the ascent.
     """
     twirl = spectrum.twirl if spectrum is not None else None
     right_blk, _ = order_m_error_blocks(group, noisy_set, 4, twirl=twirl)
-    return correct_block(right_blk, group.dim, seed=seed).unitary
+    return correct_block(right_blk, group.dim).unitary

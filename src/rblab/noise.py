@@ -20,7 +20,6 @@ from .channels import (
     SIGMA_Z,
     SuperOp,
     identity_superop,
-    pauli_basis,
     unitary_to_superop,
 )
 
@@ -81,9 +80,7 @@ def depolarizing(q: float, dim: int = 2) -> SuperOp:
         raise ValueError(f"depolarizing parameter {q} outside [0, 1]")
     mat = np.eye(dim ** 2) * q
     mat[0, 0] = 1.0
-    op = SuperOp(dim, mat)
-    assert_completely_positive(op)
-    return op
+    return SuperOp(dim, mat)
 
 
 def dephasing(q: float, axis: str = "z") -> SuperOp:
@@ -95,9 +92,7 @@ def dephasing(q: float, axis: str = "z") -> SuperOp:
         raise ValueError(f"unknown dephasing axis {axis!r}")
     diag = np.array([1.0, q, q, q])
     diag[axes[axis]] = 1.0
-    op = SuperOp(2, np.diag(diag))
-    assert_completely_positive(op)
-    return op
+    return SuperOp(2, np.diag(diag))
 
 
 def amplitude_damping(gamma: float) -> SuperOp:
@@ -107,16 +102,12 @@ def amplitude_damping(gamma: float) -> SuperOp:
     s = np.sqrt(1.0 - gamma)
     mat = np.diag([1.0, s, s, 1.0 - gamma])
     mat[3, 0] = gamma
-    op = SuperOp(2, mat)
-    assert_completely_positive(op)
-    return op
+    return SuperOp(2, mat)
 
 
-def rotation(axis, angle: float, dim: int = 2) -> SuperOp:
-    """Unitary Bloch rotation by `angle` about `axis` (right-hand rule)."""
+def rotation(axis, angle: float) -> SuperOp:
+    """Single-qubit unitary Bloch rotation by `angle` about `axis` (right-hand rule)."""
     n = _axis_vector(axis)
-    if dim != 2:
-        raise ValueError("rotation channels are single-qubit; combine with kron")
     h = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return unitary_to_superop(pulse(h, -angle))
 
@@ -148,25 +139,6 @@ def relabeling_channel() -> SuperOp:
     mat[3, 2] = 1.0  # Y component feeds Z
     mat[1, 3] = 1.0  # Z component feeds X
     return SuperOp(2, mat)
-
-
-def choi_matrix(op: SuperOp) -> np.ndarray:
-    """Choi form (1/d) sum_jk M_jk P_j (x) P_k^T; positive iff the map is CP."""
-    paulis = pauli_basis(op.dim)
-    d = op.dim
-    n = d ** 2
-    choi = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if op.mat[j, k] != 0.0:
-                choi += op.mat[j, k] * np.kron(paulis[j], paulis[k].T)
-    return choi / d
-
-
-def assert_completely_positive(op: SuperOp, tol: float = 1e-10) -> None:
-    evals = np.linalg.eigvalsh(choi_matrix(op))
-    if evals.min() < -tol:
-        raise ValueError(f"channel is not completely positive (min Choi eigenvalue {evals.min():.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +182,7 @@ def channel_from_spec(spec, dim: int) -> SuperOp:
         raise ConfigError(f"channel spec {kind!r} is missing key {exc.args[0]!r}") from None
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         fields = ", ".join(f"{key}={value!r}" for key, value in spec.items() if key != "channel")
         raise ConfigError(f"channel spec {kind!r} with {fields}: {exc}") from None
     raise ConfigError(f"unknown channel kind {kind!r}")
@@ -306,26 +278,39 @@ def _require_dim(dim: int, wanted: int, what: str) -> None:
         raise ConfigError(f"{what} requires dimension {wanted}, got {dim}")
 
 
-def _as_superop(value, dim: int) -> SuperOp:
-    if isinstance(value, SuperOp):
-        if value.dim != dim:
-            raise ConfigError(f"channel has dimension {value.dim}, expected {dim}")
-        return value
-    return channel_from_spec(value, dim)
+def field_channel(field: str, value, dim: int) -> SuperOp:
+    """The channel (a SuperOp or a spec) in config field `field`; errors name the field."""
+    try:
+        if isinstance(value, SuperOp):
+            if value.dim != dim:
+                raise ConfigError(f"channel has dimension {value.dim}, expected {dim}")
+            return value
+        return channel_from_spec(value, dim)
+    except ConfigError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
 
 
 def _as_unitary_superop(value, dim: int) -> SuperOp:
     if isinstance(value, SuperOp):
-        return _as_superop(value, dim)
-    value = np.asarray(value)
-    if value.ndim == 2 and value.shape == (dim, dim):
+        return field_channel("model.unitary", value, dim)
+    try:
+        value = np.asarray(value)
+        if value.shape != (dim, dim):
+            raise ValueError(f"expected a {dim}x{dim} unitary matrix")
         return unitary_to_superop(value)
-    raise ConfigError(f"expected a {dim}x{dim} unitary matrix")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model.unitary: {exc}") from None
 
 
 def _resolve_errors(model: NoiseModel, dim: int) -> dict:
     """Materialize the fixed channels a non-generator model composes with."""
     p = model.params
+
+    def channel(key: str) -> SuperOp:
+        if key not in p:
+            raise ConfigError(f"model.{key}: missing for {model.kind}")
+        return field_channel(f"model.{key}", p[key], dim)
+
     if model.kind == "ideal":
         return {}
     if model.kind == "over_rotation":
@@ -337,17 +322,18 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
             raise ConfigError("model.theta_z: missing for z_tilt")
         return {}
     if model.kind == "left":
-        return {"left": _as_superop(p["error"], dim)}
+        return {"left": channel("error")}
     if model.kind == "right":
-        return {"right": _as_superop(p["error"], dim)}
+        return {"right": channel("error")}
     if model.kind == "sandwich":
-        return {"left": _as_superop(p["left"], dim), "right": _as_superop(p["right"], dim)}
+        return {"left": channel("left"), "right": channel("right")}
     if model.kind == "conjugation":
         if "unitary" in p:
             u = _as_unitary_superop(p["unitary"], dim)
         elif "axis" in p and "angle" in p:
             _require_dim(dim, 2, "conjugation by axis/angle")
-            u = rotation(p["axis"], float(p["angle"]))
+            spec = {"channel": "rotation", "axis": p["axis"], "angle": p["angle"]}
+            u = field_channel("model", spec, dim)
         else:
             raise ConfigError("model.unitary: missing for conjugation (or give axis+angle)")
         return {"u": u}
@@ -360,7 +346,7 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
         side = p.get("side", "right")
         if side not in ("left", "right"):
             raise ConfigError(f"model.side: expected 'left' or 'right', got {side!r}")
-        return {side: _as_superop(list(p["factors"]), dim)}
+        return {side: field_channel("model.factors", list(p["factors"]), dim)}
     raise ConfigError(f"unknown noise model kind {model.kind!r}")
 
 

@@ -22,7 +22,7 @@ from .channels import (
     unvec,
     vec,
 )
-from .cliffords import CliffordGroup, compose_sequences
+from .cliffords import CliffordGroup
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -63,10 +63,9 @@ def build_twirl(group: CliffordGroup, noisy_set: list[SuperOp]) -> TwirlSuperop:
 def power_iteration(
     mat: np.ndarray,
     start: np.ndarray | None = None,
-    tol: float = 1e-12,
     maxiter: int = 100_000,
 ) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair by power iteration with Rayleigh-quotient convergence."""
+    """Dominant eigenpair by power iteration, to a 1e-12 Rayleigh-quotient step."""
     mat = np.asarray(mat)
     if start is None:
         v = np.ones(mat.shape[0])
@@ -81,7 +80,7 @@ def power_iteration(
             raise DegenerateSpectrumError("power iteration collapsed to the null space")
         v_new = w / norm
         lam_new = float(v_new @ (mat @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= 1e-12 * max(1.0, abs(lam_new)):
             resid = np.linalg.norm(mat @ v_new - lam_new * v_new)
             if resid <= 1e-11 * max(1.0, abs(lam_new)):
                 return lam_new, v_new
@@ -325,54 +324,6 @@ def fidelity_curve_exact(
         residual=ftr - c * p ** depths.astype(float),
         ratio_deviation=delta,
         p=p,
-    )
-
-
-@dataclass(frozen=True)
-class MonteCarloCurve:
-    """Sampled gate-set circuit fidelity with per-depth standard errors."""
-
-    basis: np.ndarray
-    depths: np.ndarray
-    fidelity: np.ndarray
-    stderr: np.ndarray
-    samples: int
-    seed: int
-
-
-def fidelity_curve_mc(
-    group: CliffordGroup,
-    noisy_set: list[SuperOp],
-    basis_u: np.ndarray,
-    depths,
-    samples: int,
-    seed: int,
-) -> MonteCarloCurve:
-    """Monte-Carlo estimate of the fidelity curve from random gate sequences."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    depths = np.asarray(list(depths), dtype=int)
-    basis_u = np.asarray(basis_u, dtype=complex)
-    us = unitary_to_superop(basis_u).mat
-    noisy_mats = np.stack([s.mat for s in noisy_set])
-    dim = group.dim
-    n = dim ** 2 - 1
-    eye = np.eye(dim ** 2)
-
-    means = np.empty(depths.size)
-    errs = np.empty(depths.size)
-    for i, m in enumerate(depths):
-        rng = np.random.default_rng([seed, int(m)])
-        idx = rng.integers(0, len(group), size=(samples, int(m)))
-        target = us @ compose_sequences(group.mats, idx, eye) @ us.T
-        noisy = compose_sequences(noisy_mats, idx, eye)
-        f_tr = np.array([np.sum(t[:, 1:] * g[:, 1:]) for t, g in zip(target, noisy)]) / n
-        vals = 1.0 / dim + (dim - 1.0) / dim * f_tr
-        means[i] = vals.mean()
-        errs[i] = vals.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
-    return MonteCarloCurve(
-        basis=basis_u, depths=depths, fidelity=means, stderr=errs,
-        samples=samples, seed=seed,
     )
 
 

@@ -1,0 +1,181 @@
+"""Reference routes and helpers that only the tests use.
+
+Each is an independent cross-check of a library route, or a test input
+generator, kept beside the tests so the library ships only what its command
+line runs.  pytest does not collect this module; test files import it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from rblab.channels import (
+    SuperOp,
+    avg_gate_fidelity,
+    identity_superop,
+    pauli_basis,
+    unitary_to_superop,
+)
+from rblab.cliffords import CliffordGroup, compose_sequences
+from rblab.twirl import (
+    TwirlSpectrum,
+    build_twirl,
+    dominant_spectrum,
+    fidelity_curve_exact,
+    order_m_error_blocks,
+)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def infidelity(e: SuperOp, g: SuperOp | None = None) -> float:
+    """1 - average fidelity; target defaults to the identity channel."""
+    if g is None:
+        g = identity_superop(e.dim)
+    return 1.0 - avg_gate_fidelity(e, g)
+
+
+def choi_matrix(op: SuperOp) -> np.ndarray:
+    """Choi form (1/d) sum_jk M_jk P_j (x) P_k^T; positive iff the map is CP."""
+    paulis = pauli_basis(op.dim)
+    d = op.dim
+    n = d ** 2
+    choi = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            if op.mat[j, k] != 0.0:
+                choi += op.mat[j, k] * np.kron(paulis[j], paulis[k].T)
+    return choi / d
+
+
+def assert_completely_positive(op: SuperOp, tol: float = 1e-10) -> None:
+    evals = np.linalg.eigvalsh(choi_matrix(op))
+    if evals.min() < -tol:
+        raise ValueError(f"channel is not completely positive (min Choi eigenvalue {evals.min():.3e})")
+
+
+@dataclass(frozen=True)
+class MonteCarloCurve:
+    """Sampled gate-set circuit fidelity with per-depth standard errors."""
+
+    basis: np.ndarray
+    depths: np.ndarray
+    fidelity: np.ndarray
+    stderr: np.ndarray
+    samples: int
+    seed: int
+
+
+def fidelity_curve_mc(
+    group: CliffordGroup,
+    noisy_set: list[SuperOp],
+    basis_u: np.ndarray,
+    depths,
+    samples: int,
+    seed: int,
+) -> MonteCarloCurve:
+    """Monte-Carlo estimate of the fidelity curve from random gate sequences."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    depths = np.asarray(list(depths), dtype=int)
+    basis_u = np.asarray(basis_u, dtype=complex)
+    us = unitary_to_superop(basis_u).mat
+    noisy_mats = np.stack([s.mat for s in noisy_set])
+    dim = group.dim
+    n = dim ** 2 - 1
+    eye = np.eye(dim ** 2)
+
+    means = np.empty(depths.size)
+    errs = np.empty(depths.size)
+    for i, m in enumerate(depths):
+        rng = np.random.default_rng([seed, int(m)])
+        idx = rng.integers(0, len(group), size=(samples, int(m)))
+        target = us @ compose_sequences(group.mats, idx, eye) @ us.T
+        noisy = compose_sequences(noisy_mats, idx, eye)
+        f_tr = np.array([np.sum(t[:, 1:] * g[:, 1:]) for t, g in zip(target, noisy)]) / n
+        vals = 1.0 / dim + (dim - 1.0) / dim * f_tr
+        means[i] = vals.mean()
+        errs[i] = vals.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
+    return MonteCarloCurve(
+        basis=basis_u, depths=depths, fidelity=means, stderr=errs,
+        samples=samples, seed=seed,
+    )
+
+
+@dataclass(frozen=True)
+class DecayLawReport:
+    """How well f_tr at a corrected basis follows the plain p^m decay."""
+
+    p: float
+    depths: np.ndarray
+    max_residual: float  # max |f_tr(m) - p^m|
+    envelope: float  # envelope_const * (1 - p)^2
+    passed: bool
+    match_residual: float | None  # fixed-error fidelity match, when channels given
+    multiplicativity_residual: float
+
+
+def verify_decay_law(
+    group: CliffordGroup,
+    noisy_set: list[SuperOp],
+    basis_u: np.ndarray,
+    depths,
+    envelope_const: float = 10.0,
+    floor: float = 1e-12,
+    spectrum: TwirlSpectrum | None = None,
+    left_error: SuperOp | None = None,
+    right_error: SuperOp | None = None,
+) -> DecayLawReport:
+    """Check the corrected-basis decay law against its second-order envelope.
+
+    The floor keeps the check meaningful for exactly solvable models where
+    1 - p vanishes and the envelope falls below float resolution.  When the
+    model is a fixed left/right sandwich and those channels are supplied, also
+    compares the fidelity of their product to the depth-1 gate-set circuit
+    fidelity at the corrected basis.
+    """
+    if spectrum is None:
+        spectrum = dominant_spectrum(build_twirl(group, noisy_set))
+    basis_u = np.asarray(basis_u, dtype=complex)
+    curve = fidelity_curve_exact(spectrum, basis_u, depths)
+    p = spectrum.p
+    residual = np.max(
+        np.abs(curve.traceless_fidelity - p ** curve.depths.astype(float))
+    )
+    envelope = max(envelope_const * (1.0 - p) ** 2, floor)
+
+    match_residual = None
+    if left_error is not None and right_error is not None:
+        lhs = avg_gate_fidelity(right_error @ left_error, identity_superop(group.dim))
+        rhs = fidelity_curve_exact(spectrum, basis_u, [1]).fidelity[0]
+        match_residual = abs(lhs - rhs)
+
+    # multiplicativity of projector overlaps once the right error is decohered
+    right_blk, left_blk = order_m_error_blocks(group, noisy_set, 4)
+    us = unitary_to_superop(basis_u)
+    u_blk = us.mat[1:, 1:]
+    n = group.dim ** 2 - 1
+    d_blk = right_blk @ u_blk
+    l_blk = u_blk.T @ left_blk
+    mult_residual = abs(
+        np.trace(d_blk @ l_blk) / n - (np.trace(d_blk) / n) * (np.trace(l_blk) / n)
+    )
+
+    return DecayLawReport(
+        p=p,
+        depths=curve.depths,
+        max_residual=float(residual),
+        envelope=float(envelope),
+        passed=bool(residual <= envelope),
+        match_residual=match_residual,
+        multiplicativity_residual=float(mult_residual),
+    )

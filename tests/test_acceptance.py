@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from rblab.channels import random_unitary, traceless_projector, unitary_to_superop
+from rblab.channels import traceless_projector, unitary_to_superop
 from rblab.cliffords import generate_clifford_group
 from rblab.correction import (
     correct_from_noisy_set,
@@ -24,6 +24,7 @@ from rblab.twirl import (
     fidelity_curve_exact,
     order_m_error_blocks,
 )
+from reference import random_unitary
 from test_twirl import right_error_op_at
 
 COMPOSITE_FACTORS = [

@@ -11,7 +11,6 @@ from rblab.channels import (
     hs_inner,
     identity_superop,
     pauli_basis,
-    random_unitary,
     traceless_fidelity,
     traceless_projector,
     unitary_to_superop,
@@ -19,6 +18,7 @@ from rblab.channels import (
     vec,
 )
 from rblab.noise import depolarizing, pulse, relabeling_channel
+from reference import random_unitary
 
 
 class TestUnitaryToSuperop:

@@ -44,6 +44,10 @@ def cache(tmp_path_factory):
     return str(path)
 
 
+BAD_CHANNEL = {"channel": "depolarizing", "q": 2}
+GOOD_CHANNEL = {"channel": "depolarizing", "q": 0.99}
+
+
 def write_config(tmp_path, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
@@ -137,8 +141,49 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"config error: {field}: expected")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"model": {"kind": "left", "error": BAD_CHANNEL}}, "model.error"),
+            ({"model": {"kind": "right", "error": BAD_CHANNEL}}, "model.error"),
+            ({"model": {"kind": "sandwich", "left": BAD_CHANNEL, "right": GOOD_CHANNEL}}, "model.left"),
+            ({"model": {"kind": "sandwich", "left": GOOD_CHANNEL, "right": BAD_CHANNEL}}, "model.right"),
+            ({"model": {"kind": "composite", "factors": [GOOD_CHANNEL, BAD_CHANNEL]}}, "model.factors"),
+            ({"spam": {"prep": BAD_CHANNEL}}, "spam.prep"),
+            ({"spam": {"meas": BAD_CHANNEL}}, "spam.meas"),
+            # these exited 1 with a traceback before
+            ({"model": {"kind": "left"}}, "model.error"),
+            ({"model": {"kind": "sandwich", "left": GOOD_CHANNEL}}, "model.right"),
+            ({"model": {"kind": "left", "error": {"channel": "depolarizing", "q": None}}}, "model.error"),
+            ({"model": {"kind": "conjugation", "unitary": [[1, 1], [0, 1]]}}, "model.unitary"),
+            ({"model": {"kind": "conjugation", "unitary": [[1, 0], [0]]}}, "model.unitary"),
+            ({"model": {"kind": "conjugation", "unitary": [[1, "a"], [0, 1]]}}, "model.unitary"),
+            ({"model": {"kind": "conjugation", "axis": "w", "angle": 0.1}}, "model"),
+        ],
+    )
+    def test_bad_channel_exits_2_and_names_its_field(self, tmp_path, capsys, cache, payload, field):
+        cfg = write_config(tmp_path, {"model": {"kind": "z_tilt", "theta_z": 0.1}, **payload})
+        out = tmp_path / "out"
+        code = main(["rb", "--config", cfg, "--out", str(out), "--group-cache", cache])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not out.exists()
+
 
 class TestGroupCache:
+    @pytest.mark.parametrize("command", ["gen-group", "spectrum"])
+    def test_cache_in_missing_directory_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "no" / "such" / "g2.npz"
+        out = tmp_path / "out"
+        code = main([
+            command, "--config", str(CONFIG_DIR / "overrotation_d2.json"),
+            "--out", str(out), "--group-cache", str(path),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err
+        assert not out.exists() and not path.parent.exists()
+
     def test_cache_path_without_suffix_is_reused(self, tmp_path, monkeypatch):
         path = tmp_path / "g2cache"
         assert main(["gen-group", "--dim", "2", "--group-cache", str(path)]) == 0

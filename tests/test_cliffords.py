@@ -9,7 +9,6 @@ from rblab.channels import (
     SIGMA_Y,
     SuperOp,
     identity_superop,
-    random_unitary,
     unitary_to_superop,
 )
 from rblab.cliffords import (
@@ -29,6 +28,7 @@ from rblab.noise import (
     depolarizing,
     pulse,
 )
+from reference import random_unitary
 
 
 def word(group, k):

@@ -10,8 +10,6 @@ from scipy.spatial.transform import Rotation
 
 from rblab.channels import (
     SuperOp,
-    infidelity,
-    random_unitary,
     traceless_fidelity,
     unitary_to_superop,
 )
@@ -31,7 +29,6 @@ from rblab.correction import (
     optimize_correct,
     polar_correct,
     su_generators,
-    verify_decay_law,
 )
 from rblab.noise import (
     NoiseModel,
@@ -42,6 +39,7 @@ from rblab.noise import (
     rotation,
 )
 from rblab.twirl import build_twirl, dominant_spectrum, order_m_error_blocks
+from reference import infidelity, random_unitary, verify_decay_law
 from test_twirl import perturbation_report
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

@@ -7,7 +7,6 @@ from rblab.channels import (
     SIGMA_Y,
     SIGMA_Z,
     SuperOp,
-    infidelity,
     pauli_basis,
     traceless_projector,
     unitary_to_superop,
@@ -16,7 +15,6 @@ from rblab.noise import (
     ConfigError,
     NoiseModel,
     amplitude_damping,
-    assert_completely_positive,
     build_noisy_gateset,
     channel_from_spec,
     dephasing,
@@ -25,6 +23,7 @@ from rblab.noise import (
     relabeling_channel,
     rotation,
 )
+from reference import assert_completely_positive, infidelity
 
 
 def ptm_from_kraus(kraus):
@@ -82,11 +81,17 @@ class TestFactories:
         assert np.allclose(dephasing(q, "z").mat, ptm_from_kraus([k0, k1]), atol=1e-12)
 
     def test_factories_completely_positive(self):
+        # the factories' range checks are what keeps them CP, so the range
+        # endpoints are covered here as well as interior points
         for op in (
             depolarizing(0.4),
             dephasing(0.6, "x"),
             amplitude_damping(0.25),
             rotation("y", 0.7),
+            *(depolarizing(q) for q in (0.0, 1.0)),
+            *(depolarizing(q, 4) for q in (0.0, 0.4, 1.0)),
+            *(dephasing(q, axis) for q in (0.0, 1.0) for axis in "xyz"),
+            *(amplitude_damping(gamma) for gamma in (0.0, 1.0)),
         ):
             assert_completely_positive(op)
 
@@ -239,7 +244,7 @@ class TestNoiseModels:
     def test_conjugated_circuit_equals_rotated_spam(self, group24, rng):
         # a frame mismatch is indistinguishable from rotated state preparation
         # and measurement: <mu| (UGU')_{m:1} |rho> = <U'(mu)| G_{m:1} |U'(rho)>
-        from rblab.channels import random_unitary
+        from reference import random_unitary
         from rblab.rb import default_effect, default_state
 
         u = random_unitary(2, rng)

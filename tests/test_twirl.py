@@ -8,8 +8,6 @@ from rblab.channels import (
     avg_gate_fidelity,
     hs_inner,
     identity_superop,
-    infidelity,
-    random_unitary,
     traceless_projector,
     unitary_to_superop,
     unvec,
@@ -26,11 +24,11 @@ from rblab.twirl import (
     build_twirl,
     dominant_spectrum,
     fidelity_curve_exact,
-    fidelity_curve_mc,
     nondominant_radius,
     order_m_error_blocks,
     power_iteration,
 )
+from reference import fidelity_curve_mc, infidelity, random_unitary
 
 
 @dataclass(frozen=True)
