@@ -46,7 +46,7 @@ def check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"matrix is not unitary: orthogonality defect {defect:.3e}")
 
 

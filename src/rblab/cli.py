@@ -9,7 +9,9 @@ correct and >= 1 for rb; sequences an integer >= 1; basis identity,
 corrected or corrected-squared; spam an object with optional prep and meas
 channels; max_depth an integer >= 1 for fig-delta and >= 10 for fig-pbloch,
 whose fits span m = 5..10; theta_grid [start, stop, num] with finite start
-and stop and an integer num >= 1; cz_epsilon a finite number.
+and stop and an integer num >= 1; cz_epsilon a finite number.  Numbers are
+JSON numbers (not strings or booleans) and finite; a key no command reads, at
+the top level, in spam, in the model or in a channel spec, is an error too.
 
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -44,7 +45,7 @@ from .correction import (
     correct_block,
     incoherence_defect,
 )
-from .noise import ConfigError, NoiseModel, build_noisy_gateset, field_channel
+from .noise import ConfigError, NoiseModel, build_noisy_gateset, check_keys, field_channel, finite
 from .rb import RBConfig, fit_decay, run_rb
 from .twirl import (
     DegenerateSpectrumError,
@@ -58,6 +59,12 @@ from .twirl import (
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# every top-level config key some command reads
+_CONFIG_KEYS = (
+    "dim", "seed", "model", "depths", "sequences", "basis", "spam", "max_depth", "theta_grid",
+    "cz_epsilon",
+)
 
 
 def _fmt(value) -> str:
@@ -90,6 +97,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    check_keys(cfg, _CONFIG_KEYS, "the config")
     return cfg
 
 
@@ -133,12 +141,6 @@ def _integer(name: str, value, minimum: int) -> int:
     if not _is_int(value) or value < minimum:
         raise ConfigError(f"{name}: expected an integer >= {minimum}, got {value!r}")
     return value
-
-
-def _finite(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
-    return float(value)
 
 
 class _Setup:
@@ -205,7 +207,10 @@ class _Setup:
         return {"dim": self.dim, "seed": self.seed, "model": model_summary(self.model), **extra}
 
     def output(self, name: str) -> Path:
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {self.out} cannot be created: {exc.strerror or exc}") from exc
         return self.out / name
 
 
@@ -308,11 +313,12 @@ def cmd_rb(args) -> int:
     s = _Setup(args)
     depths = s.depths([1, 2, 4, 8, 16, 32, 64, 128], minimum=1)
     sequences = s.integer("sequences", 200, minimum=1)
-    spam = s.cfg.get("spam") or {}
+    spam = {} if s.cfg.get("spam") is None else s.cfg["spam"]
     if not isinstance(spam, dict):
         raise ConfigError(f"spam: expected an object with prep and meas channels, got {spam!r}")
-    prep = field_channel("spam.prep", spam["prep"], s.dim) if spam.get("prep") else None
-    meas = field_channel("spam.meas", spam["meas"], s.dim) if spam.get("meas") else None
+    check_keys(spam, ("prep", "meas"), "spam", "spam.")
+    prep = None if spam.get("prep") is None else field_channel("spam.prep", spam["prep"], s.dim)
+    meas = None if spam.get("meas") is None else field_channel("spam.meas", spam["meas"], s.dim)
     rb_cfg = RBConfig(
         depths=tuple(depths), sequences=sequences, seed=s.seed, prep_noise=prep, meas_noise=meas
     )
@@ -342,7 +348,7 @@ def cmd_rb(args) -> int:
         "depth,mean_survival,residual",
     ]
     for di, m in enumerate(table.depths):
-        lines.append(f"{m},{fit.mean_survival[di]!r},{fit.residuals[di]!r}")
+        lines.append(f"{m},{_fmt(fit.mean_survival[di])},{_fmt(fit.residuals[di])}")
     s.output("rb_fit.txt").write_text("\n".join(lines) + "\n")
     print(f"fitted p = {fit.p!r}  95% interval {fit.p_interval}")
     if fit.flagged:
@@ -410,9 +416,9 @@ def cmd_fig_basis(args) -> int:
     grid_cfg = s.cfg.get("theta_grid", [0.0, 0.3, 31])
     if not (isinstance(grid_cfg, list) and len(grid_cfg) == 3):
         raise ConfigError(f"theta_grid: expected [start, stop, num], got {grid_cfg!r}")
-    start, stop = (_finite("theta_grid", x) for x in grid_cfg[:2])
+    start, stop = (finite("theta_grid", x) for x in grid_cfg[:2])
     thetas = np.linspace(start, stop, _integer("theta_grid", grid_cfg[2], 1))
-    cz_eps = _finite("cz_epsilon", s.cfg.get("cz_epsilon", 0.1 if s.dim == 4 else 0.0))
+    cz_eps = finite("cz_epsilon", s.cfg.get("cz_epsilon", 0.1 if s.dim == 4 else 0.0))
 
     infid_i, infid_u, half_gap = [], [], []
     for theta in thetas:

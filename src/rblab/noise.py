@@ -8,6 +8,7 @@ the remaining kinds compose fixed error channels around the ideal element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -29,6 +30,20 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """A noise-model or run configuration violates the documented schema."""
+
+
+def finite(name: str, value) -> float:
+    """`value` as a float if it is a finite number (not a bool or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def check_keys(mapping: Mapping, known, owner: str, prefix: str = "") -> None:
+    """Reject the first key of `mapping` that `known` does not list, naming it."""
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: not a parameter of {owner}")
 
 
 def pulse(h: np.ndarray, theta: float) -> np.ndarray:
@@ -146,6 +161,16 @@ def relabeling_channel() -> SuperOp:
 # ---------------------------------------------------------------------------
 
 
+# the parameters each channel kind reads
+_CHANNELS = {
+    "depolarizing": ("q",),
+    "dephasing": ("q", "axis"),
+    "amplitude_damping": ("gamma",),
+    "rotation": ("axis", "angle"),
+    "kron": ("first", "second"),
+}
+
+
 def channel_from_spec(spec, dim: int) -> SuperOp:
     """Build a channel from a config dict, or a composition chain from a list.
 
@@ -161,18 +186,21 @@ def channel_from_spec(spec, dim: int) -> SuperOp:
     if not isinstance(spec, Mapping):
         raise ConfigError(f"channel spec must be a mapping or list, got {type(spec).__name__}")
     kind = spec.get("channel")
+    if not isinstance(kind, str) or kind not in _CHANNELS:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    check_keys(spec, ("channel", *_CHANNELS[kind]), kind)
     try:
         if kind == "depolarizing":
-            return depolarizing(float(spec["q"]), dim)
+            return depolarizing(finite("q", spec["q"]), dim)
         if kind == "dephasing":
             _require_dim(dim, 2, kind)
-            return dephasing(float(spec["q"]), spec.get("axis", "z"))
+            return dephasing(finite("q", spec["q"]), spec.get("axis", "z"))
         if kind == "amplitude_damping":
             _require_dim(dim, 2, kind)
-            return amplitude_damping(float(spec["gamma"]))
+            return amplitude_damping(finite("gamma", spec["gamma"]))
         if kind == "rotation":
             _require_dim(dim, 2, kind)
-            return rotation(spec.get("axis", "z"), float(spec["angle"]))
+            return rotation(spec.get("axis", "z"), finite("angle", spec["angle"]))
         if kind == "kron":
             _require_dim(dim, 4, kind)
             return kron_channel(
@@ -185,24 +213,24 @@ def channel_from_spec(spec, dim: int) -> SuperOp:
     except (TypeError, ValueError) as exc:
         fields = ", ".join(f"{key}={value!r}" for key, value in spec.items() if key != "channel")
         raise ConfigError(f"channel spec {kind!r} with {fields}: {exc}") from None
-    raise ConfigError(f"unknown channel kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # Noise models
 # ---------------------------------------------------------------------------
 
-_KNOWN_KINDS = (
-    "ideal",
-    "over_rotation",
-    "z_tilt",
-    "left",
-    "right",
-    "sandwich",
-    "conjugation",
-    "relabeling",
-    "composite",
-)
+# the parameters each model kind may set, all read by _resolve_errors
+_KINDS = {
+    "ideal": (),
+    "over_rotation": ("epsilon", "cz_epsilon"),
+    "z_tilt": ("theta_z", "cz_epsilon"),
+    "left": ("error",),
+    "right": ("error",),
+    "sandwich": ("left", "right"),
+    "conjugation": ("unitary", "axis", "angle"),
+    "relabeling": (),
+    "composite": ("factors", "side"),
+}
 
 
 @dataclass(frozen=True)
@@ -213,8 +241,9 @@ class NoiseModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KNOWN_KINDS:
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown noise model kind {self.kind!r}")
+        check_keys(self.params, _KINDS[self.kind], self.kind, "model.")
 
     # -- constructors ------------------------------------------------------
 
@@ -255,8 +284,6 @@ class NoiseModel:
 
     @staticmethod
     def composite(factors, side: str = "right") -> "NoiseModel":
-        if side not in ("left", "right"):
-            raise ConfigError(f"composite side must be 'left' or 'right', got {side!r}")
         return NoiseModel("composite", {"factors": list(factors), "side": side})
 
     @staticmethod
@@ -290,20 +317,13 @@ def field_channel(field: str, value, dim: int) -> SuperOp:
         raise ConfigError(f"{field}: {exc}") from None
 
 
-def _as_unitary_superop(value, dim: int) -> SuperOp:
-    if isinstance(value, SuperOp):
-        return field_channel("model.unitary", value, dim)
-    try:
-        value = np.asarray(value)
-        if value.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} unitary matrix")
-        return unitary_to_superop(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.unitary: {exc}") from None
-
-
 def _resolve_errors(model: NoiseModel, dim: int) -> dict:
-    """Materialize the fixed channels a non-generator model composes with."""
+    """The one reading of a model's parameters, each checked and named on error.
+
+    Returns the pulse offsets of a generator-replacement kind ("offset" or
+    "tilt", plus "cz_offset"), the frame "u" of a conjugation or relabeling,
+    and the fixed "left"/"right" channels composed around every ideal gate.
+    """
     p = model.params
 
     def channel(key: str) -> SuperOp:
@@ -311,79 +331,71 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
             raise ConfigError(f"model.{key}: missing for {model.kind}")
         return field_channel(f"model.{key}", p[key], dim)
 
-    if model.kind == "ideal":
-        return {}
+    def number(key: str, absent: float | None = None) -> float:
+        if p.get(key) is None and absent is not None:
+            return absent
+        if key not in p:
+            raise ConfigError(f"model.{key}: missing for {model.kind}")
+        return finite(f"model.{key}", p[key])
+
     if model.kind == "over_rotation":
-        if "epsilon" not in p:
-            raise ConfigError("model.epsilon: missing for over_rotation")
-        return {}
+        eps = number("epsilon")
+        return {"offset": eps, "cz_offset": number("cz_epsilon", absent=eps)}
     if model.kind == "z_tilt":
-        if "theta_z" not in p:
-            raise ConfigError("model.theta_z: missing for z_tilt")
-        return {}
-    if model.kind == "left":
-        return {"left": channel("error")}
-    if model.kind == "right":
-        return {"right": channel("error")}
+        return {"tilt": number("theta_z"), "cz_offset": number("cz_epsilon", absent=0.0)}
+    if model.kind in ("left", "right"):
+        return {model.kind: channel("error")}
     if model.kind == "sandwich":
         return {"left": channel("left"), "right": channel("right")}
     if model.kind == "conjugation":
+        if isinstance(p.get("unitary"), SuperOp):
+            return {"u": channel("unitary")}
         if "unitary" in p:
-            u = _as_unitary_superop(p["unitary"], dim)
-        elif "axis" in p and "angle" in p:
+            try:
+                u = np.asarray(p["unitary"])
+                if u.shape != (dim, dim):
+                    raise ValueError(f"expected a {dim}x{dim} unitary matrix")
+                return {"u": unitary_to_superop(u)}
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"model.unitary: {exc}") from None
+        if "axis" in p and "angle" in p:
             _require_dim(dim, 2, "conjugation by axis/angle")
             spec = {"channel": "rotation", "axis": p["axis"], "angle": p["angle"]}
-            u = field_channel("model", spec, dim)
-        else:
-            raise ConfigError("model.unitary: missing for conjugation (or give axis+angle)")
-        return {"u": u}
+            return {"u": field_channel("model", spec, dim)}
+        raise ConfigError("model.unitary: missing for conjugation (or give axis+angle)")
     if model.kind == "relabeling":
         _require_dim(dim, 2, "relabeling")
         return {"u": relabeling_channel()}
     if model.kind == "composite":
-        if "factors" not in p or not p["factors"]:
-            raise ConfigError("model.factors: missing for composite")
         side = p.get("side", "right")
         if side not in ("left", "right"):
             raise ConfigError(f"model.side: expected 'left' or 'right', got {side!r}")
-        return {side: field_channel("model.factors", list(p["factors"]), dim)}
-    raise ConfigError(f"unknown noise model kind {model.kind!r}")
+        return {side: channel("factors")}
+    return {}  # ideal
 
 
 def _noisy_generators(model: NoiseModel, group: "CliffordGroup") -> dict[str, SuperOp]:
     """Noisy replacements for each generator label of a generator-replacement model."""
+    pulses = _resolve_errors(model, group.dim)
     out: dict[str, SuperOp] = {}
-    if model.kind == "over_rotation":
-        eps = float(model.params["epsilon"])
-        cz_eps = model.params.get("cz_epsilon")
-        cz_eps = eps if cz_eps is None else float(cz_eps)
-        for label, spec in group.generator_pulses.items():
-            off = cz_eps if label == "cz" else eps
-            out[label] = unitary_to_superop(spec.unitary(off))
-        return out
-    if model.kind == "z_tilt":
-        theta = float(model.params["theta_z"])
-        cz_eps = float(model.params.get("cz_epsilon", 0.0))
-        tilts = _TILT_HAMILTONIANS.get(group.dim, {})
-        for label, spec in group.generator_pulses.items():
-            if label == "cz":
-                out[label] = unitary_to_superop(spec.unitary(cz_eps))
-            elif label in tilts:
-                tilt = unitary_to_superop(pulse(tilts[label], theta))
-                out[label] = tilt @ unitary_to_superop(spec.unitary())
-            else:
-                raise ConfigError(f"no tilt axis known for generator {label!r}")
-        return out
-    raise ConfigError(f"{model.kind} is not a generator-replacement model")
+    for label, spec in group.generator_pulses.items():
+        if label == "cz":
+            out[label] = unitary_to_superop(spec.unitary(pulses["cz_offset"]))
+        elif "tilt" in pulses:
+            tilt = unitary_to_superop(pulse(_TILT_HAMILTONIANS[group.dim][label], pulses["tilt"]))
+            out[label] = tilt @ unitary_to_superop(spec.unitary())
+        else:
+            out[label] = unitary_to_superop(spec.unitary(pulses["offset"]))
+    return out
 
 
 def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> list[SuperOp]:
     """Noisy transfer matrices, index-aligned with the ideal group."""
+    fixed = _resolve_errors(model, group.dim)
     mats = group.mats
-    if model.kind in ("over_rotation", "z_tilt"):
+    if "cz_offset" in fixed:  # over-rotation and z-tilt replay noisy pulses
         gens = _noisy_generators(model, group)
         mats = group.replay({label: op.mat for label, op in gens.items()})
-    fixed = _resolve_errors(model, group.dim)
     if "u" in fixed:  # conjugation and relabeling
         mats = fixed["u"].mat @ mats @ fixed["u"].mat.T
     if "right" in fixed:

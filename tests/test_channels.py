@@ -156,6 +156,14 @@ class TestSuperOp:
             s.mat[0, 0] = 2.0
 
 
+class TestCheckUnitary:
+    def test_rejects_nan(self):
+        # a NaN defect compares False with the tolerance, so it must fail explicitly
+        for u in (np.full((2, 2), np.nan), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="not unitary"):
+                check_unitary(u)
+
+
 class TestRandomUnitary:
     def test_unitary_and_determinant(self, rng):
         for dim in (2, 4):

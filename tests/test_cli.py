@@ -46,6 +46,9 @@ def cache(tmp_path_factory):
 
 BAD_CHANNEL = {"channel": "depolarizing", "q": 2}
 GOOD_CHANNEL = {"channel": "depolarizing", "q": 0.99}
+NAN = float("nan")
+INF = float("inf")
+NAN_ROTATION = {"channel": "rotation", "axis": "x", "angle": NAN}
 
 
 def write_config(tmp_path, payload):
@@ -168,6 +171,54 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"model": {"kind": "over_rotation", "epsilon": "abc"}}, "model.epsilon: expected a finite"),
+            ({"model": {"kind": "over_rotation", "epsilon": NAN}}, "model.epsilon: expected a finite"),
+            ({"model": {"kind": "over_rotation", "epsilon": INF}}, "model.epsilon: expected a finite"),
+            ({"model": {"kind": "over_rotation", "epsilon": True}}, "model.epsilon: expected a finite"),
+            ({"model": {"kind": "over_rotation", "epsilon": 0.1, "cz_epsilon": "x"}}, "model.cz_epsilon: "),
+            ({"model": {"kind": "z_tilt", "theta_z": "0.1"}}, "model.theta_z: expected a finite"),
+            ({"model": {"kind": "z_tilt", "theta_z": 0.1, "cz_epsilon": NAN}}, "model.cz_epsilon: "),
+            ({"model": {"kind": "over_rotation", "epsilon": 0.1, "cz_eps": 0.3}},
+             "model.cz_eps: not a parameter of over_rotation"),
+            ({"model": {"kind": "conjugation", "axis": "x", "angle": NAN}}, "model: angle: expected a finite"),
+            ({"model": {"kind": "conjugation", "unitary": [[NAN, 0], [0, 1]]}}, "model.unitary: "),
+            ({"model": {"kind": "left", "error": NAN_ROTATION}}, "model.error: angle: expected a finite"),
+            ({"spam": {"meas": NAN_ROTATION}}, "spam.meas: angle: expected a finite"),
+            ({"model": {"kind": "left", "error": {"channel": "depolarizing", "q": "0.99"}}},
+             "model.error: q: expected a finite"),
+            ({"model": {"kind": "right", "error": {"channel": "amplitude_damping", "gamma": True}}},
+             "model.error: gamma: expected a finite"),
+            ({"model": {"kind": "left", "error": {"channel": "dephasing", "axs": "x", "q": 0.99}}},
+             "model.error: axs: not a parameter of dephasing"),
+            ({"model": {"kind": "composite", "factors": 3}}, "model.factors: "),
+            ({"spam": {"measure": GOOD_CHANNEL}}, "spam.measure: not a parameter of spam"),
+            ({"spam": False}, "spam: expected an object"),
+            ({"spam": {"meas": False}}, "spam.meas: channel spec must be"),
+            ({"sequence": 3}, "sequence: not a parameter of the config"),
+        ],
+    )
+    def test_bad_number_or_key_exits_2_and_names_it(self, tmp_path, capsys, cache, payload, message):
+        cfg = write_config(tmp_path, {"model": {"kind": "z_tilt", "theta_z": 0.1}, **payload})
+        out = tmp_path / "out"
+        code = main(["rb", "--config", cfg, "--out", str(out), "--group-cache", cache])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys, cache):
+        (tmp_path / "FILE").write_text("")
+        out = tmp_path / "FILE" / "sub"
+        code = main([
+            "spectrum", "--config", str(CONFIG_DIR / "ztilt_d2.json"),
+            "--out", str(out), "--group-cache", cache,
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out} cannot be created")
 
 
 class TestGroupCache:
@@ -318,6 +369,19 @@ class TestRB:
         assert main(["rb", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache]) == 0
         lines = (tmp_path / "rb_fit.txt").read_text().splitlines()
         assert "bootstrap_samples: 200" in lines
+
+    def test_rb_fit_depth_rows_are_plain_numbers(self, tmp_path, cache):
+        cfg = write_config(
+            tmp_path,
+            {"model": {"kind": "z_tilt", "theta_z": 0.1}, "depths": [1, 2, 4], "sequences": 5},
+        )
+        assert main(["rb", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache]) == 0
+        lines = (tmp_path / "rb_fit.txt").read_text().splitlines()
+        rows = lines[lines.index("depth,mean_survival,residual") + 1:]
+        assert [int(row.split(",")[0]) for row in rows] == [1, 2, 4]
+        for row in rows:
+            _, survival, residual = (float(x) for x in row.split(","))
+            assert 0.0 <= survival <= 1.0 and abs(residual) < 1.0
 
 
 class TestFigures:

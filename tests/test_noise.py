@@ -14,6 +14,7 @@ from rblab.channels import (
 from rblab.noise import (
     ConfigError,
     NoiseModel,
+    _noisy_generators,
     amplitude_damping,
     build_noisy_gateset,
     channel_from_spec,
@@ -170,6 +171,18 @@ class TestNoiseModels:
                 {"kind": "composite", "side": "above", "factors": [{"channel": "depolarizing", "q": 0.9}]},
                 2,
             )
+
+    def test_null_cz_epsilon_means_absent(self, group11520):
+        # left out or null, the CZ offset is 0 for z_tilt and epsilon for over_rotation
+        cz_pulse = group11520.generator_pulses["cz"]
+        for cfg, offset in (
+            ({"kind": "z_tilt", "theta_z": 0.1}, 0.0),
+            ({"kind": "over_rotation", "epsilon": 0.07}, 0.07),
+        ):
+            expected = unitary_to_superop(cz_pulse.unitary(offset)).mat
+            for model_cfg in (cfg, {**cfg, "cz_epsilon": None}):
+                gens = _noisy_generators(NoiseModel.from_config(model_cfg, 4), group11520)
+                assert np.array_equal(gens["cz"].mat, expected)
 
     def test_ideal_model(self, group24):
         noisy = build_noisy_gateset(NoiseModel.ideal(), group24)
