@@ -87,10 +87,10 @@ def identity_superop(dim: int) -> SuperOp:
     return SuperOp(dim, np.eye(dim ** 2))
 
 
-def unitary_to_superop(u: np.ndarray, tol: float = 1e-8) -> SuperOp:
+def unitary_to_superop(u: np.ndarray) -> SuperOp:
     """Transfer matrix of conjugation by u, entries tr(P_j u P_k u')/d."""
     u = np.asarray(u, dtype=complex)
-    check_unitary(u, tol)
+    check_unitary(u)
     dim = u.shape[0]
     paulis = pauli_basis(dim)
     conj = u @ paulis @ u.conj().T

@@ -5,13 +5,15 @@ group, noisy set, spectrum and correction on first use, so the command only
 formats library results.  Accepted config values, anything else being a
 configuration error: dim 2 or 4 and seed an integer >= 0 (--dim and --seed
 override them); depths a non-empty list of integers, >= 0 for curve and
-correct and >= 1 for rb; sequences an integer >= 1; basis identity,
-corrected or corrected-squared; spam an object with optional prep and meas
-channels; max_depth an integer >= 1 for fig-delta and >= 10 for fig-pbloch,
-whose fits span m = 5..10; theta_grid [start, stop, num] with finite start
-and stop and an integer num >= 1; cz_epsilon a finite number.  Numbers are
-JSON numbers (not strings or booleans) and finite; a key no command reads, at
-the top level, in spam, in the model or in a channel spec, is an error too.
+correct and >= 1 with at least 3 distinct values for rb; sequences an
+integer >= 1; basis identity, corrected or corrected-squared; spam an object
+with optional prep and meas channels; max_depth an integer >= 1 for
+fig-delta and >= 10 for fig-pbloch, whose fits span m = 5..10; theta_grid
+[start, stop, num] with finite start and stop and an integer num >= 1;
+cz_epsilon a finite number.  Numbers are JSON numbers (not strings or
+booleans) and finite, and a list axis has a finite, non-zero norm; a key no
+command reads, at the top level, in spam, in the model or in a channel spec,
+is an error too.
 
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
@@ -49,6 +51,7 @@ from .noise import ConfigError, NoiseModel, build_noisy_gateset, check_keys, fie
 from .rb import RBConfig, fit_decay, run_rb
 from .twirl import (
     DegenerateSpectrumError,
+    FidelityCurve,
     TwirlSpectrum,
     build_twirl,
     dominant_spectrum,
@@ -191,8 +194,18 @@ class _Setup:
 
     @cached_property
     def correction(self) -> CorrectionResult:
-        right_blk, _ = order_m_error_blocks(self.group, self.noisy, 4, twirl=self.spectrum.twirl)
+        right_blk, _ = order_m_error_blocks(self.spectrum.twirl, 4)
         return correct_block(right_blk, self.dim, seed=self.seed)
+
+    def curve(self, basis: str, depths) -> FidelityCurve:
+        """Exact fidelity curve in the frame `basis` names: I, the correction U or U^2."""
+        if basis not in ("identity", "corrected", "corrected-squared"):
+            raise ConfigError(f"basis: expected identity|corrected|corrected-squared, got {basis!r}")
+        frame = np.eye(self.dim, dtype=complex)
+        if basis != "identity":
+            u = self.correction.unitary
+            frame = u if basis == "corrected" else u @ u
+        return fidelity_curve_exact(self.spectrum, frame, depths)
 
     def for_model(self, model: NoiseModel) -> "_Setup":
         """The same config, seed, output directory and group with another model."""
@@ -248,16 +261,7 @@ def cmd_curve(args) -> int:
     s = _Setup(args)
     depths = s.depths(list(range(1, 33)), minimum=0)
     basis_name = s.cfg.get("basis", "identity")
-    if basis_name == "identity":
-        basis = np.eye(s.dim, dtype=complex)
-    elif basis_name in ("corrected", "corrected-squared"):
-        u = s.correction.unitary
-        basis = u if basis_name == "corrected" else u @ u
-    else:
-        raise ConfigError(
-            f"basis: expected identity|corrected|corrected-squared, got {basis_name!r}"
-        )
-    curve = fidelity_curve_exact(s.spectrum, basis, depths)
+    curve = s.curve(basis_name, depths)
     write_csv(
         s.output("curve.csv"),
         s.meta(p=repr(curve.p)),
@@ -289,7 +293,7 @@ def cmd_correct(args) -> int:
     meta["achieved_fidelity"] = repr(result.fidelity)
     meta["incoherence_defect"] = repr(incoherence_defect(result.corrected_block))
 
-    curve = fidelity_curve_exact(s.spectrum, result.unitary, depths)
+    curve = s.curve("corrected", depths)
     p_power = p ** curve.depths.astype(float)
     resid = np.abs(curve.traceless_fidelity - p_power)
     write_csv(
@@ -312,6 +316,8 @@ def cmd_correct(args) -> int:
 def cmd_rb(args) -> int:
     s = _Setup(args)
     depths = s.depths([1, 2, 4, 8, 16, 32, 64, 128], minimum=1)
+    if len(set(depths)) < 3:
+        raise ConfigError(f"depths: expected at least 3 distinct depths to fit A p^m + B, got {depths!r}")
     sequences = s.integer("sequences", 200, minimum=1)
     spam = {} if s.cfg.get("spam") is None else s.cfg["spam"]
     if not isinstance(spam, dict):
@@ -361,9 +367,8 @@ def cmd_fig_delta(args) -> int:
     if "model" not in s.cfg:
         s.model = NoiseModel.z_tilt(0.1, cz_epsilon=0.1 if s.dim == 4 else 0.0)
     depths = range(1, s.integer("max_depth", 30, minimum=1) + 1)
-    u = s.correction.unitary
-    curve_i = fidelity_curve_exact(s.spectrum, np.eye(s.dim, dtype=complex), depths)
-    curve_u = fidelity_curve_exact(s.spectrum, u, depths)
+    curve_i = s.curve("identity", depths)
+    curve_u = s.curve("corrected", depths)
     infid_1 = 1.0 - curve_i.fidelity[0]
     p = s.spectrum.p
     write_csv(
@@ -387,11 +392,10 @@ def cmd_fig_pbloch(args) -> int:
         s.model = NoiseModel.over_rotation(0.1, cz_epsilon=0.1 if s.dim == 4 else None)
     # the log fits run over m = 5..10, so the curves must reach depth 10
     depths = range(1, s.integer("max_depth", 12, minimum=10) + 1)
-    u = s.correction.unitary
     curves = {
-        "identity": fidelity_curve_exact(s.spectrum, np.eye(s.dim, dtype=complex), depths),
-        "corrected": fidelity_curve_exact(s.spectrum, u, depths),
-        "corrected_sq": fidelity_curve_exact(s.spectrum, u @ u, depths),
+        "identity": s.curve("identity", depths),
+        "corrected": s.curve("corrected", depths),
+        "corrected_sq": s.curve("corrected-squared", depths),
     }
     meta = s.meta(p=repr(s.spectrum.p))
     columns = [("m", list(curves["identity"].depths))]
@@ -423,11 +427,8 @@ def cmd_fig_basis(args) -> int:
     infid_i, infid_u, half_gap = [], [], []
     for theta in thetas:
         run = s.for_model(NoiseModel.z_tilt(float(theta), cz_epsilon=cz_eps))
-        u = run.correction.unitary
-        curve_i = fidelity_curve_exact(run.spectrum, np.eye(s.dim, dtype=complex), [1])
-        curve_u = fidelity_curve_exact(run.spectrum, u, [1])
-        infid_i.append(1.0 - curve_i.fidelity[0])
-        infid_u.append(1.0 - curve_u.fidelity[0])
+        infid_i.append(1.0 - run.curve("identity", [1]).fidelity[0])
+        infid_u.append(1.0 - run.curve("corrected", [1]).fidelity[0])
         half_gap.append((1.0 - run.spectrum.p) * (s.dim - 1.0) / s.dim)
     model = {"kind": "z_tilt", "theta_grid": list(grid_cfg), "cz_epsilon": cz_eps}
     write_csv(

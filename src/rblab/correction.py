@@ -27,7 +27,7 @@ from .channels import (
 )
 from .cliffords import CliffordGroup
 from .noise import pulse
-from .twirl import TwirlSpectrum, order_m_error_blocks
+from .twirl import TwirlSpectrum, build_twirl, order_m_error_blocks
 
 
 class ImproperRotationError(RuntimeError):
@@ -163,8 +163,7 @@ def su_generators(dim: int) -> np.ndarray:
 
 def _exp_i(generators: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """exp(i H) for H = sum_l theta_l G_l."""
-    w, v = np.linalg.eigh(np.tensordot(theta, generators, axes=1))
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return pulse(np.tensordot(theta, generators, axes=1), 2.0)
 
 
 class _CorrectedFidelity:
@@ -340,6 +339,6 @@ def correct_from_noisy_set(
 
     See `correct_block` for the route taken, with seed 0 for the ascent.
     """
-    twirl = spectrum.twirl if spectrum is not None else None
-    right_blk, _ = order_m_error_blocks(group, noisy_set, 4, twirl=twirl)
+    twirl = spectrum.twirl if spectrum is not None else build_twirl(group, noisy_set)
+    right_blk, _ = order_m_error_blocks(twirl, 4)
     return correct_block(right_blk, group.dim).unitary

@@ -128,15 +128,20 @@ def rotation(axis, angle: float) -> SuperOp:
 
 
 def _axis_vector(axis) -> np.ndarray:
+    """Unit vector of a named axis or of three finite numbers with a finite, non-zero norm."""
     named = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
     if isinstance(axis, str):
         if axis not in named:
             raise ValueError(f"unknown axis {axis!r}")
         return np.array(named[axis], dtype=float)
-    n = np.asarray(axis, dtype=float).reshape(-1)
-    if n.size != 3 or not np.linalg.norm(n) > 0:
-        raise ValueError("axis must be a named axis or a nonzero 3-vector")
-    return n / np.linalg.norm(n)
+    if not isinstance(axis, (list, tuple)) or len(axis) != 3:
+        raise ValueError("axis must be a named axis or a list of three numbers")
+    n = np.array([finite(f"axis[{i}]", x) for i, x in enumerate(axis)])
+    with np.errstate(over="ignore"):  # [1e308, 1e308, 0] overflows to an infinite norm
+        norm = np.linalg.norm(n)
+    if not 0.0 < norm < np.inf:
+        raise ConfigError(f"axis: expected a finite, non-zero norm, got {norm} for {axis!r}")
+    return n / norm
 
 
 def kron_channel(a: SuperOp, b: SuperOp) -> SuperOp:

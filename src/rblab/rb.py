@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import SuperOp, pauli_basis
+from .channels import SuperOp
 from .cliffords import CliffordGroup, compose_rows, compose_sequences
 
 
@@ -27,42 +27,19 @@ def default_state(dim: int) -> np.ndarray:
     raise ValueError(f"unsupported dimension {dim}")
 
 
-def default_effect(dim: int) -> np.ndarray:
-    return default_state(dim)
-
-
-def _operator_eigs(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Eigenvalues of the operator with the given normalized-Pauli coefficients."""
-    op = np.tensordot(coeffs, pauli_basis(dim), axes=1) / np.sqrt(dim)
-    return np.linalg.eigvalsh(op)
-
-
 @dataclass(frozen=True)
 class RBConfig:
-    """Depth grid, sequences per depth, SPAM vectors, and optional SPAM noise."""
+    """Depth grid, sequences per depth, and optional SPAM noise around |0...0>."""
 
     depths: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
     sequences: int = 200
     seed: int = 0
-    state: np.ndarray | None = None
-    effect: np.ndarray | None = None
     prep_noise: SuperOp | None = None
     meas_noise: SuperOp | None = None
 
     def resolve(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        rho = self.state if self.state is not None else default_state(dim)
-        mu = self.effect if self.effect is not None else default_effect(dim)
-        rho = np.asarray(rho, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        if rho.shape != (dim ** 2,) or mu.shape != (dim ** 2,):
-            raise ValueError(f"state/effect must be length-{dim ** 2} Pauli vectors")
-        if abs(rho[0] * np.sqrt(dim) - 1.0) > 1e-10:
-            raise ValueError("state is not normalized to unit trace")
-        if _operator_eigs(rho, dim).min() < -1e-10:
-            raise ValueError("state is not positive semidefinite")
-        mu_eigs = _operator_eigs(mu, dim)
-        if mu_eigs.min() < -1e-10 or mu_eigs.max() > 1.0 + 1e-10:
-            raise ValueError("effect eigenvalues lie outside [0, 1]")
+        """Pauli vectors of the prepared state and the measured effect."""
+        rho = mu = default_state(dim)
         if self.prep_noise is not None:
             rho = self.prep_noise.mat @ rho
         if self.meas_noise is not None:

@@ -60,17 +60,9 @@ def build_twirl(group: CliffordGroup, noisy_set: list[SuperOp]) -> TwirlSuperop:
     return TwirlSuperop(group.dim, t)
 
 
-def power_iteration(
-    mat: np.ndarray,
-    start: np.ndarray | None = None,
-    maxiter: int = 100_000,
-) -> tuple[float, np.ndarray]:
+def power_iteration(mat: np.ndarray, start: np.ndarray, maxiter: int = 100_000) -> tuple[float, np.ndarray]:
     """Dominant eigenpair by power iteration, to a 1e-12 Rayleigh-quotient step."""
-    mat = np.asarray(mat)
-    if start is None:
-        v = np.ones(mat.shape[0])
-    else:
-        v = np.asarray(start, dtype=float).copy()
+    v = np.asarray(start, dtype=float).copy()
     v /= np.linalg.norm(v)
     lam = np.inf
     for _ in range(maxiter):
@@ -97,12 +89,12 @@ def _strip_phase(v: np.ndarray) -> np.ndarray:
     return np.real(v * np.conj(pivot) / abs(pivot))
 
 
-def _dense_dominant(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant eigenvalue with right and left eigenvectors via a full eigensolve.
+def _dense_starts(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Dominant eigenvalue and right/left start vectors from a full eigensolve.
 
     Gate-independent noise makes the twirl exactly rank one, where the dense
-    solver returns eigenvectors for the dominant value with poor residuals;
-    a few power-iteration steps from the dense output restore full accuracy.
+    solver returns eigenvectors for the dominant value with poor residuals,
+    so they only start the power iteration that restores full accuracy.
     """
     evals, evecs = np.linalg.eig(mat)
     order = np.argsort(-np.abs(evals))
@@ -114,17 +106,9 @@ def _dense_dominant(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         raise DegenerateSpectrumError(
             f"dominant eigenvalue is degenerate: |{lam}| vs |{evals[order[1]]}|"
         )
-    right = _strip_phase(evecs[:, order[0]])
     evals_l, evecs_l = np.linalg.eig(mat.T)
     idx = int(np.argmin(np.abs(evals_l - lam)))
-    left = _strip_phase(evecs_l[:, idx])
-    p_r, right = power_iteration(mat, start=right)
-    p_l, left = power_iteration(mat.T, start=left)
-    if abs(p_r - p_l) > 1e-10 * scale or abs(p_r - lam.real) > 1e-8 * scale:
-        raise DegenerateSpectrumError(
-            f"left/right dominant eigenvalues disagree: {p_r} vs {p_l}"
-        )
-    return p_r, right, left
+    return lam.real, _strip_phase(evecs[:, order[0]]), _strip_phase(evecs_l[:, idx])
 
 
 def _fix_eigenop(v: np.ndarray, pi: np.ndarray, transpose: bool) -> np.ndarray:
@@ -160,7 +144,8 @@ class TwirlSpectrum:
         vl = vec(self.right_error_op.T)
         return t - self.p * np.outer(vr, vl) / float(vl @ vr)
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        tol = 1e-10
         t = self.twirl.mat
         vr = vec(self.left_error_op)
         vl = vec(self.right_error_op.T)
@@ -178,14 +163,9 @@ class TwirlSpectrum:
 
     # -- basis expansion -----------------------------------------------------
 
-    def _basis_superop(self, basis_u: np.ndarray | SuperOp) -> SuperOp:
-        if isinstance(basis_u, SuperOp):
-            return basis_u
-        return unitary_to_superop(np.asarray(basis_u, dtype=complex))
-
-    def decay_amplitude(self, basis_u: np.ndarray | SuperOp) -> float:
+    def decay_amplitude(self, basis: SuperOp) -> float:
         """Coefficient of p^m in the exact fidelity curve for this target basis."""
-        us = self._basis_superop(basis_u).mat
+        us = basis.mat
         norm_pi_sq = self.dim ** 2 - 1
         num = hs_inner(self.right_error_op.T, us) * hs_inner(us, self.left_error_op)
         den = norm_pi_sq * hs_inner(self.right_error_op.T, self.left_error_op)
@@ -195,22 +175,22 @@ class TwirlSpectrum:
 def dominant_spectrum(t: TwirlSuperop) -> TwirlSpectrum:
     """Extract p and the asymptotic error operators from a twirl.
 
-    Uses a dense nonsymmetric eigensolve for single qubits and power iteration
-    (on the twirl and its transpose) for two qubits, where only the dominant
-    pair is needed.
+    Power iteration on the twirl and its transpose, started from a dense
+    nonsymmetric eigensolve for single qubits and from vec(Pi_tr) for two
+    qubits, where only the dominant pair is needed.
     """
     pi = traceless_projector(t.dim)
     if t.dim == 2:
-        p, right, left = _dense_dominant(t.mat)
+        lam, right, left = _dense_starts(t.mat)
     else:
-        start = vec(pi)
-        p, right = power_iteration(t.mat, start=start)
-        p_left, left = power_iteration(t.mat.T, start=start)
-        scale = max(1.0, abs(p))
-        if abs(p - p_left) > 1e-10 * scale:
-            raise DegenerateSpectrumError(
-                f"left/right dominant eigenvalues disagree: {p} vs {p_left}"
-            )
+        lam, right, left = None, vec(pi), vec(pi)
+    p, right = power_iteration(t.mat, right)
+    p_left, left = power_iteration(t.mat.T, left)
+    scale = max(1.0, abs(p))
+    if abs(p - p_left) > 1e-10 * scale or (lam is not None and abs(p - lam) > 1e-8 * scale):
+        raise DegenerateSpectrumError(
+            f"left/right dominant eigenvalues disagree: {p} vs {p_left} (dense {lam})"
+        )
     if p > 1.0 + 1e-10:
         raise DegenerateSpectrumError(f"dominant eigenvalue {p} exceeds 1")
     spectrum = TwirlSpectrum(
@@ -224,12 +204,7 @@ def dominant_spectrum(t: TwirlSuperop) -> TwirlSpectrum:
     return spectrum
 
 
-def order_m_error_blocks(
-    group: CliffordGroup,
-    noisy_set: list[SuperOp],
-    m: int,
-    twirl: TwirlSuperop | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def order_m_error_blocks(twirl: TwirlSuperop, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Bloch blocks of the depth-m right and left error operators.
 
     The right block is the traceless block of the projected average of
@@ -238,9 +213,7 @@ def order_m_error_blocks(
     """
     if m < 1:
         raise ValueError("order must be at least 1")
-    if twirl is None:
-        twirl = build_twirl(group, noisy_set)
-    v = vec(traceless_projector(group.dim))
+    v = vec(traceless_projector(twirl.dim))
     vr = v.copy()
     vl = v.copy()
     for _ in range(m):
@@ -281,16 +254,8 @@ class FidelityCurve:
         return slope, 1.0 / dim + np.exp(intercept)
 
 
-def fidelity_curve_exact(
-    spectrum_or_twirl: TwirlSpectrum | TwirlSuperop,
-    basis_u: np.ndarray,
-    depths,
-) -> FidelityCurve:
+def fidelity_curve_exact(spectrum: TwirlSpectrum, basis_u: np.ndarray, depths) -> FidelityCurve:
     """Exact fidelity curve via repeated twirl-vector products."""
-    if isinstance(spectrum_or_twirl, TwirlSuperop):
-        spectrum = dominant_spectrum(spectrum_or_twirl)
-    else:
-        spectrum = spectrum_or_twirl
     t = spectrum.twirl.mat
     dim = spectrum.dim
     depths = np.asarray(list(depths), dtype=int)

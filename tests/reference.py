@@ -160,7 +160,7 @@ def verify_decay_law(
         match_residual = abs(lhs - rhs)
 
     # multiplicativity of projector overlaps once the right error is decohered
-    right_blk, left_blk = order_m_error_blocks(group, noisy_set, 4)
+    right_blk, left_blk = order_m_error_blocks(spectrum.twirl, 4)
     us = unitary_to_superop(basis_u)
     u_blk = us.mat[1:, 1:]
     n = group.dim ** 2 - 1

@@ -340,7 +340,7 @@ def test_criterion_10_composite_incoherence():
     margins = []
     for factors in chains:
         noisy = build_noisy_gateset(NoiseModel.composite(factors, side="right"), group)
-        right_blk, _ = order_m_error_blocks(group, noisy, 4)
+        right_blk, _ = order_m_error_blocks(build_twirl(group, noisy), 4)
         corrected = right_blk @ polar_correct(right_blk).rotation_block.T
         r = 1.0 - (0.5 + 0.5 * np.trace(corrected) / 3)
         margins.append((incoherence_defect(corrected), 5 * r ** 2))
@@ -357,7 +357,7 @@ def test_criterion_11_two_qubit_extended():
     noisy = build_noisy_gateset(NoiseModel.z_tilt(0.1, cz_epsilon=0.1), group)
     twirl = build_twirl(group, noisy)
     spectrum = dominant_spectrum(twirl)
-    right_blk, _ = order_m_error_blocks(group, noisy, 4, twirl=twirl)
+    right_blk, _ = order_m_error_blocks(twirl, 4)
     result = optimize_correct(right_blk, 4, seed=11)
     curve = fidelity_curve_exact(spectrum, result.unitary, range(1, 21))
     dev = np.abs(curve.ratio_deviation)

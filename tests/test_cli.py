@@ -199,6 +199,19 @@ class TestConfigErrors:
             ({"spam": False}, "spam: expected an object"),
             ({"spam": {"meas": False}}, "spam.meas: channel spec must be"),
             ({"sequence": 3}, "sequence: not a parameter of the config"),
+            # the fit needs three distinct depths: rejected before any sequence is sampled
+            ({"depths": [1, 2, 2]}, "depths: expected at least 3 distinct depths"),
+            ({"model": {"kind": "left", "error": {"channel": "rotation", "axis": [True, False, False],
+                                                  "angle": 0.1}}},
+             "model.error: axis[0]: expected a finite number"),
+            ({"model": {"kind": "conjugation", "axis": [0, "1", 0], "angle": 0.1}},
+             "model: axis[1]: expected a finite number"),
+            # a norm that overflows to infinity would normalise the axis to zero: the identity
+            ({"model": {"kind": "left", "error": {"channel": "rotation", "axis": [1e308, 1e308, 0],
+                                                  "angle": 0.1}}},
+             "model.error: axis: expected a finite, non-zero norm"),
+            ({"model": {"kind": "conjugation", "axis": [1e308, 1e308, 0], "angle": 0.1}},
+             "model: axis: expected a finite, non-zero norm"),
         ],
     )
     def test_bad_number_or_key_exits_2_and_names_it(self, tmp_path, capsys, cache, payload, message):
@@ -337,7 +350,7 @@ def library_correction(config_path, group):
     cfg = json.loads(config_path.read_text())
     noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], group.dim), group)
     twirl = build_twirl(group, noisy)
-    right_blk, _ = order_m_error_blocks(group, noisy, 4, twirl=twirl)
+    right_blk, _ = order_m_error_blocks(twirl, 4)
     return correct_block(right_blk, group.dim, seed=cfg["seed"])
 
 

@@ -50,9 +50,7 @@ ZTILT_POLAR_FIDELITY = 0.9987184191385898
 
 
 def tilt_right_block(group24, ztilt_noisy, ztilt_spectrum):
-    right, _ = order_m_error_blocks(
-        group24, ztilt_noisy, 4, twirl=ztilt_spectrum.twirl
-    )
+    right, _ = order_m_error_blocks(ztilt_spectrum.twirl, 4)
     return right
 
 
@@ -251,9 +249,7 @@ class TestOptimizeCorrect:
         assert np.max(np.abs(unitary_to_superop(result.unitary).mat - np.eye(4))) < 1e-6
 
     def test_correction_never_hurts(self, group24, overrot_noisy, overrot_spectrum):
-        block, _ = order_m_error_blocks(
-            group24, overrot_noisy, 4, twirl=overrot_spectrum.twirl
-        )
+        block, _ = order_m_error_blocks(overrot_spectrum.twirl, 4)
         result = optimize_correct(block, 2, seed=2)
         assert result.fidelity >= block_fidelity(block) - 1e-12
 
@@ -300,7 +296,7 @@ class TestExactGradient:
 def ztilt_d4_right_block(group11520):
     cfg = load_config(str(CONFIG_DIR / "ztilt_d4.json"))
     noisy = build_noisy_gateset(model_from_config(cfg, 4), group11520)
-    right_blk, _ = order_m_error_blocks(group11520, noisy, 4)
+    right_blk, _ = order_m_error_blocks(build_twirl(group11520, noisy), 4)
     return right_blk
 
 
@@ -414,7 +410,7 @@ class TestCompositeConjecture:
     )
     def test_corrected_right_error_is_incoherent(self, group24, factors):
         noisy = build_noisy_gateset(NoiseModel.composite(factors, side="right"), group24)
-        right_blk, _ = order_m_error_blocks(group24, noisy, 4)
+        right_blk, _ = order_m_error_blocks(build_twirl(group24, noisy), 4)
         factors_p = polar_correct(right_blk)
         corrected = right_blk @ factors_p.rotation_block.T
         r = 1.0 - block_fidelity(corrected)

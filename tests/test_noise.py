@@ -258,13 +258,13 @@ class TestNoiseModels:
         # a frame mismatch is indistinguishable from rotated state preparation
         # and measurement: <mu| (UGU')_{m:1} |rho> = <U'(mu)| G_{m:1} |U'(rho)>
         from reference import random_unitary
-        from rblab.rb import default_effect, default_state
+        from rblab.rb import default_state
 
         u = random_unitary(2, rng)
         us = unitary_to_superop(u)
         noisy = build_noisy_gateset(NoiseModel.conjugation(u), group24)
         rho = default_state(2)
-        mu = default_effect(2)
+        mu = default_state(2)
         rho_rot = us.mat.T @ rho
         mu_rot = us.mat.T @ mu
         for _ in range(10):

@@ -11,7 +11,6 @@ from rblab.noise import NoiseModel, build_noisy_gateset, depolarizing
 from rblab.rb import (
     RBConfig,
     SurvivalTable,
-    default_effect,
     default_state,
     fit_decay,
     run_rb,
@@ -22,16 +21,8 @@ class TestSpamVectors:
     def test_ground_state_overlap_is_one(self):
         for dim in (2, 4):
             rho = default_state(dim)
-            mu = default_effect(dim)
+            mu = default_state(dim)
             assert mu @ rho == pytest.approx(1.0, abs=1e-14)
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError, match="unit trace"):
-            RBConfig(state=np.array([1.0, 0, 0, 0])).resolve(2)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            RBConfig(state=np.array([1.0, 1.3, 0, 0]) / np.sqrt(2)).resolve(2)
-        with pytest.raises(ValueError, match="outside"):
-            RBConfig(effect=np.array([3.0, 0, 0, 0]) / np.sqrt(2)).resolve(2)
 
 
 class TestRunRB:
@@ -69,7 +60,7 @@ class TestRunRB:
         err = depolarizing(0.97)
         noisy = build_noisy_gateset(NoiseModel.left(err), group24)
         rho = default_state(2)
-        mu = default_effect(2)
+        mu = default_state(2)
         total = 0.0
         for k in range(len(group24)):
             inv = group24.inverse(k)

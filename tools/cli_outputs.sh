@@ -7,10 +7,11 @@
 #   diff -r OUTDIR_A OUTDIR_B
 #
 # Runs every configs/*.json with spectrum, curve, correct and rb, then
-# fig-delta, fig-pbloch and fig-basis at --dim 2 and fig-delta at --dim 4,
-# all with --seed 7.  Each run gets OUTDIR/<name>/ holding its output files
-# and stdout.txt, stderr.txt and exit_code.txt; the group caches it builds
-# are kept in OUTDIR/cache/.  Nothing is written into the repository.
+# fig-delta, fig-pbloch and fig-basis at --dim 2 and fig-delta and fig-basis
+# at --dim 4 (about 4 s, the slowest run), all with --seed 7: 33 runs.  Each
+# run gets OUTDIR/<name>/ holding its output files and stdout.txt, stderr.txt
+# and exit_code.txt; the group caches it builds are kept in OUTDIR/cache/.
+# Nothing is written into the repository.
 set -eu
 if [ $# -ne 1 ]; then
     echo "usage: $0 OUTDIR" >&2
@@ -45,3 +46,4 @@ for command in fig-delta fig-pbloch fig-basis; do
     run "$command-d2" 2 "$command" --dim 2
 done
 run fig-delta-d4 4 fig-delta --dim 4
+run fig-basis-d4 4 fig-basis --dim 4
