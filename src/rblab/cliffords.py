@@ -12,21 +12,20 @@ models replay them with imperfect generators.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from .channels import DERIVED_TOL, SIGMA_I, SIGMA_X, SIGMA_Y, unitary_to_superop
+from .channels import SIGMA_I, SIGMA_X, SIGMA_Y, SuperOp, unitary_to_superop
 from .noise import CZ_HAMILTONIAN, PulseSpec
 
 GROUP_ORDER = {2: 24, 4: 11520}
 
 
 class GroupClosureError(RuntimeError):
-    """A generator is not Clifford, or closure did not give the known group order."""
+    """A group table is not the breadth-first closure of the default generators."""
 
 
 def default_generators(dim: int) -> dict[str, PulseSpec]:
@@ -47,15 +46,6 @@ def default_generators(dim: int) -> dict[str, PulseSpec]:
     raise ValueError(f"unsupported dimension {dim}")
 
 
-def table_row(mat: np.ndarray) -> np.ndarray | None:
-    """Table row of a signed-permutation transfer matrix, or None if it is not one."""
-    ints = np.rint(mat)
-    # an integer matrix with orthonormal rows has one +-1 per row, in distinct columns
-    if np.max(np.abs(mat - ints)) > DERIVED_TOL or np.any(ints @ ints.T != np.eye(len(ints))):
-        return None
-    return (ints @ np.arange(1, len(ints) + 1)).astype(np.int8)
-
-
 def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Table rows of `a @ b` (b acts first); leading axes broadcast."""
     cols = np.abs(a).astype(np.intp) - 1
@@ -68,14 +58,14 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return [raw[i:i + step] for i in range(0, len(raw), step)]
 
 
-def _generator_rows(generators: dict[str, PulseSpec]) -> np.ndarray:
-    rows = []
-    for label, spec in generators.items():
-        row = table_row(unitary_to_superop(spec.unitary()).mat)
-        if row is None:
-            raise GroupClosureError(f"generator {label!r} is not a Clifford gate")
-        rows.append(row)
-    return np.stack(rows)
+def _generator_ops(dim: int) -> dict[str, SuperOp]:
+    return {label: unitary_to_superop(spec.unitary()) for label, spec in default_generators(dim).items()}
+
+
+def _generator_rows(ops: dict[str, SuperOp]) -> np.ndarray:
+    """Table rows of the generators; each default generator is a signed permutation."""
+    ints = np.rint(np.stack([op.mat for op in ops.values()]))
+    return (ints @ np.arange(1, ints.shape[-1] + 1)).astype(np.int8)
 
 
 class CliffordGroup:
@@ -90,23 +80,13 @@ class CliffordGroup:
     share across threads.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        generator_pulses: dict[str, PulseSpec],
-        table: np.ndarray,
-        parents: np.ndarray,
-        vias: np.ndarray,
-    ):
+    def __init__(self, dim: int, table: np.ndarray, parents: np.ndarray, vias: np.ndarray):
         self.dim = dim
-        self.generator_pulses = dict(generator_pulses)
+        self.generator_pulses = default_generators(dim)
         self.labels = tuple(self.generator_pulses)
-        self.generator_ops = {
-            label: unitary_to_superop(spec.unitary())
-            for label, spec in self.generator_pulses.items()
-        }
-        gen_rows = _generator_rows(generator_pulses)
-        n, size = dim ** 2, GROUP_ORDER.get(dim)
+        self.generator_ops = _generator_ops(dim)
+        gen_rows = _generator_rows(self.generator_ops)
+        n, size = dim ** 2, GROUP_ORDER[dim]
         table = np.asarray(table, dtype=np.int8)
         parents = np.asarray(parents, dtype=np.int32)
         vias = np.asarray(vias, dtype=np.int8)
@@ -152,28 +132,17 @@ class CliffordGroup:
     def __len__(self) -> int:
         return len(self.parents)
 
-    def inverse(self, index: int) -> int:
-        return int(self.inverse_table[index])
-
-    def find(self, mat: np.ndarray) -> int | None:
-        """Index of the element with this transfer matrix, or None."""
-        row = table_row(mat)
-        return None if row is None else self._index.get(row.tobytes())
-
     def indices(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each table row in `rows` (shape `(k, d^2)`); KeyError if absent."""
         return np.array([self._index[key] for key in _row_keys(rows)], dtype=np.int64)
 
-    def random_element(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, len(self)))
-
-    def replay(self, generators: dict[str, np.ndarray]) -> np.ndarray:
+    def replay(self, gen_mats: dict[str, np.ndarray]) -> np.ndarray:
         """Every element's transfer matrix rebuilt from the given generator matrices.
 
-        Element k is `generators[label] @ element[parent]`, one batched matmul
+        Element k is `gen_mats[label] @ element[parent]`, one batched matmul
         per breadth-first level, which rounds exactly like per-element products.
         """
-        gens = np.stack([generators[label] for label in self.labels])
+        gens = np.stack([gen_mats[label] for label in self.labels])
         n = self.dim ** 2
         out = np.empty((len(self), n, n))
         out[0] = np.eye(n)
@@ -199,17 +168,13 @@ def compose_sequences(mats: np.ndarray, idx: np.ndarray, start: np.ndarray) -> n
     return out
 
 
-def generate_clifford_group(
-    dim: int, generators: dict[str, PulseSpec] | None = None
-) -> CliffordGroup:
-    """Breadth-first closure of the generators under left multiplication.
+def generate_clifford_group(dim: int) -> CliffordGroup:
+    """Breadth-first closure of the default generators under left multiplication.
 
     Candidates of one level are ordered parent first, then generator order,
     and each is kept when its row is new.
     """
-    if generators is None:
-        generators = default_generators(dim)
-    gen_rows = _generator_rows(generators)
+    gen_rows = _generator_rows(_generator_ops(dim))
     n_gen, n = gen_rows.shape
     frontier = np.arange(1, n + 1, dtype=np.int8)[None]  # the identity
     seen = {frontier.tobytes()}
@@ -228,25 +193,12 @@ def generate_clifford_group(
         first += len(frontier)
         frontier = cands[new]
         rows.append(frontier)
-    return CliffordGroup(
-        dim, generators, np.concatenate(rows), np.concatenate(parents), np.concatenate(vias)
-    )
+    return CliffordGroup(dim, np.concatenate(rows), np.concatenate(parents), np.concatenate(vias))
 
 
 # ---------------------------------------------------------------------------
 # Group cache
 # ---------------------------------------------------------------------------
-
-
-def generators_hash(dim: int, generators: dict[str, PulseSpec]) -> str:
-    """Digest of the generators in their order, which fixes the element order."""
-    h = hashlib.sha256()
-    h.update(str(dim).encode())
-    for label, spec in generators.items():
-        h.update(label.encode())
-        h.update(np.round(np.asarray(spec.hamiltonian, dtype=complex), 12).tobytes())
-        h.update(np.float64(spec.angle).tobytes())
-    return h.hexdigest()
 
 
 def save_group(group: CliffordGroup, path: str | Path) -> None:
@@ -262,30 +214,23 @@ def save_group(group: CliffordGroup, path: str | Path) -> None:
                 table=group.table,
                 parents=group.parents,
                 vias=group.vias,
-                gen_hash=generators_hash(group.dim, group.generator_pulses),
             )
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def load_group(
-    path: str | Path, generators: dict[str, PulseSpec] | None = None
-) -> CliffordGroup:
+def load_group(path: str | Path) -> CliffordGroup:
     """Load a cached group, checked exactly by the `CliffordGroup` constructor.
 
-    Raises ValueError when the file cannot be read or was built from other
-    generators, and GroupClosureError when its table fails the check.
+    Raises ValueError when the file or one of its members cannot be read, and
+    GroupClosureError when its table is not the closure of the default
+    generators.  Members that older versions wrote beside these are ignored.
     """
     try:
         with np.load(Path(path), allow_pickle=False) as data:
             dim = int(data["dim"])
-            gen_hash = str(data["gen_hash"])
             table, parents, vias = data["table"], data["parents"], data["vias"]
-    except (OSError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"unreadable group cache ({type(exc).__name__}: {exc})") from exc
-    if generators is None:
-        generators = default_generators(dim)
-    if gen_hash != generators_hash(dim, generators):
-        raise ValueError("group cache was built from different generators")
-    return CliffordGroup(dim, generators, table, parents, vias)
+    return CliffordGroup(dim, table, parents, vias)

@@ -139,6 +139,9 @@ def _axis_vector(axis) -> np.ndarray:
     n = np.array([finite(f"axis[{i}]", x) for i, x in enumerate(axis)])
     with np.errstate(over="ignore"):  # [1e308, 1e308, 0] overflows to an infinite norm
         norm = np.linalg.norm(n)
+    if norm < 1.5e-154 and np.any(n):  # the squares underflow: scale by the largest entry first
+        n = n / np.max(np.abs(n))
+        norm = np.linalg.norm(n)
     if not 0.0 < norm < np.inf:
         raise ConfigError(f"axis: expected a finite, non-zero norm, got {norm} for {axis!r}")
     return n / norm

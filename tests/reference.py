@@ -37,6 +37,12 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
+def find(group: CliffordGroup, mat: np.ndarray) -> int:
+    """Index of the element with this signed-permutation transfer matrix; KeyError if absent."""
+    row = np.rint(mat) @ np.arange(1, len(mat) + 1)
+    return int(group.indices(row.astype(np.int8)[None])[0])
+
+
 def infidelity(e: SuperOp, g: SuperOp | None = None) -> float:
     """1 - average fidelity; target defaults to the identity channel."""
     if g is None:

@@ -9,11 +9,10 @@ import pytest
 
 import rblab
 from rblab import cli
-from rblab.channels import SIGMA_X, SIGMA_Y
 from rblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
-from rblab.cliffords import generate_clifford_group, load_group, save_group
+from rblab.cliffords import generate_clifford_group, load_group
 from rblab.correction import ImproperRotationError, correct_block, incoherence_defect
-from rblab.noise import NoiseModel, PulseSpec, build_noisy_gateset
+from rblab.noise import NoiseModel, build_noisy_gateset
 from rblab.twirl import build_twirl, order_m_error_blocks
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -260,7 +259,9 @@ class TestGroupCache:
         assert main(["gen-group", "--dim", "2", "--group-cache", str(path)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g2cache"]
 
-    @pytest.mark.parametrize("damage", ["truncated", "swapped_rows", "old_format", "other_generators"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "swapped_rows", "old_format", "other_generators", "dim_vector"]
+    )
     def test_bad_cache_exits_2_and_is_kept(self, tmp_path, capsys, cache, damage):
         path = tmp_path / "g2.npz"
         with np.load(cache) as data:
@@ -276,9 +277,12 @@ class TestGroupCache:
             ops = generate_clifford_group(2).mats
             fields = {k: v for k, v in fields.items() if k != "table"}
             np.savez_compressed(path, ops=ops, **fields)
+        elif damage == "other_generators":
+            # the same tree read with x and y swapped
+            fields["vias"][1:] = 1 - fields["vias"][1:]
+            np.savez(path, **fields)
         else:
-            other = {"x": PulseSpec(SIGMA_X, -np.pi / 2), "y": PulseSpec(SIGMA_Y, -np.pi / 2)}
-            save_group(generate_clifford_group(2, generators=other), path)
+            np.savez(path, **{**fields, "dim": np.array([2, 2])})
         before = path.read_bytes()
         code = main([
             "spectrum", "--config", str(CONFIG_DIR / "overrotation_d2.json"),

@@ -14,6 +14,7 @@ from rblab.channels import (
 from rblab.noise import (
     ConfigError,
     NoiseModel,
+    _axis_vector,
     _noisy_generators,
     amplitude_damping,
     build_noisy_gateset,
@@ -24,7 +25,7 @@ from rblab.noise import (
     relabeling_channel,
     rotation,
 )
-from reference import assert_completely_positive, infidelity
+from reference import assert_completely_positive, find, infidelity
 
 
 def ptm_from_kraus(kraus):
@@ -124,6 +125,15 @@ class TestFactories:
             scaled = np.linalg.norm(op.mat @ pi) / np.sqrt(3)
             assert abs(overlap - scaled) <= 5 * r ** 2
 
+    @pytest.mark.parametrize(
+        "axis, direction",
+        [([1e-160, 1e-160, 0], [1, 1, 0]), ([1e-170, 1e-170, 0], [1, 1, 0]), ([5e-324, 0, 0], "x")],
+    )
+    def test_axis_with_underflowing_squares(self, axis, direction):
+        assert np.linalg.norm(_axis_vector(axis)) == pytest.approx(1.0, abs=1e-15)
+        diff = rotation(axis, 0.3).mat - rotation(direction, 0.3).mat
+        assert np.max(np.abs(diff)) < 1e-15
+
 
 class TestChannelSpecs:
     def test_chain_composes_right_to_left(self):
@@ -200,7 +210,7 @@ class TestNoiseModels:
         noisy = build_noisy_gateset(NoiseModel.z_tilt(0.1), group24)
         tilt = unitary_to_superop(pulse(SIGMA_Z, 0.1))
         gx = group24.generator_ops["x"]
-        idx = group24.find(gx.mat)
+        idx = find(group24, gx.mat)
         expected = tilt @ gx
         assert np.max(np.abs(noisy[idx].mat - expected.mat)) < 1e-12
 
@@ -232,7 +242,7 @@ class TestNoiseModels:
             for j in idx:
                 ideal = group24.mats[j] @ ideal
                 total = noisy[j].mat @ total
-            inv = group24.find(ideal.T)
+            inv = find(group24, ideal.T)
             total = noisy[inv].mat @ total
             assert np.max(np.abs(total - np.eye(4))) < 1e-12
 

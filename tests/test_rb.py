@@ -15,6 +15,7 @@ from rblab.rb import (
     fit_decay,
     run_rb,
 )
+from reference import find
 
 
 class TestSpamVectors:
@@ -63,7 +64,7 @@ class TestRunRB:
         mu = default_state(2)
         total = 0.0
         for k in range(len(group24)):
-            inv = group24.inverse(k)
+            inv = group24.inverse_table[k]
             total += mu @ (noisy[inv].mat @ (noisy[k].mat @ rho))
         mean = total / len(group24)
         pi = traceless_projector(2)
@@ -266,7 +267,7 @@ def reference_run_rb(group, noisy_set, config):
             for j in idx:
                 vec = noisy_set[j].mat @ vec
                 ideal = group.mats[j] @ ideal
-            vec = noisy_set[group.find(ideal.T)].mat @ vec
+            vec = noisy_set[find(group, ideal.T)].mat @ vec
             table[k, di] = mu @ vec
     return table
 

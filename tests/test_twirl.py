@@ -2,6 +2,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rblab.channels import (
     SuperOp,
@@ -163,6 +165,33 @@ class TestDominantSpectrum:
     def test_unit_frobenius_normalization(self, ztilt_spectrum):
         assert np.linalg.norm(ztilt_spectrum.right_error_op) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(ztilt_spectrum.left_error_op) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestGaugeInvariance:
+    """A change of frame S G S^T of every noisy gate is a similarity transform of
+    the twirl, so its dominant eigenvalue p does not move."""
+
+    MODELS = [NoiseModel.z_tilt(0.1), NoiseModel.over_rotation(0.1)]
+
+    @staticmethod
+    def gauge_shift(group, noisy, seed):
+        s = unitary_to_superop(random_unitary(group.dim, np.random.default_rng(seed))).mat
+        moved = [SuperOp(group.dim, s @ g.mat @ s.T) for g in noisy]
+        p = dominant_spectrum(build_twirl(group, noisy)).p
+        return dominant_spectrum(build_twirl(group, moved)).p - p
+
+    @pytest.mark.parametrize("model", MODELS, ids=["z_tilt", "over_rotation"])
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_single_qubit(self, group24, model, seed):
+        noisy = build_noisy_gateset(model, group24)
+        assert abs(self.gauge_shift(group24, noisy, seed)) <= 1e-12
+
+    @pytest.mark.parametrize("model", MODELS, ids=["z_tilt", "over_rotation"])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_two_qubit(self, group11520, model, seed):
+        noisy = build_noisy_gateset(model, group11520)
+        assert abs(self.gauge_shift(group11520, noisy, seed)) <= 1e-12
 
 
 class TestOrderMErrors:

@@ -6,12 +6,15 @@
 #   tools/cli_outputs.sh OUTDIR_B            # in the second tree
 #   diff -r OUTDIR_A OUTDIR_B
 #
-# Runs every configs/*.json with spectrum, curve, correct and rb, then
-# fig-delta, fig-pbloch and fig-basis at --dim 2 and fig-delta and fig-basis
-# at --dim 4 (about 4 s, the slowest run), all with --seed 7: 33 runs.  Each
-# run gets OUTDIR/<name>/ holding its output files and stdout.txt, stderr.txt
-# and exit_code.txt; the group caches it builds are kept in OUTDIR/cache/.
-# Nothing is written into the repository.
+# Starts with gen-group --dim 2 and --dim 4, which build the group caches in
+# OUTDIR/cache/ that every later run loads.  Then runs every configs/*.json
+# with spectrum, curve, correct and rb, then fig-delta, fig-pbloch and
+# fig-basis at --dim 2 and fig-delta and fig-basis at --dim 4 (about 4 s, the
+# slowest run), all with --seed 7: 35 runs.  Each run gets OUTDIR/<name>/
+# holding its output files and stdout.txt, stderr.txt and exit_code.txt.
+# The runs start in OUTDIR and pass --out and --group-cache as relative
+# paths, so no absolute path reaches what they print.  Nothing is written
+# into the repository.
 set -eu
 if [ $# -ne 1 ]; then
     echo "usage: $0 OUTDIR" >&2
@@ -19,7 +22,7 @@ if [ $# -ne 1 ]; then
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$1/cache"
-out=$(cd "$1" && pwd)
+cd "$1"
 export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONDONTWRITEBYTECODE=1
 python=${PYTHON:-python3}
@@ -27,13 +30,15 @@ python=${PYTHON:-python3}
 run() {  # run NAME DIM COMMAND ARGS...
     name=$1 dim=$2
     shift 2
-    mkdir -p "$out/$name"
+    mkdir -p "$name"
     code=0
-    "$python" -m rblab.cli "$@" --out "$out/$name" --seed 7 \
-        --group-cache "$out/cache/g$dim.npz" \
-        >"$out/$name/stdout.txt" 2>"$out/$name/stderr.txt" || code=$?
-    echo "$code" >"$out/$name/exit_code.txt"
+    "$python" -m rblab.cli "$@" --out "$name" --seed 7 --group-cache "cache/g$dim.npz" \
+        >"$name/stdout.txt" 2>"$name/stderr.txt" || code=$?
+    echo "$code" >"$name/exit_code.txt"
 }
+
+run gen-group-d2 2 gen-group --dim 2
+run gen-group-d4 4 gen-group --dim 4
 
 for config in "$root"/configs/*.json; do
     stem=$(basename "$config" .json)
