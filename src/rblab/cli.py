@@ -195,7 +195,7 @@ class _Setup:
     @cached_property
     def correction(self) -> CorrectionResult:
         right_blk, _ = order_m_error_blocks(self.spectrum.twirl, 4)
-        return correct_block(right_blk, self.dim, seed=self.seed)
+        return correct_block(right_blk, self.dim)
 
     def curve(self, basis: str, depths) -> FidelityCurve:
         """Exact fidelity curve in the frame `basis` names: I, the correction U or U^2."""

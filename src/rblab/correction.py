@@ -202,7 +202,8 @@ class CorrectionResult:
     """A correction unitary, its fidelity and the right-error block it corrects.
 
     `polar` holds the one-qubit polar split, which is exact (converged after
-    zero iterations from start 0); it is None on the SU(d) ascent.
+    zero iterations); it is None on the SU(d) ascent.  `start_index` is always
+    0, the identity start of the one ascent; perfbench's traced runs record it.
     """
 
     unitary: np.ndarray
@@ -214,38 +215,27 @@ class CorrectionResult:
     polar: PolarFactors | None = None
 
 
-def _seeded_starts(dim: int, seed: int, random_starts: int) -> list[np.ndarray]:
-    """The identity, then exp(i sum_l theta_l P_l) with theta from default_rng([seed, k])."""
-    gens = su_generators(dim)
-    starts = [np.eye(dim, dtype=complex)]
-    for k in range(random_starts):
-        rng = np.random.default_rng([seed, k])
-        starts.append(_exp_i(gens, rng.normal(scale=0.5, size=len(gens))))
-    return starts
+_LEARNING_RATE = 0.5
+_GRAD_TOL = 1e-9
+_MAX_ITERATIONS = 500
 
 
-def _ascend(
-    objective: _CorrectedFidelity,
-    u: np.ndarray,
-    learning_rate: float,
-    grad_tol: float,
-    max_iterations: int,
-) -> tuple[float, np.ndarray, bool, int]:
+def _ascend(objective: _CorrectedFidelity, u: np.ndarray) -> tuple[float, np.ndarray, bool, int]:
     """Steepest ascent from U, re-centred at the current U on every step.
 
     Each accepted step is U <- exp(i lr G) U with G = sum_l g_l P_l, the step
-    length halved from `learning_rate` until the fidelity rises.  Returns the
-    fidelity, U, whether the gradient norm fell below `grad_tol` (or no
+    length halved from `_LEARNING_RATE` until the fidelity rises.  Returns the
+    fidelity, U, whether the gradient norm fell below `_GRAD_TOL` (or no
     ascent was left at float resolution) and the iteration count.
     """
     value, grad = objective.evaluate(u)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if np.linalg.norm(grad) < grad_tol:
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        if np.linalg.norm(grad) < _GRAD_TOL:
             converged = True
             break
-        lr = learning_rate
+        lr = _LEARNING_RATE
         while lr > 1e-12:
             candidate = _exp_i(objective.gens, lr * grad) @ u
             candidate_value, candidate_grad = objective.evaluate(candidate)
@@ -259,36 +249,23 @@ def _ascend(
     return value, u, converged, iterations
 
 
-_RANDOM_STARTS = 8
-_LEARNING_RATE = 0.5
-_GRAD_TOL = 1e-9
-_MAX_ITERATIONS = 500
-
-
-def optimize_correct(right_error_block: np.ndarray, dim: int, seed: int = 0) -> CorrectionResult:
+def optimize_correct(right_error_block: np.ndarray, dim: int) -> CorrectionResult:
     """Unitary maximizing the average fidelity of (right error) o (correction).
 
     Steepest ascent on the unitary group itself: every step moves U along
     exp(i t sum_l g_l P_l) U over the d^2 - 1 non-identity Paulis, with g the
     closed-form commutator gradient at the current U, and a backtracking line
-    search.  It runs from the identity and _RANDOM_STARTS seeded random
-    unitaries; the best value wins, ties broken by the earliest start.
-    Non-convergence is reported through the flag, not raised.
+    search.  It runs once, from the identity: in the high-fidelity regime the
+    maximizer is a small rotation next to it.  Non-convergence is reported
+    through the flag, not raised.
     """
     block = np.asarray(right_error_block, dtype=float)
     n = dim ** 2 - 1
     if block.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} Bloch block, got shape {block.shape}")
-    objective = _CorrectedFidelity(block, dim)
-
-    best = None  # (fidelity, unitary, converged, iterations, start_index)
-    for start_index, start in enumerate(_seeded_starts(dim, seed, _RANDOM_STARTS)):
-        value, u, converged, iterations = _ascend(
-            objective, start, _LEARNING_RATE, _GRAD_TOL, _MAX_ITERATIONS
-        )
-        if best is None or value > best[0] + 1e-14:
-            best = (value, u, converged, iterations, start_index)
-    value, unitary, converged, iterations, start_index = best
+    value, unitary, converged, iterations = _ascend(
+        _CorrectedFidelity(block, dim), np.eye(dim, dtype=complex)
+    )
     check_unitary(unitary)
     return CorrectionResult(
         unitary=unitary,
@@ -296,16 +273,16 @@ def optimize_correct(right_error_block: np.ndarray, dim: int, seed: int = 0) -> 
         corrected_block=block @ unitary_to_superop(unitary).mat[1:, 1:],
         converged=converged,
         iterations=iterations,
-        start_index=start_index,
+        start_index=0,
     )
 
 
-def correct_block(right_error_block: np.ndarray, dim: int, seed: int = 0) -> CorrectionResult:
+def correct_block(right_error_block: np.ndarray, dim: int) -> CorrectionResult:
     """Correction of an order-4 right-error Bloch block: for one qubit the polar
     split, with fidelity 1/2 + tr(D)/6 for its positive factor D; otherwise the
-    seeded SU(d) ascent of `optimize_correct`."""
+    SU(d) ascent of `optimize_correct`."""
     if dim != 2:
-        return optimize_correct(right_error_block, dim, seed=seed)
+        return optimize_correct(right_error_block, dim)
     factors = polar_correct(right_error_block)
     corrected = np.asarray(right_error_block, dtype=float) @ factors.rotation_block.T
     return CorrectionResult(
@@ -337,7 +314,7 @@ def correct_from_noisy_set(
 ) -> np.ndarray:
     """Correction unitary from the order-4 right error of a noisy gate-set.
 
-    See `correct_block` for the route taken, with seed 0 for the ascent.
+    See `correct_block` for the route taken.
     """
     twirl = spectrum.twirl if spectrum is not None else build_twirl(group, noisy_set)
     right_blk, _ = order_m_error_blocks(twirl, 4)

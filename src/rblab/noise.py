@@ -103,7 +103,7 @@ def dephasing(q: float, axis: str = "z") -> SuperOp:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"dephasing parameter {q} outside [0, 1]")
     axes = {"x": 1, "y": 2, "z": 3}
-    if axis not in axes:
+    if not isinstance(axis, str) or axis not in axes:
         raise ValueError(f"unknown dephasing axis {axis!r}")
     diag = np.array([1.0, q, q, q])
     diag[axes[axis]] = 1.0

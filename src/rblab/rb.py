@@ -215,7 +215,6 @@ def fit_decay(
     table: SurvivalTable,
     dim: int = 2,
     bootstrap: int = 200,
-    seed: int | None = None,
 ) -> DecayFit:
     """Profile least squares on per-depth means plus a percentile bootstrap.
 
@@ -230,7 +229,7 @@ def fit_decay(
     if np.unique(depths).size < 3:
         raise ValueError("need at least 3 distinct depths to fit three parameters")
     means = table.means
-    rng = np.random.default_rng(table.seed + 0x5EED if seed is None else seed)
+    rng = np.random.default_rng(table.seed + 0x5EED)
     resampled = _resample_means(table.survivals, bootstrap, rng)
     a, b, p, at_bound = _fit_profile(depths, np.vstack([means, resampled]))
     a, b, p, boot = float(a[0]), float(b[0]), float(p[0]), p[1:]

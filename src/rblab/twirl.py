@@ -60,12 +60,15 @@ def build_twirl(group: CliffordGroup, noisy_set: list[SuperOp]) -> TwirlSuperop:
     return TwirlSuperop(group.dim, t)
 
 
-def power_iteration(mat: np.ndarray, start: np.ndarray, maxiter: int = 100_000) -> tuple[float, np.ndarray]:
+_POWER_MAXITER = 100_000
+
+
+def power_iteration(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair by power iteration, to a 1e-12 Rayleigh-quotient step."""
     v = np.asarray(start, dtype=float).copy()
     v /= np.linalg.norm(v)
     lam = np.inf
-    for _ in range(maxiter):
+    for _ in range(_POWER_MAXITER):
         w = mat @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
@@ -78,7 +81,7 @@ def power_iteration(mat: np.ndarray, start: np.ndarray, maxiter: int = 100_000) 
                 return lam_new, v_new
         lam, v = lam_new, v_new
     raise DegenerateSpectrumError(
-        f"power iteration did not converge in {maxiter} iterations; "
+        f"power iteration did not converge in {_POWER_MAXITER} iterations; "
         "dominant eigenvalue may be complex or degenerate"
     )
 

@@ -37,6 +37,22 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
+def exp_i_pauli_sum(dim: int, theta: np.ndarray) -> np.ndarray:
+    """exp(i sum_l theta_l P_l) over the non-identity Paulis, by a Hermitian eigensolve."""
+    h = np.tensordot(theta, pauli_basis(dim)[1:], axes=1)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def random_ascent_starts(dim: int, seed: int) -> list[np.ndarray]:
+    """exp(i sum_l theta_l P_l) with theta ~ N(0, 0.5^2) from default_rng([seed, k]), k < 8."""
+    n = dim ** 2 - 1
+    return [
+        exp_i_pauli_sum(dim, np.random.default_rng([seed, k]).normal(scale=0.5, size=n))
+        for k in range(8)
+    ]
+
+
 def find(group: CliffordGroup, mat: np.ndarray) -> int:
     """Index of the element with this signed-permutation transfer matrix; KeyError if absent."""
     row = np.rint(mat) @ np.arange(1, len(mat) + 1)

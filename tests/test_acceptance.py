@@ -358,7 +358,7 @@ def test_criterion_11_two_qubit_extended():
     twirl = build_twirl(group, noisy)
     spectrum = dominant_spectrum(twirl)
     right_blk, _ = order_m_error_blocks(twirl, 4)
-    result = optimize_correct(right_blk, 4, seed=11)
+    result = optimize_correct(right_blk, 4)
     curve = fidelity_curve_exact(spectrum, result.unitary, range(1, 21))
     dev = np.abs(curve.ratio_deviation)
     ref = (1 - spectrum.p) ** 2

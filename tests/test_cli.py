@@ -211,6 +211,9 @@ class TestConfigErrors:
              "model.error: axis: expected a finite, non-zero norm"),
             ({"model": {"kind": "conjugation", "axis": [1e308, 1e308, 0], "angle": 0.1}},
              "model: axis: expected a finite, non-zero norm"),
+            # a list is unhashable: it must not reach the axis lookup as a Python TypeError
+            ({"model": {"kind": "left", "error": {"channel": "dephasing", "q": 0.99, "axis": [0, 0, 1]}}},
+             "model.error: channel spec 'dephasing' with q=0.99, axis=[0, 0, 1]: unknown dephasing axis"),
         ],
     )
     def test_bad_number_or_key_exits_2_and_names_it(self, tmp_path, capsys, cache, payload, message):
@@ -355,7 +358,7 @@ def library_correction(config_path, group):
     noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], group.dim), group)
     twirl = build_twirl(group, noisy)
     right_blk, _ = order_m_error_blocks(twirl, 4)
-    return correct_block(right_blk, group.dim, seed=cfg["seed"])
+    return correct_block(right_blk, group.dim)
 
 
 class TestRB:

@@ -22,7 +22,7 @@ from rblab.correction import (
     _ascend,
     _exp_i,
     _rotation_vector,
-    _seeded_starts,
+    correct_block,
     correct_from_noisy_set,
     incoherence_defect,
     lift_rotation,
@@ -38,8 +38,14 @@ from rblab.noise import (
     depolarizing,
     rotation,
 )
-from rblab.twirl import build_twirl, dominant_spectrum, order_m_error_blocks
-from reference import infidelity, random_unitary, verify_decay_law
+from rblab.twirl import build_twirl, dominant_spectrum, fidelity_curve_exact, order_m_error_blocks
+from reference import (
+    exp_i_pauli_sum,
+    infidelity,
+    random_ascent_starts,
+    random_unitary,
+    verify_decay_law,
+)
 from test_twirl import perturbation_report
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -238,19 +244,19 @@ class TestOptimizeCorrect:
     def test_matches_polar_fidelity(self, group24, ztilt_noisy, ztilt_spectrum):
         block = tilt_right_block(group24, ztilt_noisy, ztilt_spectrum)
         factors = polar_correct(block)
-        result = optimize_correct(block, 2, seed=0)
+        result = optimize_correct(block, 2)
         assert isinstance(result, CorrectionResult)
         assert abs(result.fidelity - block_fidelity(block @ factors.rotation_block.T)) < 1e-8
 
     def test_ideal_input_returns_identity(self):
-        result = optimize_correct(np.eye(3), 2, seed=1)
+        result = optimize_correct(np.eye(3), 2)
         assert result.converged
         assert result.fidelity == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(unitary_to_superop(result.unitary).mat - np.eye(4))) < 1e-6
 
     def test_correction_never_hurts(self, group24, overrot_noisy, overrot_spectrum):
         block, _ = order_m_error_blocks(overrot_spectrum.twirl, 4)
-        result = optimize_correct(block, 2, seed=2)
+        result = optimize_correct(block, 2)
         assert result.fidelity >= block_fidelity(block) - 1e-12
 
     def test_shape_checked(self):
@@ -292,29 +298,63 @@ class TestExactGradient:
         assert np.max(np.abs(grad - numeric)) < 1e-8
 
 
-@pytest.fixture(scope="module")
-def ztilt_d4_right_block(group11520):
-    cfg = load_config(str(CONFIG_DIR / "ztilt_d4.json"))
-    noisy = build_noisy_gateset(model_from_config(cfg, 4), group11520)
-    right_blk, _ = order_m_error_blocks(build_twirl(group11520, noisy), 4)
+def d4_right_block(group, model):
+    right_blk, _ = order_m_error_blocks(build_twirl(group, build_noisy_gateset(model, group)), 4)
     return right_blk
 
 
-class TestAscentFromEveryStart:
-    """Re-centred ascent reaches the same maximum from every seeded start."""
+@pytest.fixture(scope="module")
+def d4_right_blocks(group11520):
+    ztilt_cfg = load_config(str(CONFIG_DIR / "ztilt_d4.json"))
+    return {
+        "ztilt_d4": d4_right_block(group11520, model_from_config(ztilt_cfg, 4)),
+        "overrot_cz": d4_right_block(group11520, NoiseModel.over_rotation(0.1, cz_epsilon=0.1)),
+    }
 
+
+class TestAscentFromTheIdentity:
+    """The one ascent, from the identity, reaches the maximum that random starts reach."""
+
+    @pytest.mark.parametrize("name", ["ztilt_d4", "overrot_cz"])
     @pytest.mark.parametrize("seed", [0, 19])
-    def test_every_start_converges_to_the_best(self, ztilt_d4_right_block, seed):
-        objective = _CorrectedFidelity(ztilt_d4_right_block, 4)
-        best = optimize_correct(ztilt_d4_right_block, 4, seed=seed)
-        starts = _seeded_starts(4, seed, 8)
-        assert len(starts) == 9
-        for start in starts:
-            value, u, converged, iterations = _ascend(objective, start, 0.5, 1e-9, 500)
+    def test_identity_start_matches_every_random_start(self, d4_right_blocks, name, seed):
+        block = d4_right_blocks[name]
+        objective = _CorrectedFidelity(block, 4)
+        result = optimize_correct(block, 4)
+        assert result.converged and result.start_index == 0
+        for start in random_ascent_starts(4, seed):
+            value, u, converged, iterations = _ascend(objective, start)
             assert converged and iterations <= 50
-            assert abs(value - best.fidelity) <= 1e-12
-            direct = transfer_matrix_fidelity(ztilt_d4_right_block, 4, u)
+            assert abs(value - result.fidelity) <= 1e-12
+            direct = transfer_matrix_fidelity(block, 4, u)
             assert value == pytest.approx(direct, abs=1e-13)
+
+    def test_ideal_input_stays_at_the_identity(self):
+        result = optimize_correct(np.eye(15), 4)
+        assert result.converged and result.iterations == 1
+        assert np.array_equal(result.unitary, np.eye(4))
+
+
+class TestKnownFrameD4:
+    """A d=4 conjugation by a known V: the correction recovers V and the plain p^m law."""
+
+    @pytest.mark.parametrize("theta", [0.05, 0.3])
+    def test_correction_recovers_the_conjugating_unitary(self, group11520, theta):
+        coeffs = np.random.default_rng(20261018).normal(size=15)
+        v = exp_i_pauli_sum(4, theta * coeffs / np.linalg.norm(coeffs))
+        noisy = build_noisy_gateset(NoiseModel.conjugation(v), group11520)
+        twirl = build_twirl(group11520, noisy)
+        spectrum = dominant_spectrum(twirl)
+        right_blk, _ = order_m_error_blocks(twirl, 4)
+        result = correct_block(right_blk, 4)
+        assert result.converged
+        assert np.max(np.abs(unitary_to_superop(result.unitary).mat - unitary_to_superop(v).mat)) <= 1e-6
+        depths = np.arange(1, 33)
+        law = spectrum.p ** depths.astype(float)
+        corrected = fidelity_curve_exact(spectrum, result.unitary, depths).traceless_fidelity
+        assert np.max(np.abs(corrected - law)) <= 1e-12
+        identity = fidelity_curve_exact(spectrum, np.eye(4), depths).traceless_fidelity
+        assert np.max(np.abs(identity - law)) >= 1e-3
 
 
 class TestIncoherenceDefect:

@@ -1,0 +1,134 @@
+"""Mutation gate: every listed source mutation must make the tier-1 suite fail.
+
+    python3 tools/mutants.py
+
+Each mutant is an exact `(file, old text, new text)` edit.  Before anything
+runs, every `old` must occur exactly once in its file, or the script exits 2
+naming the mutant.  Then, one mutant at a time, it copies `src/`, `tests/`,
+`configs/` and `pyproject.toml` into a temporary directory, applies the edit
+there and runs `python -m pytest -q -x` with `PYTHONPATH=src`.  A failing run
+(or one that exceeds TIMEOUT_S) kills the mutant.  It prints one line per
+mutant and exits 1 naming every survivor, 0 when all are killed.  Nothing is
+written into the repository.  About a minute in all on a 2-vCPU machine,
+which is why it is not part of tier-1.
+
+Left out as equivalent: `>=` for `>` in the ascent's line search
+(`candidate_value > value` in `correction._ascend`).  It survives the suite
+and looks equivalent: the two differ only when a trial step leaves the
+fidelity unchanged to the last bit, which happens only at float resolution
+next to the maximum, where the gradient stop (norm below 1e-9) ends the
+ascent first.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "configs", "pyproject.toml")
+TIMEOUT_S = 600
+
+# name -> (file, old text, new text)
+MUTANTS = {
+    "twirl transpose dropped": (
+        "src/rblab/twirl.py",
+        ".transpose(0, 2, 1, 3)",
+        ".transpose(0, 1, 2, 3)",
+    ),
+    "compose_rows operands swapped": (
+        "src/rblab/cliffords.py",
+        "    cols = np.abs(a).astype(np.intp) - 1\n"
+        "    return np.take_along_axis(b, cols, axis=-1) * np.sign(a)",
+        "    cols = np.abs(b).astype(np.intp) - 1\n"
+        "    return np.take_along_axis(a, cols, axis=-1) * np.sign(b)",
+    ),
+    "unitary_to_superop adjoint": (
+        "src/rblab/channels.py",
+        "conj = u @ paulis @ u.conj().T",
+        "conj = u.conj().T @ paulis @ u",
+    ),
+    "over_rotation cz_epsilon default 0": (
+        "src/rblab/noise.py",
+        '"cz_offset": number("cz_epsilon", absent=eps)',
+        '"cz_offset": number("cz_epsilon", absent=0.0)',
+    ),
+    "gradient sign flipped": (
+        "src/rblab/correction.py",
+        'grad = -self.scale * np.einsum("lab,ba->l", self.gens, c).imag',
+        'grad = self.scale * np.einsum("lab,ba->l", self.gens, c).imag',
+    ),
+    "no-ascent branch not converged": (
+        "src/rblab/correction.py",
+        "converged = True  # no ascent direction left at float resolution",
+        "converged = False  # no ascent direction left at float resolution",
+    ),
+    "start off identity": (
+        "src/rblab/correction.py",
+        "_CorrectedFidelity(block, dim), np.eye(dim, dtype=complex)",
+        "_CorrectedFidelity(block, dim), _exp_i(su_generators(dim), np.full(dim**2 - 1, 0.3))",
+    ),
+}
+
+
+def check_specs() -> list[str]:
+    """Names of the mutants whose old text does not occur exactly once."""
+    bad = []
+    for name, (path, old, _) in MUTANTS.items():
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            bad.append(f"{name}: {path} holds its old text {count} times")
+    return bad
+
+
+def killed(path: str, old: str, new: str) -> bool:
+    with tempfile.TemporaryDirectory(prefix="rblab-mutant-") as tmp:
+        work = Path(tmp)
+        for item in COPIED:
+            source = ROOT / item
+            if source.is_dir():
+                shutil.copytree(
+                    source, work / item, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis")
+                )
+            else:
+                shutil.copy2(source, work / item)
+        target = work / path
+        target.write_text(target.read_text().replace(old, new))
+        env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+                cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return True
+        return run.returncode != 0
+
+
+def main() -> int:
+    bad = check_specs()
+    if bad:
+        print("mutant specs that do not apply:\n  " + "\n  ".join(bad), file=sys.stderr)
+        return 2
+    survivors = []
+    for name, (path, old, new) in MUTANTS.items():
+        start = time.perf_counter()
+        dead = killed(path, old, new)
+        print(f"{'killed  ' if dead else 'SURVIVED'}  {name}  ({time.perf_counter() - start:.1f} s)")
+        if not dead:
+            survivors.append(name)
+    if survivors:
+        print("surviving mutants: " + ", ".join(survivors), file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
