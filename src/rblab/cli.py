@@ -18,7 +18,8 @@ is an error too.
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
 the same manifest.  Exit codes: 0 success, 2 configuration error, 3 numerical
-regime error (e.g. a degenerate dominant eigenvalue).
+regime error (e.g. a degenerate dominant eigenvalue, or a fig-pbloch curve
+with F - 1/d <= 0 in its fit window).
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ from .twirl import (
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+class FitWindowError(RuntimeError):
+    """A fidelity curve reaches 1/d inside a log fit's window, where its log is undefined."""
 
 # every top-level config key some command reads
 _CONFIG_KEYS = (
@@ -401,6 +406,11 @@ def cmd_fig_pbloch(args) -> int:
     columns = [("m", list(curves["identity"].depths))]
     ms = curves["identity"].depths
     for name, curve in curves.items():
+        low = ms[(ms >= 5) & (ms <= 10) & (curve.fidelity <= 1.0 / s.dim)]
+        if low.size:
+            raise FitWindowError(
+                f"frame {name}: F(m) - 1/d <= 0 at depth {low[0]}, so the log fit over m = 5..10 is undefined"
+            )
         slope, intercept = curve.log_fit(5, 10)
         meta[f"intercept_{name}"] = repr(float(intercept))
         meta[f"slope_{name}"] = repr(float(slope))
@@ -484,7 +494,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        DegenerateSpectrumError, GroupClosureError, ImproperRotationError, SingularBlockError
+        DegenerateSpectrumError, FitWindowError, GroupClosureError, ImproperRotationError,
+        SingularBlockError,
     ) as exc:
         print(f"numerical regime error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

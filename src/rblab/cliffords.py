@@ -18,32 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import SIGMA_I, SIGMA_X, SIGMA_Y, SuperOp, unitary_to_superop
-from .noise import CZ_HAMILTONIAN, PulseSpec
+from .noise import GENERATORS, generator_mats
 
 GROUP_ORDER = {2: 24, 4: 11520}
 
 
 class GroupClosureError(RuntimeError):
-    """A group table is not the breadth-first closure of the default generators."""
-
-
-def default_generators(dim: int) -> dict[str, PulseSpec]:
-    """Quarter rotations about x and y (per qubit), plus CZ for two qubits."""
-    if dim == 2:
-        return {
-            "x": PulseSpec(SIGMA_X, np.pi / 2),
-            "y": PulseSpec(SIGMA_Y, np.pi / 2),
-        }
-    if dim == 4:
-        return {
-            "x1": PulseSpec(np.kron(SIGMA_X, SIGMA_I), np.pi / 2),
-            "y1": PulseSpec(np.kron(SIGMA_Y, SIGMA_I), np.pi / 2),
-            "x2": PulseSpec(np.kron(SIGMA_I, SIGMA_X), np.pi / 2),
-            "y2": PulseSpec(np.kron(SIGMA_I, SIGMA_Y), np.pi / 2),
-            "cz": PulseSpec(CZ_HAMILTONIAN, np.pi / 2),
-        }
-    raise ValueError(f"unsupported dimension {dim}")
+    """A group table is not the breadth-first closure of the ideal generators."""
 
 
 def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,13 +39,9 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return [raw[i:i + step] for i in range(0, len(raw), step)]
 
 
-def _generator_ops(dim: int) -> dict[str, SuperOp]:
-    return {label: unitary_to_superop(spec.unitary()) for label, spec in default_generators(dim).items()}
-
-
-def _generator_rows(ops: dict[str, SuperOp]) -> np.ndarray:
-    """Table rows of the generators; each default generator is a signed permutation."""
-    ints = np.rint(np.stack([op.mat for op in ops.values()]))
+def _generator_rows(mats: np.ndarray) -> np.ndarray:
+    """Table rows of the generators; each ideal generator is a signed permutation."""
+    ints = np.rint(mats)
     return (ints @ np.arange(1, ints.shape[-1] + 1)).astype(np.int8)
 
 
@@ -74,18 +51,19 @@ class CliffordGroup:
     Element k is generator `labels[vias[k]]` applied after element
     `parents[k]` (the identity, element 0, has parent and via -1), in
     breadth-first order; `table[k]` is its signed permutation and `mats[k]`
-    its float transfer matrix.  The constructor checks the table exactly:
-    each row is its generator applied to its parent's row, the rows are
-    distinct, and there are `GROUP_ORDER[dim]` of them.  Immutable; safe to
-    share across threads.
+    its float transfer matrix; `generators` stacks the ideal generators'
+    transfer matrices in label order.  The constructor checks the table
+    exactly: each row is its generator applied to its parent's row, the
+    rows are distinct, and there are `GROUP_ORDER[dim]` of them.
+    Immutable; safe to share across threads.
     """
 
     def __init__(self, dim: int, table: np.ndarray, parents: np.ndarray, vias: np.ndarray):
         self.dim = dim
-        self.generator_pulses = default_generators(dim)
-        self.labels = tuple(self.generator_pulses)
-        self.generator_ops = _generator_ops(dim)
-        gen_rows = _generator_rows(self.generator_ops)
+        self.generators = generator_mats(dim)  # before GENERATORS[dim]: a bad dim is a ValueError
+        self.generators.setflags(write=False)
+        self.labels = tuple(GENERATORS[dim])
+        gen_rows = _generator_rows(self.generators)
         n, size = dim ** 2, GROUP_ORDER[dim]
         table = np.asarray(table, dtype=np.int8)
         parents = np.asarray(parents, dtype=np.int32)
@@ -126,7 +104,7 @@ class CliffordGroup:
         self.inverse_table = self.indices(inv_rows)
         self.inverse_table.setflags(write=False)
 
-        self.mats = self.replay({label: op.mat for label, op in self.generator_ops.items()})
+        self.mats = self.replay(self.generators)
         self.mats.setflags(write=False)
 
     def __len__(self) -> int:
@@ -136,13 +114,12 @@ class CliffordGroup:
         """Element index of each table row in `rows` (shape `(k, d^2)`); KeyError if absent."""
         return np.array([self._index[key] for key in _row_keys(rows)], dtype=np.int64)
 
-    def replay(self, gen_mats: dict[str, np.ndarray]) -> np.ndarray:
-        """Every element's transfer matrix rebuilt from the given generator matrices.
+    def replay(self, gens: np.ndarray) -> np.ndarray:
+        """Every element's transfer matrix rebuilt from generator matrices in label order.
 
-        Element k is `gen_mats[label] @ element[parent]`, one batched matmul
+        Element k is `gens[vias[k]] @ element[parent]`, one batched matmul
         per breadth-first level, which rounds exactly like per-element products.
         """
-        gens = np.stack([gen_mats[label] for label in self.labels])
         n = self.dim ** 2
         out = np.empty((len(self), n, n))
         out[0] = np.eye(n)
@@ -169,12 +146,12 @@ def compose_sequences(mats: np.ndarray, idx: np.ndarray, start: np.ndarray) -> n
 
 
 def generate_clifford_group(dim: int) -> CliffordGroup:
-    """Breadth-first closure of the default generators under left multiplication.
+    """Breadth-first closure of the ideal generators under left multiplication.
 
     Candidates of one level are ordered parent first, then generator order,
     and each is kept when its row is new.
     """
-    gen_rows = _generator_rows(_generator_ops(dim))
+    gen_rows = _generator_rows(generator_mats(dim))
     n_gen, n = gen_rows.shape
     frontier = np.arange(1, n + 1, dtype=np.int8)[None]  # the identity
     seen = {frontier.tobytes()}
@@ -224,7 +201,7 @@ def load_group(path: str | Path) -> CliffordGroup:
     """Load a cached group, checked exactly by the `CliffordGroup` constructor.
 
     Raises ValueError when the file or one of its members cannot be read, and
-    GroupClosureError when its table is not the closure of the default
+    GroupClosureError when its table is not the closure of the ideal
     generators.  Members that older versions wrote beside these are ignored.
     """
     try:

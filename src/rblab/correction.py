@@ -27,7 +27,7 @@ from .channels import (
 )
 from .cliffords import CliffordGroup
 from .noise import pulse
-from .twirl import TwirlSpectrum, build_twirl, order_m_error_blocks
+from .twirl import TwirlSpectrum, order_m_error_blocks
 
 
 class ImproperRotationError(RuntimeError):
@@ -156,16 +156,6 @@ def polar_correct(right_error_block: np.ndarray) -> PolarFactors:
     return PolarFactors(incoherent_block=d_tr, rotation_block=v_tr, correction=correction)
 
 
-def su_generators(dim: int) -> np.ndarray:
-    """Traceless Hermitian generators of SU(dim): the non-identity Paulis."""
-    return pauli_basis(dim)[1:]
-
-
-def _exp_i(generators: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """exp(i H) for H = sum_l theta_l G_l."""
-    return pulse(np.tensordot(theta, generators, axes=1), 2.0)
-
-
 class _CorrectedFidelity:
     """Average fidelity of (right error) o U and its left-trivialised gradient.
 
@@ -183,7 +173,7 @@ class _CorrectedFidelity:
         padded[1:, 1:] = block
         self.dim = dim
         self.paulis = pauli_basis(dim)
-        self.gens = su_generators(dim)
+        self.gens = self.paulis[1:]  # the traceless generators of SU(dim)
         self.q = np.tensordot(padded.T, self.paulis, axes=1)
         self.scale = (dim - 1.0) / (dim ** 2 * n)
 
@@ -237,7 +227,7 @@ def _ascend(objective: _CorrectedFidelity, u: np.ndarray) -> tuple[float, np.nda
             break
         lr = _LEARNING_RATE
         while lr > 1e-12:
-            candidate = _exp_i(objective.gens, lr * grad) @ u
+            candidate = pulse(np.tensordot(lr * grad, objective.gens, axes=1), 2.0) @ u
             candidate_value, candidate_grad = objective.evaluate(candidate)
             if candidate_value > value:
                 u, value, grad = candidate, candidate_value, candidate_grad
@@ -304,18 +294,16 @@ def incoherence_defect(block: np.ndarray) -> float:
     """
     block = np.asarray(block, dtype=float)
     n = block.shape[0]
-    return abs(float(np.trace(block)) / n - float(np.linalg.norm(block)) / np.sqrt(n))
+    return abs(float(np.trace(block)) / n - float(np.linalg.norm(block)) / math.sqrt(n))
 
 
 def correct_from_noisy_set(
-    group: CliffordGroup,
-    noisy_set: list[SuperOp],
-    spectrum: TwirlSpectrum | None = None,
+    group: CliffordGroup, noisy_set: list[SuperOp], spectrum: TwirlSpectrum
 ) -> np.ndarray:
     """Correction unitary from the order-4 right error of a noisy gate-set.
 
-    See `correct_block` for the route taken.
+    Reads only `spectrum`, the twirl spectrum of `noisy_set` over `group`; those
+    two stay in the signature because callers pass them.  See `correct_block`.
     """
-    twirl = spectrum.twirl if spectrum is not None else build_twirl(group, noisy_set)
-    right_blk, _ = order_m_error_blocks(twirl, 4)
-    return correct_block(right_blk, group.dim).unitary
+    right_blk, _ = order_m_error_blocks(spectrum.twirl, 4)
+    return correct_block(right_blk, spectrum.dim).unitary

@@ -1,9 +1,12 @@
 """Pulse-level gate construction, elementary error channels, and noise models.
 
-A noise model maps every element of an ideal Clifford gate-set to a noisy
-transfer matrix, index-aligned with the group.  Generator-replacement kinds
-(over-rotation, z-tilt) replay the group's closure steps with noisy pulses;
-the remaining kinds compose fixed error channels around the ideal element.
+`GENERATORS` is the one table of the gate-set's pulses, and `generator_mats`
+the one routine that turns it into transfer matrices: the ideal group is
+its closure, and the over-rotation and z-tilt models perturb the same
+pulses.  A noise model maps every element of an ideal Clifford gate-set to
+a noisy transfer matrix, index-aligned with the group.  Those two kinds
+replay the group's closure steps with their noisy generators; the remaining
+kinds compose fixed error channels around the ideal element.
 """
 
 from __future__ import annotations
@@ -48,41 +51,50 @@ def check_keys(mapping: Mapping, known, owner: str, prefix: str = "") -> None:
 
 def pulse(h: np.ndarray, theta: float) -> np.ndarray:
     """Unitary exp(i theta H / 2) for Hermitian H, via eigendecomposition."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
-        raise ValueError("pulse Hamiltonian must be Hermitian")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(0.5j * theta * w)) @ v.conj().T
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """A gate given as a Hamiltonian and a rotation angle in radians."""
-
-    hamiltonian: np.ndarray
-    angle: float
-
-    def unitary(self, offset: float = 0.0) -> np.ndarray:
-        return pulse(self.hamiltonian, self.angle + offset)
 
 
 CZ_HAMILTONIAN = (
     np.kron(SIGMA_Z, SIGMA_Z) - np.kron(SIGMA_Z, SIGMA_I) - np.kron(SIGMA_I, SIGMA_Z)
 )
 
-# sigma_z acting on the qubit driven by each single-qubit generator label
-_TILT_HAMILTONIANS = {
-    2: {"x": SIGMA_Z, "y": SIGMA_Z},
+# label -> (pulse Hamiltonian, sigma_z of the qubit it drives, None for CZ).
+# Every pulse is a quarter turn; the label order fixes the group's element order.
+GENERATORS = {
+    2: {"x": (SIGMA_X, SIGMA_Z), "y": (SIGMA_Y, SIGMA_Z)},
     4: {
-        "x1": np.kron(SIGMA_Z, SIGMA_I),
-        "y1": np.kron(SIGMA_Z, SIGMA_I),
-        "x2": np.kron(SIGMA_I, SIGMA_Z),
-        "y2": np.kron(SIGMA_I, SIGMA_Z),
+        "x1": (np.kron(SIGMA_X, SIGMA_I), np.kron(SIGMA_Z, SIGMA_I)),
+        "y1": (np.kron(SIGMA_Y, SIGMA_I), np.kron(SIGMA_Z, SIGMA_I)),
+        "x2": (np.kron(SIGMA_I, SIGMA_X), np.kron(SIGMA_I, SIGMA_Z)),
+        "y2": (np.kron(SIGMA_I, SIGMA_Y), np.kron(SIGMA_I, SIGMA_Z)),
+        "cz": (CZ_HAMILTONIAN, None),
     },
 }
+
+
+def generator_mats(
+    dim: int, offset: float = 0.0, cz_offset: float = 0.0, tilt: float | None = None
+) -> np.ndarray:
+    """Transfer matrices of the generators, shape `(n_gen, d^2, d^2)` in label order.
+
+    Each quarter turn is over-rotated by `offset` (`cz_offset` for CZ); with
+    a `tilt`, each single-qubit turn is instead followed by a sigma_z pulse
+    of that angle on its qubit.  All offsets zero give the ideal generators.
+    """
+    if dim not in GENERATORS:
+        raise ValueError(f"unsupported dimension {dim}")
+
+    def turn(h: np.ndarray, angle: float) -> np.ndarray:
+        return unitary_to_superop(pulse(h, angle)).mat
+
+    return np.stack([
+        turn(h, np.pi / 2 + cz_offset) if z is None
+        else turn(h, np.pi / 2 + offset) if tilt is None
+        else turn(z, tilt) @ turn(h, np.pi / 2)
+        for h, z in GENERATORS[dim].values()
+    ])
+
 
 # ---------------------------------------------------------------------------
 # Elementary channel factories
@@ -328,9 +340,9 @@ def field_channel(field: str, value, dim: int) -> SuperOp:
 def _resolve_errors(model: NoiseModel, dim: int) -> dict:
     """The one reading of a model's parameters, each checked and named on error.
 
-    Returns the pulse offsets of a generator-replacement kind ("offset" or
-    "tilt", plus "cz_offset"), the frame "u" of a conjugation or relabeling,
-    and the fixed "left"/"right" channels composed around every ideal gate.
+    Returns the noisy generators "gens" of an over-rotation or z-tilt, the
+    frame "u" of a conjugation or relabeling, and the fixed "left"/"right"
+    channels composed around every ideal gate.
     """
     p = model.params
 
@@ -348,9 +360,9 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
 
     if model.kind == "over_rotation":
         eps = number("epsilon")
-        return {"offset": eps, "cz_offset": number("cz_epsilon", absent=eps)}
+        return {"gens": generator_mats(dim, offset=eps, cz_offset=number("cz_epsilon", absent=eps))}
     if model.kind == "z_tilt":
-        return {"tilt": number("theta_z"), "cz_offset": number("cz_epsilon", absent=0.0)}
+        return {"gens": generator_mats(dim, tilt=number("theta_z"), cz_offset=number("cz_epsilon", absent=0.0))}
     if model.kind in ("left", "right"):
         return {model.kind: channel("error")}
     if model.kind == "sandwich":
@@ -382,28 +394,10 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
     return {}  # ideal
 
 
-def _noisy_generators(model: NoiseModel, group: "CliffordGroup") -> dict[str, SuperOp]:
-    """Noisy replacements for each generator label of a generator-replacement model."""
-    pulses = _resolve_errors(model, group.dim)
-    out: dict[str, SuperOp] = {}
-    for label, spec in group.generator_pulses.items():
-        if label == "cz":
-            out[label] = unitary_to_superop(spec.unitary(pulses["cz_offset"]))
-        elif "tilt" in pulses:
-            tilt = unitary_to_superop(pulse(_TILT_HAMILTONIANS[group.dim][label], pulses["tilt"]))
-            out[label] = tilt @ unitary_to_superop(spec.unitary())
-        else:
-            out[label] = unitary_to_superop(spec.unitary(pulses["offset"]))
-    return out
-
-
 def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> list[SuperOp]:
     """Noisy transfer matrices, index-aligned with the ideal group."""
     fixed = _resolve_errors(model, group.dim)
-    mats = group.mats
-    if "cz_offset" in fixed:  # over-rotation and z-tilt replay noisy pulses
-        gens = _noisy_generators(model, group)
-        mats = group.replay({label: op.mat for label, op in gens.items()})
+    mats = group.replay(fixed["gens"]) if "gens" in fixed else group.mats
     if "u" in fixed:  # conjugation and relabeling
         mats = fixed["u"].mat @ mats @ fixed["u"].mat.T
     if "right" in fixed:

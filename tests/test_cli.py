@@ -263,7 +263,8 @@ class TestGroupCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g2cache"]
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "swapped_rows", "old_format", "other_generators", "dim_vector"]
+        "damage",
+        ["truncated", "swapped_rows", "old_format", "other_generators", "dim_vector", "dim_three"],
     )
     def test_bad_cache_exits_2_and_is_kept(self, tmp_path, capsys, cache, damage):
         path = tmp_path / "g2.npz"
@@ -284,6 +285,8 @@ class TestGroupCache:
             # the same tree read with x and y swapped
             fields["vias"][1:] = 1 - fields["vias"][1:]
             np.savez(path, **fields)
+        elif damage == "dim_three":
+            np.savez(path, **{**fields, "dim": 3})
         else:
             np.savez(path, **{**fields, "dim": np.array([2, 2])})
         before = path.read_bytes()
@@ -339,6 +342,7 @@ class TestCorrect:
         assert meta["rotation_axis"] == json.dumps([round(x, 12) for x in result.polar.rotation_axis])
         assert meta["achieved_fidelity"] == repr(result.fidelity)
         assert meta["incoherence_defect"] == repr(incoherence_defect(result.corrected_block))
+        assert float(meta["incoherence_defect"]) == incoherence_defect(result.corrected_block)
         assert "converged" not in meta
 
     def test_meta_formats_the_library_result_d4(self, tmp_path):
@@ -350,6 +354,7 @@ class TestCorrect:
         result = library_correction(cfg, load_group(cache))
         assert meta["converged"] == "True"
         assert meta["achieved_fidelity"] == repr(result.fidelity)
+        assert float(meta["incoherence_defect"]) == incoherence_defect(result.corrected_block)
         assert "rotation_angle" not in meta
 
 
@@ -413,6 +418,16 @@ class TestFigures:
         assert np.max(np.abs(f_id - 1.0)) < 1e-10
         assert float(meta["intercept_identity"]) == pytest.approx(1.0, abs=1e-9)
         assert float(meta["intercept_corrected"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_fig_pbloch_curve_at_or_below_one_over_d_exits_3(self, tmp_path, capsys, cache):
+        # U is a 1.2 rad x rotation, so U^2 turns by 2.4 rad: F_corrected_sq - 1/2 < 0
+        error = {"channel": "rotation", "axis": "x", "angle": 1.2}
+        cfg = write_config(tmp_path, {"model": {"kind": "right", "error": error}})
+        code = main(["fig-pbloch", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical regime" in err and "corrected_sq" in err and "depth 5" in err
+        assert not (tmp_path / "fig_pbloch.csv").exists()
 
     def test_fig_delta_corrected_below_reference(self, tmp_path, cache):
         assert main(["fig-delta", "--out", str(tmp_path), "--group-cache", cache, "--seed", "7"]) == 0

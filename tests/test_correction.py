@@ -10,6 +10,7 @@ from scipy.spatial.transform import Rotation
 
 from rblab.channels import (
     SuperOp,
+    pauli_basis,
     traceless_fidelity,
     unitary_to_superop,
 )
@@ -20,7 +21,6 @@ from rblab.correction import (
     SingularBlockError,
     _CorrectedFidelity,
     _ascend,
-    _exp_i,
     _rotation_vector,
     correct_block,
     correct_from_noisy_set,
@@ -28,7 +28,6 @@ from rblab.correction import (
     lift_rotation,
     optimize_correct,
     polar_correct,
-    su_generators,
 )
 from rblab.noise import (
     NoiseModel,
@@ -36,6 +35,7 @@ from rblab.noise import (
     build_noisy_gateset,
     dephasing,
     depolarizing,
+    pulse,
     rotation,
 )
 from rblab.twirl import build_twirl, dominant_spectrum, fidelity_curve_exact, order_m_error_blocks
@@ -285,14 +285,16 @@ class TestExactGradient:
             "random": rng.normal(scale=0.5, size=n),
             "large": rng.normal(scale=2.0, size=n),  # eigenvalues of H of order pi
         }[kind]
-        gens = su_generators(dim)
-        u = _exp_i(gens, theta)
+        def exp_i(theta):
+            return pulse(np.tensordot(theta, pauli_basis(dim)[1:], axes=1), 2.0)
+
+        u = exp_i(theta)
         value, grad = _CorrectedFidelity(block, dim).evaluate(u)
         assert value == pytest.approx(transfer_matrix_fidelity(block, dim, u), abs=1e-13)
         step = 1e-5
         numeric = np.array([
-            (transfer_matrix_fidelity(block, dim, _exp_i(gens, step * e) @ u)
-             - transfer_matrix_fidelity(block, dim, _exp_i(gens, -step * e) @ u)) / (2 * step)
+            (transfer_matrix_fidelity(block, dim, exp_i(step * e) @ u)
+             - transfer_matrix_fidelity(block, dim, exp_i(-step * e) @ u)) / (2 * step)
             for e in np.eye(n)
         ])
         assert np.max(np.abs(grad - numeric)) < 1e-8

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rblab.channels import (
     SIGMA_I,
@@ -12,10 +13,11 @@ from rblab.channels import (
     unitary_to_superop,
 )
 from rblab.noise import (
+    CZ_HAMILTONIAN,
     ConfigError,
     NoiseModel,
     _axis_vector,
-    _noisy_generators,
+    _resolve_errors,
     amplitude_damping,
     build_noisy_gateset,
     channel_from_spec,
@@ -52,10 +54,6 @@ class TestPulse:
     def test_unitarity(self):
         u = pulse(SIGMA_Y + 0.3 * SIGMA_Z, 1.234)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            pulse(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
 
 
 class TestFactories:
@@ -184,15 +182,15 @@ class TestNoiseModels:
 
     def test_null_cz_epsilon_means_absent(self, group11520):
         # left out or null, the CZ offset is 0 for z_tilt and epsilon for over_rotation
-        cz_pulse = group11520.generator_pulses["cz"]
+        cz = group11520.labels.index("cz")
         for cfg, offset in (
             ({"kind": "z_tilt", "theta_z": 0.1}, 0.0),
             ({"kind": "over_rotation", "epsilon": 0.07}, 0.07),
         ):
-            expected = unitary_to_superop(cz_pulse.unitary(offset)).mat
+            expected = unitary_to_superop(pulse(CZ_HAMILTONIAN, np.pi / 2 + offset)).mat
             for model_cfg in (cfg, {**cfg, "cz_epsilon": None}):
-                gens = _noisy_generators(NoiseModel.from_config(model_cfg, 4), group11520)
-                assert np.array_equal(gens["cz"].mat, expected)
+                gens = _resolve_errors(NoiseModel.from_config(model_cfg, 4), 4)["gens"]
+                assert np.array_equal(gens[cz], expected)
 
     def test_ideal_model(self, group24):
         noisy = build_noisy_gateset(NoiseModel.ideal(), group24)
@@ -209,10 +207,45 @@ class TestNoiseModels:
         # oracle: compose the tilt channel with the ideal generator directly
         noisy = build_noisy_gateset(NoiseModel.z_tilt(0.1), group24)
         tilt = unitary_to_superop(pulse(SIGMA_Z, 0.1))
-        gx = group24.generator_ops["x"]
+        gx = SuperOp(2, group24.generators[group24.labels.index("x")])
         idx = find(group24, gx.mat)
         expected = tilt @ gx
         assert np.max(np.abs(noisy[idx].mat - expected.mat)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "model",
+        [NoiseModel.z_tilt(0.1, cz_epsilon=0.03), NoiseModel.over_rotation(0.1, cz_epsilon=0.03)],
+        ids=["z_tilt", "over_rotation"],
+    )
+    def test_two_qubit_generators_match_kron_oracle(self, group11520, model):
+        # oracle: single-qubit scipy exponentials placed by np.kron; x1 and y1
+        # turn and tilt qubit 1, x2 and y2 qubit 2, and CZ is a diagonal phase
+        tilt = model.params.get("theta_z", 0.0)
+        offset = model.params.get("epsilon", 0.0)
+        cz_diag = np.array([-1, -1, -1, 3])
+
+        def turn(h, angle):
+            return expm(0.5j * angle * h)
+
+        def on_qubit(q, u):
+            return np.kron(u, SIGMA_I) if q == 1 else np.kron(SIGMA_I, u)
+
+        pairs = [  # (ideal unitary, noisy unitary)
+            (
+                on_qubit(q, turn(h, np.pi / 2)),
+                on_qubit(q, turn(SIGMA_Z, tilt) @ turn(h, np.pi / 2 + offset)),
+            )
+            for q in (1, 2)
+            for h in (SIGMA_X, SIGMA_Y)
+        ]
+        pairs.append((
+            np.diag(np.exp(0.5j * np.pi / 2 * cz_diag)),
+            np.diag(np.exp(0.5j * (np.pi / 2 + model.params["cz_epsilon"]) * cz_diag)),
+        ))
+        noisy = build_noisy_gateset(model, group11520)
+        for ideal, expected in pairs:
+            idx = find(group11520, unitary_to_superop(ideal).mat)
+            assert np.max(np.abs(noisy[idx].mat - unitary_to_superop(expected).mat)) < 1e-12
 
     def test_left_noise_composition(self, group24):
         err = depolarizing(0.9)

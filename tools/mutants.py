@@ -9,8 +9,8 @@ naming the mutant.  Then, one mutant at a time, it copies `src/`, `tests/`,
 there and runs `python -m pytest -q -x` with `PYTHONPATH=src`.  A failing run
 (or one that exceeds TIMEOUT_S) kills the mutant.  It prints one line per
 mutant and exits 1 naming every survivor, 0 when all are killed.  Nothing is
-written into the repository.  About a minute in all on a 2-vCPU machine,
-which is why it is not part of tier-1.
+written into the repository.  About five minutes in all on a 2-vCPU
+machine, which is why it is not part of tier-1.
 
 Left out as equivalent: `>=` for `>` in the ascent's line search
 (`candidate_value > value` in `correction._ascend`).  It survives the suite
@@ -55,8 +55,8 @@ MUTANTS = {
     ),
     "over_rotation cz_epsilon default 0": (
         "src/rblab/noise.py",
-        '"cz_offset": number("cz_epsilon", absent=eps)',
-        '"cz_offset": number("cz_epsilon", absent=0.0)',
+        'cz_offset=number("cz_epsilon", absent=eps)',
+        'cz_offset=number("cz_epsilon", absent=0.0)',
     ),
     "gradient sign flipped": (
         "src/rblab/correction.py",
@@ -71,7 +71,97 @@ MUTANTS = {
     "start off identity": (
         "src/rblab/correction.py",
         "_CorrectedFidelity(block, dim), np.eye(dim, dtype=complex)",
-        "_CorrectedFidelity(block, dim), _exp_i(su_generators(dim), np.full(dim**2 - 1, 0.3))",
+        "_CorrectedFidelity(block, dim), "
+        "pulse(np.tensordot(np.full(dim**2 - 1, 0.3), pauli_basis(dim)[1:], axes=1), 2.0)",
+    ),
+    # the pulse table
+    "z-tilt on the other qubit": (
+        "src/rblab/noise.py",
+        '"x1": (np.kron(SIGMA_X, SIGMA_I), np.kron(SIGMA_Z, SIGMA_I)),',
+        '"x1": (np.kron(SIGMA_X, SIGMA_I), np.kron(SIGMA_I, SIGMA_Z)),',
+    ),
+    "z-tilt before the pulse": (
+        "src/rblab/noise.py",
+        "turn(z, tilt) @ turn(h, np.pi / 2)",
+        "turn(h, np.pi / 2) @ turn(z, tilt)",
+    ),
+    "CZ takes the single-qubit offset": (
+        "src/rblab/noise.py",
+        "turn(h, np.pi / 2 + cz_offset)",
+        "turn(h, np.pi / 2 + offset)",
+    ),
+    # the corrected frame of the CLI curves
+    "corrected frame is the identity": (
+        "src/rblab/cli.py",
+        'frame = u if basis == "corrected" else u @ u',
+        'frame = np.eye(self.dim, dtype=complex) if basis == "corrected" else u @ u',
+    ),
+    "corrected frame is U^2": (
+        "src/rblab/cli.py",
+        'frame = u if basis == "corrected" else u @ u',
+        'frame = u @ u if basis == "corrected" else u @ u',
+    ),
+    "corrected frame is U'": (
+        "src/rblab/cli.py",
+        'frame = u if basis == "corrected" else u @ u',
+        'frame = u.conj().T if basis == "corrected" else u @ u',
+    ),
+    # the RB sampler and decay fit
+    "grid screen picks the worst p": (
+        "src/rblab/rb.py",
+        "k = explained.argmax(axis=-1)",
+        "k = explained.argmin(axis=-1)",
+    ),
+    "golden-section direction swapped": (
+        "src/rblab/rb.py",
+        "left = fc < fd",
+        "left = fc > fd",
+    ),
+    "9-point grid": (
+        "src/rblab/rb.py",
+        "_GRID_POINTS = 1025",
+        "_GRID_POINTS = 9",
+    ),
+    "1e-6 bracket": (
+        "src/rblab/rb.py",
+        "_P_TOL = 1e-12",
+        "_P_TOL = 1e-6",
+    ),
+    "no bound tolerance": (
+        "src/rblab/rb.py",
+        "_BOUND_TOL = 1e-6",
+        "_BOUND_TOL = 0.0",
+    ),
+    "batched final dot": (
+        "src/rblab/rb.py",
+        "table[:, di] = [mu @ v for v in vecs[:, :, 0]]",
+        "table[:, di] = vecs[:, :, 0] @ mu",
+    ),
+    "no flat rule": (
+        "src/rblab/rb.py",
+        "flat = np.ptp(y, axis=-1) <= _FLAT_TOL",
+        "flat = np.ptp(y, axis=-1) < 0",
+    ),
+    "transposed resample draw": (
+        "src/rblab/rb.py",
+        "size=(bootstrap, n_depths, n_seq))",
+        "size=(bootstrap, n_seq, n_depths)).transpose(0, 2, 1)",
+    ),
+    "sequence composition reversed": (
+        "src/rblab/cliffords.py",
+        "out = mats[idx[:, j]] @ out",
+        "out = out @ mats[idx[:, j]]",
+    ),
+    # the scipy-free rotation vector
+    "no w == 0 sign rule": (
+        "src/rblab/correction.py",
+        "if w < 0 or (w == 0 and next((c for c in (x, y, z) if c != 0), 0.0) < 0):",
+        "if w < 0:",
+    ),
+    "series switch at <": (
+        "src/rblab/correction.py",
+        "if angle <= 1e-3:",
+        "if angle < 1e-3:",
     ),
 }
 
