@@ -45,7 +45,7 @@ from .correction import (
     CorrectionResult,
     ImproperRotationError,
     SingularBlockError,
-    correct_block,
+    correct_spectrum,
     incoherence_defect,
 )
 from .noise import ConfigError, NoiseModel, build_noisy_gateset, check_keys, field_channel, finite
@@ -53,20 +53,17 @@ from .rb import RBConfig, fit_decay, run_rb
 from .twirl import (
     DegenerateSpectrumError,
     FidelityCurve,
+    FitWindowError,
     TwirlSpectrum,
     build_twirl,
     dominant_spectrum,
     fidelity_curve_exact,
     nondominant_radius,
-    order_m_error_blocks,
 )
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-
-class FitWindowError(RuntimeError):
-    """A fidelity curve reaches 1/d inside a log fit's window, where its log is undefined."""
 
 # every top-level config key some command reads
 _CONFIG_KEYS = (
@@ -199,8 +196,7 @@ class _Setup:
 
     @cached_property
     def correction(self) -> CorrectionResult:
-        right_blk, _ = order_m_error_blocks(self.spectrum.twirl, 4)
-        return correct_block(right_blk, self.dim)
+        return correct_spectrum(self.spectrum)
 
     def curve(self, basis: str, depths) -> FidelityCurve:
         """Exact fidelity curve in the frame `basis` names: I, the correction U or U^2."""
@@ -290,9 +286,9 @@ def cmd_correct(args) -> int:
     result = s.correction
     p = s.spectrum.p
     meta = s.meta(p=repr(p))
-    if result.polar is not None:
-        meta["rotation_angle"] = repr(result.polar.rotation_angle)
-        meta["rotation_axis"] = json.dumps([round(x, 12) for x in result.polar.rotation_axis])
+    if result.rotation is not None:
+        meta["rotation_angle"] = repr(result.rotation_angle)
+        meta["rotation_axis"] = json.dumps([round(x, 12) for x in result.rotation_axis])
     else:
         meta["converged"] = result.converged
     meta["achieved_fidelity"] = repr(result.fidelity)
@@ -406,12 +402,10 @@ def cmd_fig_pbloch(args) -> int:
     columns = [("m", list(curves["identity"].depths))]
     ms = curves["identity"].depths
     for name, curve in curves.items():
-        low = ms[(ms >= 5) & (ms <= 10) & (curve.fidelity <= 1.0 / s.dim)]
-        if low.size:
-            raise FitWindowError(
-                f"frame {name}: F(m) - 1/d <= 0 at depth {low[0]}, so the log fit over m = 5..10 is undefined"
-            )
-        slope, intercept = curve.log_fit(5, 10)
+        try:
+            slope, intercept = curve.log_fit(5, 10)
+        except FitWindowError as exc:
+            raise FitWindowError(f"frame {name}: {exc}") from exc
         meta[f"intercept_{name}"] = repr(float(intercept))
         meta[f"slope_{name}"] = repr(float(slope))
         fit_vals = 1.0 / s.dim + (intercept - 1.0 / s.dim) * np.exp(slope * ms.astype(float))

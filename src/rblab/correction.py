@@ -104,34 +104,40 @@ def lift_rotation(r3: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PolarFactors:
-    """Left polar split of a Bloch block plus the lifted correction unitary.
+class CorrectionResult:
+    """A correction unitary, its fidelity and the right-error block it corrects.
 
-    `incoherent_block @ rotation_block` reproduces the input; `correction` is
-    the 2x2 unitary whose channel cancels the rotation factor, so composing the
-    input block with the correction's Bloch action leaves the positive factor.
+    `rotation` is the rotation factor R of the one-qubit polar split B = D R,
+    which the unitary undoes; it is None on the SU(d) ascent.  `start_index` is
+    always 0, the identity start of the one ascent; perfbench's traced runs
+    record it.
     """
 
-    incoherent_block: np.ndarray
-    rotation_block: np.ndarray
-    correction: np.ndarray
+    unitary: np.ndarray
+    fidelity: float
+    corrected_block: np.ndarray
+    converged: bool
+    iterations: int
+    start_index: int = 0
+    rotation: np.ndarray | None = None
 
     @property
     def rotation_angle(self) -> float:
-        return float(np.linalg.norm(_rotation_vector(self.rotation_block)))
+        return float(np.linalg.norm(_rotation_vector(self.rotation)))
 
     @property
     def rotation_axis(self) -> np.ndarray:
-        rotvec = _rotation_vector(self.rotation_block)
+        rotvec = _rotation_vector(self.rotation)
         norm = np.linalg.norm(rotvec)
         return rotvec / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
 
 
-def polar_correct(right_error_block: np.ndarray) -> PolarFactors:
-    """Split a single-qubit Bloch block into incoherent and rotation factors.
+def polar_correct(right_error_block: np.ndarray) -> CorrectionResult:
+    """Correction of a single-qubit Bloch block by its left polar split B = D R.
 
-    The returned correction unitary undoes the rotation factor, which is the
-    fidelity-maximizing choice among all unitaries composed on the right.
+    Undoing the rotation factor R, the fidelity-maximizing choice among all
+    unitaries composed on the right, leaves the positive factor D, whose
+    fidelity is 1/2 + tr(D)/6.  Exact, so converged after zero iterations.
     """
     block = np.asarray(right_error_block, dtype=float)
     if block.shape != (3, 3):
@@ -152,8 +158,15 @@ def polar_correct(right_error_block: np.ndarray) -> PolarFactors:
         raise RuntimeError("positive polar factor has a negative eigenvalue")
     if np.max(np.abs(d_tr @ v_tr - block)) > 1e-10 * max(1.0, np.max(np.abs(block))):
         raise RuntimeError("polar factors do not reproduce the input block")
-    correction = lift_rotation(v_tr.T)
-    return PolarFactors(incoherent_block=d_tr, rotation_block=v_tr, correction=correction)
+    corrected = block @ v_tr.T
+    return CorrectionResult(
+        unitary=lift_rotation(v_tr.T),
+        fidelity=float(0.5 + 0.5 * np.trace(corrected) / 3.0),
+        corrected_block=corrected,
+        converged=True,
+        iterations=0,
+        rotation=v_tr,
+    )
 
 
 class _CorrectedFidelity:
@@ -185,24 +198,6 @@ class _CorrectedFidelity:
         c = np.sum(a @ self.paulis - self.paulis @ a, axis=0)
         grad = -self.scale * np.einsum("lab,ba->l", self.gens, c).imag
         return value, grad
-
-
-@dataclass(frozen=True)
-class CorrectionResult:
-    """A correction unitary, its fidelity and the right-error block it corrects.
-
-    `polar` holds the one-qubit polar split, which is exact (converged after
-    zero iterations); it is None on the SU(d) ascent.  `start_index` is always
-    0, the identity start of the one ascent; perfbench's traced runs record it.
-    """
-
-    unitary: np.ndarray
-    fidelity: float
-    corrected_block: np.ndarray
-    converged: bool
-    iterations: int
-    start_index: int
-    polar: PolarFactors | None = None
 
 
 _LEARNING_RATE = 0.5
@@ -263,27 +258,15 @@ def optimize_correct(right_error_block: np.ndarray, dim: int) -> CorrectionResul
         corrected_block=block @ unitary_to_superop(unitary).mat[1:, 1:],
         converged=converged,
         iterations=iterations,
-        start_index=0,
     )
 
 
-def correct_block(right_error_block: np.ndarray, dim: int) -> CorrectionResult:
-    """Correction of an order-4 right-error Bloch block: for one qubit the polar
-    split, with fidelity 1/2 + tr(D)/6 for its positive factor D; otherwise the
-    SU(d) ascent of `optimize_correct`."""
-    if dim != 2:
-        return optimize_correct(right_error_block, dim)
-    factors = polar_correct(right_error_block)
-    corrected = np.asarray(right_error_block, dtype=float) @ factors.rotation_block.T
-    return CorrectionResult(
-        unitary=factors.correction,
-        fidelity=float(0.5 + 0.5 * np.trace(corrected) / 3.0),
-        corrected_block=corrected,
-        converged=True,
-        iterations=0,
-        start_index=0,
-        polar=factors,
-    )
+def correct_spectrum(spectrum: TwirlSpectrum) -> CorrectionResult:
+    """Correction of the order-4 right-error block of a twirl spectrum: the polar
+    split of `polar_correct` for one qubit, the SU(d) ascent of `optimize_correct`
+    otherwise."""
+    block, _ = order_m_error_blocks(spectrum.twirl, 4)
+    return polar_correct(block) if spectrum.dim == 2 else optimize_correct(block, spectrum.dim)
 
 
 def incoherence_defect(block: np.ndarray) -> float:
@@ -303,7 +286,6 @@ def correct_from_noisy_set(
     """Correction unitary from the order-4 right error of a noisy gate-set.
 
     Reads only `spectrum`, the twirl spectrum of `noisy_set` over `group`; those
-    two stay in the signature because callers pass them.  See `correct_block`.
+    two stay in the signature because callers pass them.  See `correct_spectrum`.
     """
-    right_blk, _ = order_m_error_blocks(spectrum.twirl, 4)
-    return correct_block(right_blk, spectrum.dim).unitary
+    return correct_spectrum(spectrum).unitary

@@ -34,6 +34,10 @@ class DegenerateSpectrumError(RuntimeError):
     """
 
 
+class FitWindowError(RuntimeError):
+    """A fidelity curve reaches 1/d inside a log fit's window, where its log is undefined."""
+
+
 @dataclass(frozen=True)
 class TwirlSuperop:
     """Group-averaged kron(G Pi_tr, G_noisy), a (d^2)^2 x (d^2)^2 real matrix."""
@@ -249,10 +253,17 @@ class FidelityCurve:
         """Straight-line fit of log(F - 1/d) against m over lo <= m <= hi.
 
         Returns the slope and the intercept A of F(m) = 1/d + (A - 1/d) exp(slope m).
+        Raises FitWindowError if F(m) - 1/d <= 0 at a depth of the window.
         """
         dim = self.basis.shape[0]
         mask = (self.depths >= lo) & (self.depths <= hi)
-        y = np.log(self.fidelity[mask] - 1.0 / dim)
+        excess = self.fidelity[mask] - 1.0 / dim
+        low = self.depths[mask][excess <= 0]
+        if low.size:
+            raise FitWindowError(
+                f"F(m) - 1/d <= 0 at depth {low[0]}, so the log fit over m = {lo}..{hi} is undefined"
+            )
+        y = np.log(excess)
         slope, intercept = np.polyfit(self.depths[mask].astype(float), y, 1)
         return slope, 1.0 / dim + np.exp(intercept)
 

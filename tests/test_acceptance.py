@@ -171,6 +171,50 @@ def test_criterion_05_deviation_reproduction():
     assert ok
 
 
+FRAMES = ("U", "I", "U2")
+
+
+def intercept_orders(group, model_at, strengths):
+    """Criterion 06's clauses on the m = 5..10 fit intercepts in the frames U, I, U^2.
+
+    Returns the worst |fit intercept - exact amplitude 1/d + (d-1)/d C|, the
+    |1 - intercept| of each frame per strength, 10 (1-p)^2 per strength, the
+    log-log slopes against r = 1 - p, how far |1 - I| and |1 - U^2| exceed
+    10 (1-p)^2 at the weakest strength, and whether every clause holds.
+    """
+    dim = group.dim
+    depths = range(1, 13)
+    rs = []
+    dev = {k: [] for k in FRAMES}
+    envelopes = []
+    fit_err = 0.0
+    for eps in strengths:
+        noisy, spectrum = spectrum_of(group, model_at(eps))
+        basis = correct_from_noisy_set(group, noisy, spectrum=spectrum)
+        for key, frame in zip(FRAMES, (basis, np.eye(dim), basis @ basis)):
+            _, intercept = fidelity_curve_exact(spectrum, frame, depths).log_fit(5, 10)
+            amplitude = spectrum.decay_amplitude(unitary_to_superop(frame))
+            exact = 1.0 / dim + (dim - 1.0) / dim * amplitude
+            fit_err = max(fit_err, abs(intercept - exact))
+            dev[key].append(abs(1.0 - intercept))
+        rs.append(1 - spectrum.p)
+        envelopes.append(10 * (1 - spectrum.p) ** 2)
+    log_r = np.log(rs)
+    slope = {k: float(np.polyfit(log_r, np.log(dev[k]), 1)[0]) for k in FRAMES}
+    corrected_ok = all(d <= env for d, env in zip(dev["U"], envelopes))
+    weak_margin = {k: dev[k][0] / envelopes[0] for k in ("I", "U2")}
+    ok = (
+        fit_err <= 1e-8
+        and corrected_ok
+        and slope["U"] >= 1.75
+        and 0.75 <= slope["I"] <= 1.25
+        and 0.75 <= slope["U2"] <= 1.25
+        and weak_margin["I"] > 1.0
+        and weak_margin["U2"] > 1.0
+    )
+    return fit_err, dev, envelopes, slope, weak_margin, ok
+
+
 def test_criterion_06_intercept_reproduction():
     """Order of the short-depth fit intercepts for the over-rotation model.
 
@@ -191,36 +235,9 @@ def test_criterion_06_intercept_reproduction():
     - log-log slopes against r: >= 1.75 for U, in [0.75, 1.25] for I and U^2;
     - |1 - I| and |1 - U^2| exceed 10 (1-p)^2 at the weakest strength.
     """
-    group = generate_clifford_group(2)
-    depths = range(1, 13)
     strengths = (0.025, 0.05, 0.1)
-    frames = ("U", "I", "U2")
-    rs = []
-    dev = {k: [] for k in frames}
-    envelopes = []
-    fit_err = 0.0
-    for eps in strengths:
-        noisy, spectrum = spectrum_of(group, NoiseModel.over_rotation(eps))
-        basis = correct_from_noisy_set(group, noisy, spectrum=spectrum)
-        for key, frame in zip(frames, (basis, np.eye(2), basis @ basis)):
-            _, intercept = fidelity_curve_exact(spectrum, frame, depths).log_fit(5, 10)
-            exact = 0.5 + 0.5 * spectrum.decay_amplitude(unitary_to_superop(frame))
-            fit_err = max(fit_err, abs(intercept - exact))
-            dev[key].append(abs(1.0 - intercept))
-        rs.append(1 - spectrum.p)
-        envelopes.append(10 * (1 - spectrum.p) ** 2)
-    log_r = np.log(rs)
-    slope = {k: float(np.polyfit(log_r, np.log(dev[k]), 1)[0]) for k in frames}
-    corrected_ok = all(d <= env for d, env in zip(dev["U"], envelopes))
-    weak_margin = {k: dev[k][0] / envelopes[0] for k in ("I", "U2")}
-    ok = (
-        fit_err <= 1e-8
-        and corrected_ok
-        and slope["U"] >= 1.75
-        and 0.75 <= slope["I"] <= 1.25
-        and 0.75 <= slope["U2"] <= 1.25
-        and weak_margin["I"] > 1.0
-        and weak_margin["U2"] > 1.0
+    fit_err, dev, envelopes, slope, weak_margin, ok = intercept_orders(
+        generate_clifford_group(2), NoiseModel.over_rotation, strengths
     )
     margins_u = ", ".join(
         f"eps {eps}: {d:.2e} <= {env:.2e}" for eps, d, env in zip(strengths, dev["U"], envelopes)
@@ -341,7 +358,7 @@ def test_criterion_10_composite_incoherence():
     for factors in chains:
         noisy = build_noisy_gateset(NoiseModel.composite(factors, side="right"), group)
         right_blk, _ = order_m_error_blocks(build_twirl(group, noisy), 4)
-        corrected = right_blk @ polar_correct(right_blk).rotation_block.T
+        corrected = polar_correct(right_blk).corrected_block
         r = 1.0 - (0.5 + 0.5 * np.trace(corrected) / 3)
         margins.append((incoherence_defect(corrected), 5 * r ** 2))
     ok = all(defect <= bound for defect, bound in margins)
@@ -372,4 +389,35 @@ def test_criterion_11_two_qubit_extended():
         f"{np.nanmax(dev):.2e} < (1-p)^2 {ref:.2e} (p {spectrum.p:.6f}, "
         f"optimizer converged {result.converged}), runtime {elapsed:.0f}s (< 600s)",
     )
+    assert ok
+
+
+def test_criterion_12_two_qubit_intercept_orders():
+    """Criterion 06 at d=4, the paper's higher-dimension conjecture: the same
+    clauses and bounds for the over-rotation and z-tilt models, each with a CZ
+    error equal to its single-qubit error. Measured: |1 - U| is about
+    0.005 r^2 (over-rotation) and 0.012 r^2 (z-tilt); the log-log slopes are
+    near 2 for U and near 1 for I and U^2.
+    """
+    start = time.perf_counter()
+    group = generate_clifford_group(4)
+    strengths = (0.025, 0.05, 0.1)
+    models = {
+        "over_rotation": lambda eps: NoiseModel.over_rotation(eps, cz_epsilon=eps),
+        "z_tilt": lambda eps: NoiseModel.z_tilt(eps, cz_epsilon=eps),
+    }
+    verdicts, details = [], []
+    for name, model_at in models.items():
+        fit_err, dev, envelopes, slope, weak_margin, ok = intercept_orders(group, model_at, strengths)
+        verdicts.append(ok)
+        worst_u = max(d / env for d, env in zip(dev["U"], envelopes))
+        details.append(
+            f"{name}: fit vs exact {fit_err:.1e} (tol 1e-8), max |1-U| / 10(1-p)^2 {worst_u:.2e}, "
+            f"slopes U {slope['U']:.2f} (>= 1.75), I {slope['I']:.2f} and U^2 {slope['U2']:.2f} "
+            f"(in [0.75, 1.25]), at eps {strengths[0]} I and U^2 exceed 10(1-p)^2 by "
+            f"{weak_margin['I']:.1f}x and {weak_margin['U2']:.1f}x"
+        )
+    elapsed = time.perf_counter() - start
+    ok = all(verdicts)
+    announce(12, ok, "two-qubit intercepts: " + "; ".join(details) + f"; runtime {elapsed:.1f}s")
     assert ok

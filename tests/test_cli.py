@@ -11,9 +11,9 @@ import rblab
 from rblab import cli
 from rblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from rblab.cliffords import generate_clifford_group, load_group
-from rblab.correction import ImproperRotationError, correct_block, incoherence_defect
+from rblab.correction import ImproperRotationError, correct_spectrum, incoherence_defect
 from rblab.noise import NoiseModel, build_noisy_gateset
-from rblab.twirl import build_twirl, order_m_error_blocks
+from rblab.twirl import build_twirl, dominant_spectrum
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -338,8 +338,8 @@ class TestCorrect:
         assert main(["correct", "--config", str(cfg), "--out", str(tmp_path), "--group-cache", cache]) == 0
         meta, _ = read_csv(tmp_path / "correct.csv")
         result = library_correction(cfg, load_group(cache))
-        assert meta["rotation_angle"] == repr(result.polar.rotation_angle)
-        assert meta["rotation_axis"] == json.dumps([round(x, 12) for x in result.polar.rotation_axis])
+        assert meta["rotation_angle"] == repr(result.rotation_angle)
+        assert meta["rotation_axis"] == json.dumps([round(x, 12) for x in result.rotation_axis])
         assert meta["achieved_fidelity"] == repr(result.fidelity)
         assert meta["incoherence_defect"] == repr(incoherence_defect(result.corrected_block))
         assert float(meta["incoherence_defect"]) == incoherence_defect(result.corrected_block)
@@ -361,9 +361,7 @@ class TestCorrect:
 def library_correction(config_path, group):
     cfg = json.loads(config_path.read_text())
     noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], group.dim), group)
-    twirl = build_twirl(group, noisy)
-    right_blk, _ = order_m_error_blocks(twirl, 4)
-    return correct_block(right_blk, group.dim)
+    return correct_spectrum(dominant_spectrum(build_twirl(group, noisy)))
 
 
 class TestRB:

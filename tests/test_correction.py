@@ -22,8 +22,8 @@ from rblab.correction import (
     _CorrectedFidelity,
     _ascend,
     _rotation_vector,
-    correct_block,
     correct_from_noisy_set,
+    correct_spectrum,
     incoherence_defect,
     lift_rotation,
     optimize_correct,
@@ -148,9 +148,10 @@ class TestScipyFreeRoutes:
             rot = Rotation.from_rotvec(rng.normal(scale=1.0, size=3)).as_matrix()
             block = (np.eye(3) + rng.normal(scale=0.05, size=(3, 3))) @ rot
             v_ref, d_ref = scipy_polar(block, side="left")
-            factors = polar_correct(block)
-            assert np.array_equal(factors.rotation_block, v_ref)
-            assert np.array_equal(factors.incoherent_block, d_ref)
+            result = polar_correct(block)
+            assert np.array_equal(result.rotation, v_ref)
+            # B R^T = D R R^T equals scipy's positive factor to rounding
+            assert np.max(np.abs(result.corrected_block - d_ref)) <= 1e-12
 
     def test_rotation_vector_matches_scipy(self):
         mismatched = [
@@ -171,24 +172,24 @@ class TestScipyFreeRoutes:
 
     def test_polar_factors_read_angle_and_axis_like_scipy(self, rng):
         rot = Rotation.from_rotvec(rng.normal(scale=0.5, size=3)).as_matrix()
-        factors = polar_correct(0.95 * rot)
-        rotvec = Rotation.from_matrix(factors.rotation_block).as_rotvec()
-        assert factors.rotation_angle == float(np.linalg.norm(rotvec))
-        assert np.array_equal(factors.rotation_axis, rotvec / np.linalg.norm(rotvec))
+        result = polar_correct(0.95 * rot)
+        rotvec = Rotation.from_matrix(result.rotation).as_rotvec()
+        assert result.rotation_angle == float(np.linalg.norm(rotvec))
+        assert np.array_equal(result.rotation_axis, rotvec / np.linalg.norm(rotvec))
 
 
 class TestPolarCorrect:
     def test_pure_rotation_input_fully_corrected(self):
         r3 = Rotation.from_rotvec([0.1, -0.05, 0.2]).as_matrix()
-        factors = polar_correct(r3)
-        assert np.max(np.abs(factors.incoherent_block - np.eye(3))) < 1e-12
-        corrected = r3 @ unitary_to_superop(factors.correction).mat[1:, 1:]
+        result = polar_correct(r3)
+        assert np.max(np.abs(result.corrected_block - np.eye(3))) < 1e-12
+        corrected = r3 @ unitary_to_superop(result.unitary).mat[1:, 1:]
         assert block_fidelity(corrected) == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarizing_input_needs_no_correction(self):
-        factors = polar_correct(0.9 * np.eye(3))
-        assert np.max(np.abs(factors.rotation_block - np.eye(3))) < 1e-12
-        assert np.max(np.abs(factors.correction - np.eye(2))) < 1e-12
+        result = polar_correct(0.9 * np.eye(3))
+        assert np.max(np.abs(result.rotation - np.eye(3))) < 1e-12
+        assert np.max(np.abs(result.unitary - np.eye(2))) < 1e-12
 
     def test_reconstruction_and_uniqueness(self, rng):
         for _ in range(20):
@@ -196,15 +197,17 @@ class TestPolarCorrect:
             rot = Rotation.from_rotvec(rng.normal(scale=0.3, size=3)).as_matrix()
             basis = Rotation.from_rotvec(rng.normal(scale=1.0, size=3)).as_matrix()
             block = basis @ np.diag(d) @ basis.T @ rot
-            factors = polar_correct(block)
-            assert np.max(np.abs(factors.incoherent_block @ factors.rotation_block - block)) < 1e-10
-            assert np.max(np.abs(factors.rotation_block - rot)) < 1e-10
+            result = polar_correct(block)
+            # B R^T symmetric positive definite is what makes R the polar factor
+            corrected = result.corrected_block
+            assert np.max(np.abs(corrected - corrected.T)) < 1e-10
+            assert np.linalg.eigvalsh(corrected).min() > 0
+            assert np.max(np.abs(result.rotation - rot)) < 1e-10
 
     def test_tilt_model_pinned_angle(self, group24, ztilt_noisy, ztilt_spectrum):
-        factors = polar_correct(tilt_right_block(group24, ztilt_noisy, ztilt_spectrum))
-        assert factors.rotation_angle == pytest.approx(ZTILT_CORRECTION_ANGLE, abs=1e-6)
-        corrected = tilt_right_block(group24, ztilt_noisy, ztilt_spectrum) @ factors.rotation_block.T
-        assert block_fidelity(corrected) == pytest.approx(ZTILT_POLAR_FIDELITY, abs=1e-9)
+        result = polar_correct(tilt_right_block(group24, ztilt_noisy, ztilt_spectrum))
+        assert result.rotation_angle == pytest.approx(ZTILT_CORRECTION_ANGLE, abs=1e-6)
+        assert block_fidelity(result.corrected_block) == pytest.approx(ZTILT_POLAR_FIDELITY, abs=1e-9)
 
     def test_tilt_model_against_grid_refine_oracle(self, group24, ztilt_noisy, ztilt_spectrum):
         # independent oracle: search all Bloch rotations directly
@@ -224,8 +227,8 @@ class TestPolarCorrect:
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000},
         )
-        factors = polar_correct(block)
-        assert abs(-refined.fun - block_fidelity(block @ factors.rotation_block.T)) < 1e-6
+        result = polar_correct(block)
+        assert abs(-refined.fun - block_fidelity(result.corrected_block)) < 1e-6
 
     def test_near_singular_rejected(self):
         with pytest.raises(SingularBlockError, match="near-singular"):
@@ -243,10 +246,10 @@ class TestPolarCorrect:
 class TestOptimizeCorrect:
     def test_matches_polar_fidelity(self, group24, ztilt_noisy, ztilt_spectrum):
         block = tilt_right_block(group24, ztilt_noisy, ztilt_spectrum)
-        factors = polar_correct(block)
+        polar = polar_correct(block)
         result = optimize_correct(block, 2)
         assert isinstance(result, CorrectionResult)
-        assert abs(result.fidelity - block_fidelity(block @ factors.rotation_block.T)) < 1e-8
+        assert abs(result.fidelity - block_fidelity(polar.corrected_block)) < 1e-8
 
     def test_ideal_input_returns_identity(self):
         result = optimize_correct(np.eye(3), 2)
@@ -347,8 +350,7 @@ class TestKnownFrameD4:
         noisy = build_noisy_gateset(NoiseModel.conjugation(v), group11520)
         twirl = build_twirl(group11520, noisy)
         spectrum = dominant_spectrum(twirl)
-        right_blk, _ = order_m_error_blocks(twirl, 4)
-        result = correct_block(right_blk, 4)
+        result = correct_spectrum(spectrum)
         assert result.converged
         assert np.max(np.abs(unitary_to_superop(result.unitary).mat - unitary_to_superop(v).mat)) <= 1e-6
         depths = np.arange(1, 33)
@@ -357,6 +359,53 @@ class TestKnownFrameD4:
         assert np.max(np.abs(corrected - law)) <= 1e-12
         identity = fidelity_curve_exact(spectrum, np.eye(4), depths).traceless_fidelity
         assert np.max(np.abs(identity - law)) >= 1e-3
+
+
+class TestGaugeCovariance:
+    """A change of frame S G S^T of every noisy gate, S = R(V), moves the correction
+    with it, so the corrected curve f_tr(m) does not change.
+
+    V is a moderate rotation, exp(i 0.2 sum_l n_l P_l) with n standard normal: a
+    Haar-random gauge leaves the perturbative regime (at d=2 about half raise
+    ImproperRotationError; at d=4 the ascent stalls near fidelity 1/4).
+    """
+
+    DEPTHS = range(0, 33)
+
+    @classmethod
+    def corrected_curve(cls, group, noisy):
+        spectrum = dominant_spectrum(build_twirl(group, noisy))
+        result = correct_spectrum(spectrum)
+        return fidelity_curve_exact(spectrum, result.unitary, cls.DEPTHS).traceless_fidelity, result
+
+    @classmethod
+    def gauge_gap(cls, group, model, seed):
+        dim = group.dim
+        v = exp_i_pauli_sum(dim, 0.2 * np.random.default_rng(seed).normal(size=dim ** 2 - 1))
+        s = unitary_to_superop(v).mat
+        noisy = build_noisy_gateset(model, group)
+        moved = [SuperOp(dim, s @ g.mat @ s.T) for g in noisy]
+        base, result = cls.corrected_curve(group, noisy)
+        gauged, moved_result = cls.corrected_curve(group, moved)
+        assert result.converged and moved_result.converged
+        return float(np.max(np.abs(gauged - base)))
+
+    @pytest.mark.parametrize(
+        "model", [NoiseModel.z_tilt(0.1), NoiseModel.over_rotation(0.1)], ids=["z_tilt", "over_rotation"]
+    )
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_single_qubit(self, group24, model, seed):
+        assert self.gauge_gap(group24, model, seed) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "model",
+        [NoiseModel.z_tilt(0.1, cz_epsilon=0.1), NoiseModel.over_rotation(0.1)],
+        ids=["z_tilt", "over_rotation"],
+    )
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_two_qubit(self, group11520, model, seed):
+        assert self.gauge_gap(group11520, model, seed) <= 1e-8
 
 
 class TestIncoherenceDefect:
@@ -453,8 +502,7 @@ class TestCompositeConjecture:
     def test_corrected_right_error_is_incoherent(self, group24, factors):
         noisy = build_noisy_gateset(NoiseModel.composite(factors, side="right"), group24)
         right_blk, _ = order_m_error_blocks(build_twirl(group24, noisy), 4)
-        factors_p = polar_correct(right_blk)
-        corrected = right_blk @ factors_p.rotation_block.T
+        corrected = polar_correct(right_blk).corrected_block
         r = 1.0 - block_fidelity(corrected)
         assert incoherence_defect(corrected) <= 5 * r ** 2
 

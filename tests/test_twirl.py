@@ -16,6 +16,7 @@ from rblab.channels import (
     unvec,
     vec,
 )
+from rblab.correction import correct_spectrum
 from rblab.noise import (
     NoiseModel,
     build_noisy_gateset,
@@ -24,6 +25,7 @@ from rblab.noise import (
 )
 from rblab.twirl import (
     DegenerateSpectrumError,
+    FitWindowError,
     build_twirl,
     dominant_spectrum,
     fidelity_curve_exact,
@@ -305,6 +307,15 @@ class TestFidelityCurveExact:
                 np.sqrt(1 - a ** 2) * np.sqrt(1 - b ** 2) * (w @ delta_m @ v)
             )
             assert curve.residual[i] == pytest.approx(d_from_expansion, abs=1e-10)
+
+    def test_log_fit_refuses_a_window_at_or_below_one_over_d(self, group24):
+        # the correction U is a 1.2 rad x rotation, so U^2 turns by 2.4 rad: F - 1/2 < 0
+        noisy = build_noisy_gateset(NoiseModel.right(rotation("x", 1.2)), group24)
+        spectrum = dominant_spectrum(build_twirl(group24, noisy))
+        u = correct_spectrum(spectrum).unitary
+        curve = fidelity_curve_exact(spectrum, u @ u, range(1, 13))
+        with pytest.raises(FitWindowError, match=r"at depth 5, so the log fit over m = 5\.\.10 is undefined"):
+            curve.log_fit(5, 10)
 
     def test_deviation_decays_monotonically(self, ztilt_spectrum, overrot_spectrum):
         for spectrum in (ztilt_spectrum, overrot_spectrum):

@@ -152,6 +152,28 @@ MUTANTS = {
         "out = mats[idx[:, j]] @ out",
         "out = out @ mats[idx[:, j]]",
     ),
+    # the one correction entry point and its polar split
+    "polar corrected block without the transpose": (
+        "src/rblab/correction.py",
+        "corrected = block @ v_tr.T",
+        "corrected = block @ v_tr",
+    ),
+    "polar lifts the rotation, not its inverse": (
+        "src/rblab/correction.py",
+        "unitary=lift_rotation(v_tr.T),",
+        "unitary=lift_rotation(v_tr),",
+    ),
+    "d=2 dispatched to the ascent": (
+        "src/rblab/correction.py",
+        "if spectrum.dim == 2 else",
+        "if spectrum.dim == 3 else",
+    ),
+    # the log fit's window check
+    "log_fit window check off": (
+        "src/rblab/twirl.py",
+        "        if low.size:\n            raise FitWindowError(",
+        "        if False:\n            raise FitWindowError(",
+    ),
     # the scipy-free rotation vector
     "no w == 0 sign rule": (
         "src/rblab/correction.py",
