@@ -1,20 +1,3 @@
 """rblab: decay analysis for randomized benchmarking under gate-dependent noise."""
 
 __version__ = "0.1.0"
-
-from .channels import (
-    SuperOp,
-    avg_gate_fidelity,
-    identity_superop,
-    traceless_fidelity,
-    unitary_to_superop,
-)
-
-__all__ = [
-    "SuperOp",
-    "avg_gate_fidelity",
-    "identity_superop",
-    "traceless_fidelity",
-    "unitary_to_superop",
-    "__version__",
-]

@@ -18,8 +18,8 @@ is an error too.
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
 the same manifest.  Exit codes: 0 success, 2 configuration error, 3 numerical
-regime error (e.g. a degenerate dominant eigenvalue, or a fig-pbloch curve
-with F - 1/d <= 0 in its fit window).
+regime error (e.g. a degenerate dominant eigenvalue, a correction whose ascent
+did not converge, or a fig-pbloch curve with F - 1/d <= 0 in its fit window).
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ from .twirl import (
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+class CorrectionNotConvergedError(RuntimeError):
+    """The SU(d) ascent stopped at its iteration cap, so the command refuses its unitary."""
 
 
 # every top-level config key some command reads
@@ -196,7 +200,13 @@ class _Setup:
 
     @cached_property
     def correction(self) -> CorrectionResult:
-        return correct_spectrum(self.spectrum)
+        result = correct_spectrum(self.spectrum)
+        if not result.converged:
+            raise CorrectionNotConvergedError(
+                f"the correction did not converge in {result.iterations} iterations "
+                f"(achieved fidelity {result.fidelity!r})"
+            )
+        return result
 
     def curve(self, basis: str, depths) -> FidelityCurve:
         """Exact fidelity curve in the frame `basis` names: I, the correction U or U^2."""
@@ -488,8 +498,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        DegenerateSpectrumError, FitWindowError, GroupClosureError, ImproperRotationError,
-        SingularBlockError,
+        CorrectionNotConvergedError, DegenerateSpectrumError, FitWindowError, GroupClosureError,
+        ImproperRotationError, SingularBlockError,
     ) as exc:
         print(f"numerical regime error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -21,7 +21,6 @@ from .channels import (
     SIGMA_Y,
     SIGMA_Z,
     SuperOp,
-    check_unitary,
     pauli_basis,
     unitary_to_superop,
 )
@@ -251,7 +250,6 @@ def optimize_correct(right_error_block: np.ndarray, dim: int) -> CorrectionResul
     value, unitary, converged, iterations = _ascend(
         _CorrectedFidelity(block, dim), np.eye(dim, dtype=complex)
     )
-    check_unitary(unitary)
     return CorrectionResult(
         unitary=unitary,
         fidelity=value,

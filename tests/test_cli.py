@@ -120,6 +120,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "numerical regime" in err and "determinant" in err
 
+    @pytest.mark.parametrize("command, extra", [("correct", {}), ("curve", {"basis": "corrected"})])
+    def test_non_converged_correction_exit_code(self, tmp_path, capsys, command, extra):
+        # the SU(4) ascent stops at its 500-iteration cap at block fidelity 0.25
+        model = {"kind": "over_rotation", "epsilon": 1.1}
+        cfg = write_config(tmp_path, {"dim": 4, "model": model, **extra})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical regime" in err and "did not converge in 500 iterations" in err
+        assert "achieved fidelity 0.25" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, payload, field",
         [

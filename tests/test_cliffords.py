@@ -95,6 +95,19 @@ class TestInverse:
             assert group24.inverse_table[group24.inverse_table[k]] == k
 
 
+class TestIndices:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_member_row_raises_key_error(self, group24, group11520, dim):
+        # swapping X with Y (on the first qubit) is no Clifford; at d=2 the row
+        # [1, 3, 2, 4] shares its X and Z entries with element 22, [1, 3, -2, 4]
+        group = group24 if dim == 2 else group11520
+        x, y = (1, 2) if dim == 2 else (4, 8)  # X and Y, or X(x)I and Y(x)I, in pauli_basis(dim)
+        row = np.arange(1, dim ** 2 + 1)
+        row[[x, y]] = row[[y, x]]
+        with pytest.raises(KeyError):
+            group.indices(row[None])
+
+
 class TestCZGenerator:
     def test_cz_pulse_matches_diagonal_unitary(self):
         # oracle: the Hamiltonian is diagonal, so exponentiate entrywise

@@ -266,6 +266,15 @@ class TestOptimizeCorrect:
         with pytest.raises(ValueError, match="Bloch block"):
             optimize_correct(np.eye(4), 2)
 
+    def test_non_converged_ascent_is_flagged_not_raised(self, group11520):
+        # over-rotation 1.1 at d=4 is far outside the perturbative regime
+        model = NoiseModel.from_config({"kind": "over_rotation", "epsilon": 1.1}, 4)
+        noisy = build_noisy_gateset(model, group11520)
+        block, _ = order_m_error_blocks(build_twirl(group11520, noisy), 4)
+        result = optimize_correct(block, 4)
+        assert not result.converged
+        assert result.iterations == 500
+
 
 def transfer_matrix_fidelity(block, dim, u):
     """The optimizer's objective read off the transfer matrix of U."""

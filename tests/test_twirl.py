@@ -133,7 +133,6 @@ class TestDominantSpectrum:
         assert abs(ztilt_spectrum.p - p_pow) < 1e-10
 
     def test_eigen_residuals(self, ztilt_spectrum):
-        ztilt_spectrum.validate()
         t = ztilt_spectrum.twirl.mat
         vl = vec(ztilt_spectrum.right_error_op.T)
         vr = vec(ztilt_spectrum.left_error_op)
@@ -165,6 +164,18 @@ class TestDominantSpectrum:
         monkeypatch.setattr(rblab.twirl, "_POWER_MAXITER", 500)
         with pytest.raises(DegenerateSpectrumError):
             power_iteration(mat, start=np.array([1.0, 1.0, 1.0, 1.0]))
+
+    def test_dense_start_disagreeing_with_power_iteration_reported(self, group24, ztilt_noisy, monkeypatch):
+        # a dense eigenvalue 1e-6 off the power-iteration p fails the 1e-8 agreement check
+        dense_starts = rblab.twirl._dense_starts
+
+        def off_by_1e6(mat):
+            lam, right, left = dense_starts(mat)
+            return lam + 1e-6, right, left
+
+        monkeypatch.setattr(rblab.twirl, "_dense_starts", off_by_1e6)
+        with pytest.raises(DegenerateSpectrumError, match="disagree"):
+            dominant_spectrum(build_twirl(group24, ztilt_noisy))
 
     def test_unit_frobenius_normalization(self, ztilt_spectrum):
         assert np.linalg.norm(ztilt_spectrum.right_error_op) == pytest.approx(1.0, abs=1e-12)
@@ -256,6 +267,18 @@ class TestFidelityCurveExact:
         curve = fidelity_curve_exact(dominant_spectrum(build_twirl(group24, noisy)), np.eye(2), range(1, 65))
         assert np.max(np.abs(curve.traceless_fidelity)) < 1e-10
         assert np.all(np.isnan(curve.ratio_deviation))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_depth_zero_is_perfect_in_every_frame(self, group24, group11520, dim):
+        # m = 0 applies no gate, so f_tr(0) = F(0) = 1 in the I, U and U^2 frames
+        group = group24 if dim == 2 else group11520
+        noisy = build_noisy_gateset(NoiseModel.z_tilt(0.1, cz_epsilon=0.1 if dim == 4 else 0.0), group)
+        spectrum = dominant_spectrum(build_twirl(group, noisy))
+        u = correct_spectrum(spectrum).unitary
+        for frame in (np.eye(dim), u, u @ u):
+            curve = fidelity_curve_exact(spectrum, frame, [0])
+            assert curve.traceless_fidelity[0] == pytest.approx(1.0, abs=1e-12)
+            assert curve.fidelity[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_relation_between_f_and_ftr(self, ztilt_spectrum):
         curve = fidelity_curve_exact(ztilt_spectrum, np.eye(2), range(1, 20))

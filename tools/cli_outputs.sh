@@ -25,14 +25,13 @@ mkdir -p "$1/cache"
 cd "$1"
 export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONDONTWRITEBYTECODE=1
-python=${PYTHON:-python3}
 
 run() {  # run NAME DIM COMMAND ARGS...
     name=$1 dim=$2
     shift 2
     mkdir -p "$name"
     code=0
-    "$python" -m rblab.cli "$@" --out "$name" --seed 7 --group-cache "cache/g$dim.npz" \
+    python3 -m rblab.cli "$@" --out "$name" --seed 7 --group-cache "cache/g$dim.npz" \
         >"$name/stdout.txt" 2>"$name/stderr.txt" || code=$?
     echo "$code" >"$name/exit_code.txt"
 }
@@ -42,7 +41,7 @@ run gen-group-d4 4 gen-group --dim 4
 
 for config in "$root"/configs/*.json; do
     stem=$(basename "$config" .json)
-    dim=$("$python" -c 'import json, sys; print(json.load(open(sys.argv[1])).get("dim", 2))' "$config")
+    dim=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1])).get("dim", 2))' "$config")
     for command in spectrum curve correct rb; do
         run "$stem-$command" "$dim" "$command" --config "$config"
     done

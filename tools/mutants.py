@@ -9,15 +9,19 @@ naming the mutant.  Then, one mutant at a time, it copies `src/`, `tests/`,
 there and runs `python -m pytest -q -x` with `PYTHONPATH=src`.  A failing run
 (or one that exceeds TIMEOUT_S) kills the mutant.  It prints one line per
 mutant and exits 1 naming every survivor, 0 when all are killed.  Nothing is
-written into the repository.  About five minutes in all on a 2-vCPU
-machine, which is why it is not part of tier-1.
+written into the repository.  The 37 mutants take about 2.5 minutes in
+all on a 2-vCPU Intel Xeon machine, which is why it is not part of tier-1.
 
-Left out as equivalent: `>=` for `>` in the ascent's line search
-(`candidate_value > value` in `correction._ascend`).  It survives the suite
-and looks equivalent: the two differ only when a trial step leaves the
-fidelity unchanged to the last bit, which happens only at float resolution
-next to the maximum, where the gradient stop (norm below 1e-9) ends the
-ascent first.
+Left out as equivalent:
+
+- `>=` for `>` in the ascent's line search (`candidate_value > value` in
+  `correction._ascend`).  It survives the suite and looks equivalent: the two
+  differ only when a trial step leaves the fidelity unchanged to the last bit,
+  which happens only at float resolution next to the maximum, where the
+  gradient stop (norm below 1e-9) ends the ascent first.
+- `t.T @ v` for `t @ v` in `twirl.fidelity_curve_exact`.  Each f_tr(m) is
+  the scalar u^T T^m u, which equals its own transpose u^T (T^T)^m u, so
+  the curve is the same up to rounding.
 """
 
 from __future__ import annotations
@@ -173,6 +177,52 @@ MUTANTS = {
         "src/rblab/twirl.py",
         "        if low.size:\n            raise FitWindowError(",
         "        if False:\n            raise FitWindowError(",
+    ),
+    # the spectral core: the dominant eigenpair, its error operators and the curves
+    "right error operator from the right vector": (
+        "src/rblab/twirl.py",
+        "right_error_op=_fix_eigenop(left, pi, transpose=True),",
+        "right_error_op=_fix_eigenop(right, pi, transpose=True),",
+    ),
+    "decay amplitude with U^T": (
+        "src/rblab/twirl.py",
+        "hs_inner(us, self.left_error_op)",
+        "hs_inner(us.T, self.left_error_op)",
+    ),
+    "nondominant radius is the dominant one": (
+        "src/rblab/twirl.py",
+        "return float(np.abs(evals[order[1]]))",
+        "return float(np.abs(evals[order[0]]))",
+    ),
+    "order-m left block from the transpose": (
+        "src/rblab/twirl.py",
+        "vl = twirl.mat @ vl",
+        "vl = twirl.mat.T @ vl",
+    ),
+    "order-m right block without the transpose": (
+        "src/rblab/twirl.py",
+        "vr = twirl.mat.T @ vr",
+        "vr = twirl.mat @ vr",
+    ),
+    "error operators oriented against Pi_tr": (
+        "src/rblab/twirl.py",
+        "if hs_inner(pi, op) < 0:",
+        "if hs_inner(pi, op) > 0:",
+    ),
+    "exact curve one power short": (
+        "src/rblab/twirl.py",
+        "ftr = ftr_all[depths]",
+        "ftr = ftr_all[np.maximum(depths - 1, 0)]",
+    ),
+    "curve start without the traceless projector": (
+        "src/rblab/twirl.py",
+        "u_vec = vec(us.mat @ pi)",
+        "u_vec = vec(us.mat)",
+    ),
+    "dense-vs-power check off": (
+        "src/rblab/twirl.py",
+        "(lam is not None and abs(p - lam) > 1e-8 * scale)",
+        "(lam is not None and False)",
     ),
     # the scipy-free rotation vector
     "no w == 0 sign rule": (
