@@ -36,7 +36,6 @@ import numpy as np
 from . import __version__
 from .cliffords import (
     CliffordGroup,
-    GroupClosureError,
     generate_clifford_group,
     load_group,
     save_group,
@@ -124,7 +123,7 @@ def obtain_group(dim: int, cache: str | None) -> CliffordGroup:
     if cache is not None and Path(cache).exists():
         try:
             group = load_group(cache)
-        except (ValueError, GroupClosureError) as exc:
+        except ValueError as exc:
             raise ConfigError(
                 f"group cache {cache} is unusable, delete it to rebuild: {exc}"
             ) from exc
@@ -299,8 +298,6 @@ def cmd_correct(args) -> int:
     if result.rotation is not None:
         meta["rotation_angle"] = repr(result.rotation_angle)
         meta["rotation_axis"] = json.dumps([round(x, 12) for x in result.rotation_axis])
-    else:
-        meta["converged"] = result.converged
     meta["achieved_fidelity"] = repr(result.fidelity)
     meta["incoherence_defect"] = repr(incoherence_defect(result.corrected_block))
 
@@ -498,8 +495,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        CorrectionNotConvergedError, DegenerateSpectrumError, FitWindowError, GroupClosureError,
-        ImproperRotationError, SingularBlockError,
+        CorrectionNotConvergedError, DegenerateSpectrumError, FitWindowError, ImproperRotationError,
+        SingularBlockError,
     ) as exc:
         print(f"numerical regime error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

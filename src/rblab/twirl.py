@@ -10,7 +10,6 @@ yields the exact traceless-hyperplane fidelity of depth-m circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -71,19 +70,19 @@ def power_iteration(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarr
     """Dominant eigenpair by power iteration, to a 1e-12 Rayleigh-quotient step."""
     v = np.asarray(start, dtype=float).copy()
     v /= np.linalg.norm(v)
+    w = mat @ v
     lam = np.inf
     for _ in range(_POWER_MAXITER):
-        w = mat @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             raise DegenerateSpectrumError("power iteration collapsed to the null space")
-        v_new = w / norm
-        lam_new = float(v_new @ (mat @ v_new))
+        v = w / norm
+        w = mat @ v  # one matvec per step: the Rayleigh quotient, residual and next step share it
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= 1e-12 * max(1.0, abs(lam_new)):
-            resid = np.linalg.norm(mat @ v_new - lam_new * v_new)
-            if resid <= 1e-11 * max(1.0, abs(lam_new)):
-                return lam_new, v_new
-        lam, v = lam_new, v_new
+            if np.linalg.norm(w - lam_new * v) <= 1e-11 * max(1.0, abs(lam_new)):
+                return lam_new, v
+        lam = lam_new
     raise DegenerateSpectrumError(
         f"power iteration did not converge in {_POWER_MAXITER} iterations; "
         "dominant eigenvalue may be complex or degenerate"
@@ -142,14 +141,6 @@ class TwirlSpectrum:
     right_error_op: np.ndarray
     left_error_op: np.ndarray
     twirl: TwirlSuperop
-
-    @cached_property
-    def deflated(self) -> np.ndarray:
-        """The twirl with its dominant rank-1 part removed."""
-        t = self.twirl.mat
-        vr = vec(self.left_error_op)
-        vl = vec(self.right_error_op.T)
-        return t - self.p * np.outer(vr, vl) / float(vl @ vr)
 
     # -- basis expansion -----------------------------------------------------
 

@@ -17,8 +17,9 @@ from rblab.channels import (
     identity_superop,
     pauli_basis,
     unitary_to_superop,
+    vec,
 )
-from rblab.cliffords import CliffordGroup, compose_sequences
+from rblab.cliffords import CliffordGroup, compose_rows, compose_sequences
 from rblab.twirl import (
     TwirlSpectrum,
     build_twirl,
@@ -57,6 +58,46 @@ def find(group: CliffordGroup, mat: np.ndarray) -> int:
     """Index of the element with this signed-permutation transfer matrix; KeyError if absent."""
     row = np.rint(mat) @ np.arange(1, len(mat) + 1)
     return int(group.indices(row.astype(np.int8)[None])[0])
+
+
+def deflated(spectrum: TwirlSpectrum) -> np.ndarray:
+    """The twirl with its dominant rank-1 part removed."""
+    vr = vec(spectrum.left_error_op)
+    vl = vec(spectrum.right_error_op.T)
+    return spectrum.twirl.mat - spectrum.p * np.outer(vr, vl) / float(vl @ vr)
+
+
+def exact_rb_means(
+    group: CliffordGroup,
+    noisy_set: list[SuperOp],
+    depths,
+    rho: np.ndarray,
+    mu: np.ndarray,
+) -> np.ndarray:
+    """Exact mean survival of motion-reversal RB at each depth, by group convolution.
+
+    `a[h]` sums, over the sequences of k gates whose ideal product is h, their
+    noisy product applied to `rho`, divided by N^k: the last gate g leaves a
+    prefix of product g^-1 h, so `a_k[h] = (1/N) sum_g noisy(g) a_{k-1}[g^-1 h]`,
+    from `a_0[h] = [h = identity] rho`.  The depth-m mean survival is
+    `sum_h mu . noisy(h^-1) a_m[h]`.  `depths` must be increasing.
+    """
+    n_el = len(group)
+    inverses = group.table[group.inverse_table]
+    rows = compose_rows(inverses[:, None], group.table[None])  # [g, h] -> g^-1 h
+    quotient = group.indices(rows.reshape(-1, rows.shape[-1])).reshape(n_el, n_el)
+    noisy = np.stack([s.mat for s in noisy_set])
+    closing = noisy[group.inverse_table]
+    a = np.zeros((n_el, len(rho)))
+    a[0] = rho
+    done = 0
+    means = []
+    for m in depths:
+        for _ in range(m - done):
+            a = np.einsum("gij,ghj->hi", noisy, a[quotient]) / n_el
+        done = m
+        means.append(float(np.einsum("i,hij,hj->", mu, closing, a)))
+    return np.array(means)
 
 
 def infidelity(e: SuperOp, g: SuperOp | None = None) -> float:

@@ -276,7 +276,10 @@ class TestGroupCache:
 
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "swapped_rows", "old_format", "other_generators", "dim_vector", "dim_three"],
+        [
+            "truncated", "swapped_rows", "old_format", "other_generators", "other_order",
+            "dim_vector", "dim_three",
+        ],
     )
     def test_bad_cache_exits_2_and_is_kept(self, tmp_path, capsys, cache, damage):
         path = tmp_path / "g2.npz"
@@ -296,6 +299,13 @@ class TestGroupCache:
         elif damage == "other_generators":
             # the same tree read with x and y swapped
             fields["vias"][1:] = 1 - fields["vias"][1:]
+            np.savez(path, **fields)
+        elif damage == "other_order":
+            # siblings 12 and 13 swapped, with 12's child re-parented: a valid
+            # tree of the same group, in an order that changes RB's draws
+            swap = [*range(12), 13, 12, *range(14, 24)]
+            fields["table"], fields["vias"] = fields["table"][swap], fields["vias"][swap]
+            fields["parents"][20] = 12
             np.savez(path, **fields)
         elif damage == "dim_three":
             np.savez(path, **{**fields, "dim": 3})
@@ -364,10 +374,9 @@ class TestCorrect:
         assert main(["correct", "--config", str(cfg), "--out", str(tmp_path), "--group-cache", str(cache)]) == 0
         meta, _ = read_csv(tmp_path / "correct.csv")
         result = library_correction(cfg, load_group(cache))
-        assert meta["converged"] == "True"
         assert meta["achieved_fidelity"] == repr(result.fidelity)
         assert float(meta["incoherence_defect"]) == incoherence_defect(result.corrected_block)
-        assert "rotation_angle" not in meta
+        assert "rotation_angle" not in meta and "converged" not in meta
 
 
 def library_correction(config_path, group):

@@ -9,7 +9,6 @@ from rblab.channels import (
     unitary_to_superop,
 )
 from rblab.cliffords import (
-    GroupClosureError,
     compose_rows,
     load_group,
     save_group,
@@ -136,12 +135,12 @@ class TestCache:
         assert np.array_equal(loaded.inverse_table, group24.inverse_table)
 
     def test_load_rejects_a_tree_of_other_generators(self, group24, tmp_path):
-        # the same tree read with x and y swapped: the row check names the element
+        # the same tree read with x and y swapped: its bytes miss the pinned digest
         path = tmp_path / "g2.npz"
         vias = group24.vias.copy()
         vias[1:] = 1 - vias[1:]
         np.savez(path, dim=2, table=group24.table, parents=group24.parents, vias=vias)
-        with pytest.raises(GroupClosureError, match="is not generator"):
+        with pytest.raises(ValueError, match="not the breadth-first closure"):
             load_group(path)
 
 

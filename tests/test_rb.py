@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -11,11 +12,13 @@ from rblab.noise import NoiseModel, build_noisy_gateset, depolarizing
 from rblab.rb import (
     RBConfig,
     SurvivalTable,
+    _fit_profile,
     default_state,
     fit_decay,
     run_rb,
 )
-from reference import find
+from rblab.twirl import build_twirl, dominant_spectrum
+from reference import exact_rb_means, find
 
 
 class TestSpamVectors:
@@ -255,6 +258,56 @@ class TestFitAgainstIndependentRoutes:
             assert p_boot == pytest.approx(alone.p, abs=1e-9)
 
 
+def sequence_survival(group, noisy_set, idx, rho, mu):
+    """Survival of one motion-reversal sequence, one gate at a time."""
+    vec = rho
+    ideal = np.eye(group.dim ** 2)
+    for j in idx:
+        vec = noisy_set[j].mat @ vec
+        ideal = group.mats[j] @ ideal
+    vec = noisy_set[find(group, ideal.T)].mat @ vec
+    return mu @ vec
+
+
+def enumerated_mean(group, noisy_set, m, rho, mu):
+    """Mean survival over all N^m sequences of m gates."""
+    sequences = itertools.product(range(len(group)), repeat=m)
+    return sum(sequence_survival(group, noisy_set, idx, rho, mu) for idx in sequences) / len(group) ** m
+
+
+SPAM_CASES = {
+    "no_spam": {},
+    "spam": {"prep_noise": depolarizing(0.98), "meas_noise": depolarizing(0.97)},
+}
+
+
+class TestExactMeans:
+    """The mean survival in closed form, without sampling, on every shipped d=2 config."""
+
+    @pytest.fixture(params=[(n, s) for n in SHIPPED_D2 for s in SPAM_CASES], ids="-".join)
+    def case(self, request, group24):
+        name, spam = request.param
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 2), group24)
+        rho, mu = RBConfig(**SPAM_CASES[spam]).resolve(2)
+        return noisy, rho, mu
+
+    def test_convolution_matches_enumeration(self, group24, case):
+        noisy, rho, mu = case
+        exact = exact_rb_means(group24, noisy, [1, 2], rho, mu)
+        for m, mean in zip([1, 2], exact):
+            assert mean == pytest.approx(enumerated_mean(group24, noisy, m, rho, mu), abs=1e-12)
+
+    def test_fit_of_exact_means_gives_spectral_p(self, group24, case):
+        # from m = 10 the non-dominant part of the twirl (|lambda_2|/p <= 0.037) is below 1e-14
+        noisy, rho, mu = case
+        depths = np.arange(10, 65)
+        means = exact_rb_means(group24, noisy, depths, rho, mu)
+        _, _, p, at_bound = _fit_profile(depths, means[None])
+        assert not at_bound[0]
+        assert p[0] == pytest.approx(dominant_spectrum(build_twirl(group24, noisy)).p, abs=1e-10)
+
+
 def reference_run_rb(group, noisy_set, config):
     """Per-sequence loop: one gate at a time, one sequence at a time."""
     rho, mu = config.resolve(group.dim)
@@ -262,13 +315,7 @@ def reference_run_rb(group, noisy_set, config):
     for di, m in enumerate(config.depths):
         for k in range(config.sequences):
             idx = np.random.default_rng([config.seed, m, k]).integers(0, len(group), size=m)
-            vec = rho
-            ideal = np.eye(group.dim ** 2)
-            for j in idx:
-                vec = noisy_set[j].mat @ vec
-                ideal = group.mats[j] @ ideal
-            vec = noisy_set[find(group, ideal.T)].mat @ vec
-            table[k, di] = mu @ vec
+            table[k, di] = sequence_survival(group, noisy_set, idx, rho, mu)
     return table
 
 
