@@ -83,10 +83,6 @@ class SuperOp:
         return SuperOp(self.dim, self.mat @ other.mat)
 
 
-def identity_superop(dim: int) -> SuperOp:
-    return SuperOp(dim, np.eye(dim ** 2))
-
-
 def unitary_to_superop(u: np.ndarray) -> SuperOp:
     """Transfer matrix of conjugation by u, entries tr(P_j u P_k u')/d."""
     u = np.asarray(u, dtype=complex)
@@ -135,18 +131,3 @@ def traceless_projector(dim: int) -> np.ndarray:
     pi[0, 0] = 0.0
     pi.setflags(write=False)
     return pi
-
-
-def traceless_fidelity(e: SuperOp, g: SuperOp) -> float:
-    """Fidelity of e to g restricted to the traceless hyperplane."""
-    if e.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    n = e.dim ** 2 - 1
-    return float(np.sum(g.mat[:, 1:] * e.mat[:, 1:])) / n
-
-
-def avg_gate_fidelity(e: SuperOp, g: SuperOp) -> float:
-    """Average fidelity of channel e to target g, in [0, 1]."""
-    d = e.dim
-    return 1.0 / d + (d - 1.0) / d * traceless_fidelity(e, g)
-

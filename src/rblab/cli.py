@@ -1,24 +1,25 @@
 """Command-line front end: wires JSON configs to the library and emits CSV data.
 
-Each command reads its config through one `_Setup`, which builds the model,
-group, noisy set, spectrum and correction on first use, so the command only
-formats library results.  Accepted config values, anything else being a
-configuration error: dim 2 or 4 and seed an integer >= 0 (--dim and --seed
-override them); depths a non-empty list of integers, >= 0 for curve and
-correct and >= 1 with at least 3 distinct values for rb; sequences an
-integer >= 1; basis identity, corrected or corrected-squared; spam an object
-with optional prep and meas channels; max_depth an integer >= 1 for
-fig-delta and >= 10 for fig-pbloch, whose fits span m = 5..10; theta_grid
-[start, stop, num] with finite start and stop and an integer num >= 1;
-cz_epsilon a finite number.  Numbers are JSON numbers (not strings or
-booleans) and finite, and a list axis has a finite, non-zero norm; a key no
-command reads, at the top level, in spam, in the model or in a channel spec,
-is an error too.
+`main` builds one `_Setup` from the arguments and hands it to the command.
+The `_Setup` builds the model, group, noisy set, spectrum and correction on
+first use, so the command only formats library results.  Accepted config
+values, anything else being a configuration error: dim 2 or 4 and seed an
+integer >= 0 (--dim and --seed override them); depths a non-empty list of
+integers, >= 0 for curve and correct and >= 1 with at least 3 distinct
+values for rb; sequences an integer >= 1; basis identity, corrected or
+corrected-squared; spam an object with optional prep and meas channels;
+max_depth an integer >= 1 for fig-delta and >= 10 for fig-pbloch, whose fits
+span m = 5..10; theta_grid [start, stop, num] with finite start and stop and
+an integer num >= 1; cz_epsilon a finite number.  Numbers are JSON numbers
+(not strings or booleans) and finite, and a list axis has a finite, non-zero
+norm; a key no command reads, at the top level, in spam, in the model or in
+a channel spec, is an error too.
 
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
 the same manifest.  Exit codes: 0 success, 2 configuration error, 3 numerical
-regime error (e.g. a degenerate dominant eigenvalue, a correction whose ascent
+regime error, which is every `twirl.RegimeError` (e.g. a degenerate dominant
+eigenvalue, a singular or improper order-4 block, a correction whose ascent
 did not converge, or a fig-pbloch curve with F - 1/d <= 0 in its fit window).
 """
 
@@ -40,19 +41,13 @@ from .cliffords import (
     load_group,
     save_group,
 )
-from .correction import (
-    CorrectionResult,
-    ImproperRotationError,
-    SingularBlockError,
-    correct_spectrum,
-    incoherence_defect,
-)
+from .correction import CorrectionResult, correct_spectrum, incoherence_defect
 from .noise import ConfigError, NoiseModel, build_noisy_gateset, check_keys, field_channel, finite
 from .rb import RBConfig, fit_decay, run_rb
 from .twirl import (
-    DegenerateSpectrumError,
     FidelityCurve,
     FitWindowError,
+    RegimeError,
     TwirlSpectrum,
     build_twirl,
     dominant_spectrum,
@@ -64,7 +59,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class CorrectionNotConvergedError(RuntimeError):
+class CorrectionNotConvergedError(RegimeError):
     """The SU(d) ascent stopped at its iteration cap, so the command refuses its unitary."""
 
 
@@ -109,12 +104,6 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def model_from_config(cfg: dict, dim: int) -> NoiseModel:
-    if "model" not in cfg:
-        raise ConfigError("model: missing from config")
-    return NoiseModel.from_config(cfg["model"], dim)
-
-
 def model_summary(model: NoiseModel) -> str:
     return json.dumps({"kind": model.kind, **model.params}, sort_keys=True, default=str)
 
@@ -152,7 +141,7 @@ def _integer(name: str, value, minimum: int) -> int:
 
 
 class _Setup:
-    """The config, dim, seed and output directory that every command shares.
+    """The config, dim, seed, output directory and group cache that every command shares.
 
     The model (which a figure command may set first), group, noisy set,
     spectrum and correction are built on first use.
@@ -166,7 +155,7 @@ class _Setup:
         seed = args.seed if args.seed is not None else self.cfg.get("seed", 0)
         self.seed = _integer("seed", seed, 0)
         self.out = Path(args.out)
-        self._group_cache = args.group_cache
+        self.group_cache = args.group_cache
 
     def integer(self, key: str, default: int, minimum: int) -> int:
         return _integer(key, self.cfg.get(key, default), minimum)
@@ -183,11 +172,13 @@ class _Setup:
 
     @cached_property
     def model(self) -> NoiseModel:
-        return model_from_config(self.cfg, self.dim)
+        if "model" not in self.cfg:
+            raise ConfigError("model: missing from config")
+        return NoiseModel.from_config(self.cfg["model"], self.dim)
 
     @cached_property
     def group(self) -> CliffordGroup:
-        return obtain_group(self.dim, self._group_cache)
+        return obtain_group(self.dim, self.group_cache)
 
     @cached_property
     def noisy(self) -> list:
@@ -242,16 +233,14 @@ class _Setup:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_group(args) -> int:
-    s = _Setup(args)
+def cmd_gen_group(s: _Setup) -> int:
     print(f"group of {len(s.group)} elements (dim {s.dim})")
-    if args.group_cache:
-        print(f"cache: {args.group_cache}")
+    if s.group_cache:
+        print(f"cache: {s.group_cache}")
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    s = _Setup(args)
+def cmd_spectrum(s: _Setup) -> int:
     p = s.spectrum.p
     radius = nondominant_radius(s.spectrum.twirl)
     write_csv(
@@ -267,8 +256,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_curve(args) -> int:
-    s = _Setup(args)
+def cmd_curve(s: _Setup) -> int:
     depths = s.depths(list(range(1, 33)), minimum=0)
     basis_name = s.cfg.get("basis", "identity")
     curve = s.curve(basis_name, depths)
@@ -289,8 +277,7 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def cmd_correct(args) -> int:
-    s = _Setup(args)
+def cmd_correct(s: _Setup) -> int:
     depths = s.depths(list(range(1, 33)), minimum=0)
     result = s.correction
     p = s.spectrum.p
@@ -321,8 +308,7 @@ def cmd_correct(args) -> int:
     return 0
 
 
-def cmd_rb(args) -> int:
-    s = _Setup(args)
+def cmd_rb(s: _Setup) -> int:
     depths = s.depths([1, 2, 4, 8, 16, 32, 64, 128], minimum=1)
     if len(set(depths)) < 3:
         raise ConfigError(f"depths: expected at least 3 distinct depths to fit A p^m + B, got {depths!r}")
@@ -337,7 +323,7 @@ def cmd_rb(args) -> int:
         depths=tuple(depths), sequences=sequences, seed=s.seed, prep_noise=prep, meas_noise=meas
     )
     table = run_rb(s.group, s.noisy, rb_cfg)
-    fit = fit_decay(table, dim=s.dim)
+    fit = fit_decay(table)
 
     write_csv(
         s.output("rb_survival.csv"),
@@ -370,8 +356,7 @@ def cmd_rb(args) -> int:
     return 0
 
 
-def cmd_fig_delta(args) -> int:
-    s = _Setup(args)
+def cmd_fig_delta(s: _Setup) -> int:
     if "model" not in s.cfg:
         s.model = NoiseModel.z_tilt(0.1, cz_epsilon=0.1 if s.dim == 4 else 0.0)
     depths = range(1, s.integer("max_depth", 30, minimum=1) + 1)
@@ -394,8 +379,7 @@ def cmd_fig_delta(args) -> int:
     return 0
 
 
-def cmd_fig_pbloch(args) -> int:
-    s = _Setup(args)
+def cmd_fig_pbloch(s: _Setup) -> int:
     if "model" not in s.cfg:
         s.model = NoiseModel.over_rotation(0.1, cz_epsilon=0.1 if s.dim == 4 else None)
     # the log fits run over m = 5..10, so the curves must reach depth 10
@@ -426,8 +410,7 @@ def cmd_fig_pbloch(args) -> int:
     return 0
 
 
-def cmd_fig_basis(args) -> int:
-    s = _Setup(args)
+def cmd_fig_basis(s: _Setup) -> int:
     grid_cfg = s.cfg.get("theta_grid", [0.0, 0.3, 31])
     if not (isinstance(grid_cfg, list) and len(grid_cfg) == 3):
         raise ConfigError(f"theta_grid: expected [start, stop, num], got {grid_cfg!r}")
@@ -490,14 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_Setup(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        CorrectionNotConvergedError, DegenerateSpectrumError, FitWindowError, ImproperRotationError,
-        SingularBlockError,
-    ) as exc:
+    except RegimeError as exc:
         print(f"numerical regime error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

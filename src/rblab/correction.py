@@ -26,10 +26,10 @@ from .channels import (
 )
 from .cliffords import CliffordGroup
 from .noise import pulse
-from .twirl import TwirlSpectrum, order_m_error_blocks
+from .twirl import RegimeError, TwirlSpectrum, order_m_error_blocks
 
 
-class ImproperRotationError(RuntimeError):
+class ImproperRotationError(RegimeError):
     """The orthogonal polar factor has determinant -1.
 
     An improper factor cannot come from a high-fidelity channel; it signals
@@ -37,7 +37,7 @@ class ImproperRotationError(RuntimeError):
     """
 
 
-class SingularBlockError(ValueError):
+class SingularBlockError(RegimeError):
     """The right-error block is near-singular, so its polar split is undefined.
 
     A high-fidelity channel has a well-conditioned Bloch block; a singular one

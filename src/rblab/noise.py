@@ -23,7 +23,6 @@ from .channels import (
     SIGMA_Y,
     SIGMA_Z,
     SuperOp,
-    identity_superop,
     unitary_to_superop,
 )
 
@@ -199,8 +198,8 @@ def channel_from_spec(spec, dim: int) -> SuperOp:
     if isinstance(spec, (list, tuple)):
         if not spec:
             raise ConfigError("empty channel chain")
-        op = identity_superop(dim)
-        for item in spec:
+        op = channel_from_spec(spec[0], dim)
+        for item in spec[1:]:
             op = channel_from_spec(item, dim) @ op
         return op
     if not isinstance(spec, Mapping):
@@ -268,10 +267,6 @@ class NoiseModel:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def ideal() -> "NoiseModel":
-        return NoiseModel("ideal")
-
-    @staticmethod
     def over_rotation(epsilon: float, cz_epsilon: float | None = None) -> "NoiseModel":
         return NoiseModel(
             "over_rotation",
@@ -297,10 +292,6 @@ class NoiseModel:
     @staticmethod
     def conjugation(u) -> "NoiseModel":
         return NoiseModel("conjugation", {"unitary": u})
-
-    @staticmethod
-    def relabeling() -> "NoiseModel":
-        return NoiseModel("relabeling")
 
     @staticmethod
     def composite(factors, side: str = "right") -> "NoiseModel":

@@ -24,7 +24,11 @@ from .channels import (
 from .cliffords import CliffordGroup
 
 
-class DegenerateSpectrumError(RuntimeError):
+class RegimeError(RuntimeError):
+    """The input left the high-fidelity regime the analysis assumes; the CLI exits 3."""
+
+
+class DegenerateSpectrumError(RegimeError):
     """The dominant eigenvalue is complex or not isolated.
 
     The spectral analysis assumes the noisy set is a perturbation of the ideal
@@ -33,7 +37,7 @@ class DegenerateSpectrumError(RuntimeError):
     """
 
 
-class FitWindowError(RuntimeError):
+class FitWindowError(RegimeError):
     """A fidelity curve reaches 1/d inside a log fit's window, where its log is undefined."""
 
 
@@ -117,11 +121,8 @@ def _dense_starts(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return lam.real, _strip_phase(evecs[:, order[0]]), _strip_phase(evecs_l[:, idx])
 
 
-def _fix_eigenop(v: np.ndarray, pi: np.ndarray, transpose: bool) -> np.ndarray:
-    """Unvec, orient by positive overlap with Pi_tr, normalize to unit Frobenius."""
-    op = unvec(v)
-    if transpose:
-        op = op.T
+def _fix_eigenop(op: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Orient by positive overlap with Pi_tr, normalize to unit Frobenius."""
     if hs_inner(pi, op) < 0:
         op = -op
     return op / np.linalg.norm(op)
@@ -180,8 +181,8 @@ def dominant_spectrum(t: TwirlSuperop) -> TwirlSpectrum:
     return TwirlSpectrum(
         dim=t.dim,
         p=p,
-        right_error_op=_fix_eigenop(left, pi, transpose=True),
-        left_error_op=_fix_eigenop(right, pi, transpose=False),
+        right_error_op=_fix_eigenop(unvec(left).T, pi),
+        left_error_op=_fix_eigenop(unvec(right), pi),
         twirl=t,
     )
 
@@ -215,7 +216,7 @@ def order_m_error_blocks(twirl: TwirlSuperop, m: int) -> tuple[np.ndarray, np.nd
 class FidelityCurve:
     """Exact gate-set circuit fidelity over a depth grid for one target basis."""
 
-    basis: np.ndarray  # the d x d unitary fixing the target gate-set's frame
+    dim: int
     depths: np.ndarray
     fidelity: np.ndarray  # F at each depth
     traceless_fidelity: np.ndarray  # f_tr at each depth
@@ -230,9 +231,8 @@ class FidelityCurve:
         Returns the slope and the intercept A of F(m) = 1/d + (A - 1/d) exp(slope m).
         Raises FitWindowError if F(m) - 1/d <= 0 at a depth of the window.
         """
-        dim = self.basis.shape[0]
         mask = (self.depths >= lo) & (self.depths <= hi)
-        excess = self.fidelity[mask] - 1.0 / dim
+        excess = self.fidelity[mask] - 1.0 / self.dim
         low = self.depths[mask][excess <= 0]
         if low.size:
             raise FitWindowError(
@@ -240,7 +240,7 @@ class FidelityCurve:
             )
         y = np.log(excess)
         slope, intercept = np.polyfit(self.depths[mask].astype(float), y, 1)
-        return slope, 1.0 / dim + np.exp(intercept)
+        return slope, 1.0 / self.dim + np.exp(intercept)
 
 
 def fidelity_curve_exact(spectrum: TwirlSpectrum, basis_u: np.ndarray, depths) -> FidelityCurve:
@@ -270,7 +270,7 @@ def fidelity_curve_exact(spectrum: TwirlSpectrum, basis_u: np.ndarray, depths) -
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = np.where(np.abs(ftr) > 1e-13, ftr_all[depths + 1] / ftr - p, np.nan)
     return FidelityCurve(
-        basis=basis_u,
+        dim=dim,
         depths=depths,
         fidelity=1.0 / dim + (dim - 1.0) / dim * ftr,
         traceless_fidelity=ftr,

@@ -13,8 +13,6 @@ import numpy as np
 
 from rblab.channels import (
     SuperOp,
-    avg_gate_fidelity,
-    identity_superop,
     pauli_basis,
     unitary_to_superop,
     vec,
@@ -100,10 +98,24 @@ def exact_rb_means(
     return np.array(means)
 
 
+def traceless_fidelity(e: SuperOp, g: SuperOp) -> float:
+    """Fidelity of e to g restricted to the traceless hyperplane."""
+    if e.dim != g.dim:
+        raise ValueError("dimension mismatch")
+    n = e.dim ** 2 - 1
+    return float(np.sum(g.mat[:, 1:] * e.mat[:, 1:])) / n
+
+
+def avg_gate_fidelity(e: SuperOp, g: SuperOp) -> float:
+    """Average fidelity of channel e to target g, in [0, 1]."""
+    d = e.dim
+    return 1.0 / d + (d - 1.0) / d * traceless_fidelity(e, g)
+
+
 def infidelity(e: SuperOp, g: SuperOp | None = None) -> float:
     """1 - average fidelity; target defaults to the identity channel."""
     if g is None:
-        g = identity_superop(e.dim)
+        g = SuperOp(e.dim, np.eye(e.dim ** 2))
     return 1.0 - avg_gate_fidelity(e, g)
 
 
@@ -218,7 +230,7 @@ def verify_decay_law(
 
     match_residual = None
     if left_error is not None and right_error is not None:
-        lhs = avg_gate_fidelity(right_error @ left_error, identity_superop(group.dim))
+        lhs = avg_gate_fidelity(right_error @ left_error, SuperOp(group.dim, np.eye(group.dim ** 2)))
         rhs = fidelity_curve_exact(spectrum, basis_u, [1]).fidelity[0]
         match_residual = abs(lhs - rhs)
 

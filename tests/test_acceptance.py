@@ -67,7 +67,7 @@ def test_criterion_01_gate_independent_law():
 def test_criterion_02_relabeling_example():
     start = time.perf_counter()
     group = generate_clifford_group(2)
-    noisy, spectrum = spectrum_of(group, NoiseModel.relabeling())
+    noisy, spectrum = spectrum_of(group, NoiseModel("relabeling"))
     p_err = abs(spectrum.p - 1.0)
     curve = fidelity_curve_exact(spectrum, np.eye(2), range(1, 65))
     ftr_max = float(np.max(np.abs(curve.traceless_fidelity)))
@@ -285,7 +285,7 @@ def test_criterion_08_rb_matches_spectral_decay():
         ("over_rotation", NoiseModel.over_rotation(0.1), 43),
     ):
         noisy, spectrum = spectrum_of(group, model)
-        fit = fit_decay(run_rb(group, noisy, RBConfig(seed=seed)), dim=2)
+        fit = fit_decay(run_rb(group, noisy, RBConfig(seed=seed)))
         results[name] = (
             spectrum.p,
             fit.p_interval,

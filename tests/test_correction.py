@@ -11,10 +11,9 @@ from scipy.spatial.transform import Rotation
 from rblab.channels import (
     SuperOp,
     pauli_basis,
-    traceless_fidelity,
     unitary_to_superop,
 )
-from rblab.cli import load_config, model_from_config
+from rblab.cli import load_config
 from rblab.correction import (
     CorrectionResult,
     ImproperRotationError,
@@ -44,6 +43,7 @@ from reference import (
     infidelity,
     random_ascent_starts,
     random_unitary,
+    traceless_fidelity,
     verify_decay_law,
 )
 from test_twirl import perturbation_report
@@ -321,7 +321,7 @@ def d4_right_block(group, model):
 def d4_right_blocks(group11520):
     ztilt_cfg = load_config(str(CONFIG_DIR / "ztilt_d4.json"))
     return {
-        "ztilt_d4": d4_right_block(group11520, model_from_config(ztilt_cfg, 4)),
+        "ztilt_d4": d4_right_block(group11520, NoiseModel.from_config(ztilt_cfg["model"], 4)),
         "overrot_cz": d4_right_block(group11520, NoiseModel.over_rotation(0.1, cz_epsilon=0.1)),
     }
 

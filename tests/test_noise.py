@@ -193,7 +193,7 @@ class TestNoiseModels:
                 assert np.array_equal(gens[cz], expected)
 
     def test_ideal_model(self, group24):
-        noisy = build_noisy_gateset(NoiseModel.ideal(), group24)
+        noisy = build_noisy_gateset(NoiseModel("ideal"), group24)
         for mat, nz in zip(group24.mats, noisy):
             assert np.array_equal(nz.mat, mat)
 
@@ -262,12 +262,12 @@ class TestNoiseModels:
 
     def test_relabeling_is_exact_conjugation(self, group24):
         s = relabeling_channel()
-        noisy = build_noisy_gateset(NoiseModel.relabeling(), group24)
+        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
         for mat, nz in zip(group24.mats, noisy):
             assert np.array_equal(nz.mat, s.mat @ mat @ s.mat.T)
 
     def test_relabeling_motion_reversal_is_exact_identity(self, group24, rng):
-        noisy = build_noisy_gateset(NoiseModel.relabeling(), group24)
+        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
         for _ in range(20):
             idx = rng.integers(0, 24, size=6)
             ideal = np.eye(4)

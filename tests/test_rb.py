@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +32,12 @@ class TestSpamVectors:
 
 class TestRunRB:
     def test_ideal_gates_give_unit_survival(self, group24):
-        noisy = build_noisy_gateset(NoiseModel.ideal(), group24)
+        noisy = build_noisy_gateset(NoiseModel("ideal"), group24)
         table = run_rb(group24, noisy, RBConfig(depths=(1, 3, 9), sequences=20, seed=1))
         assert np.max(np.abs(table.survivals - 1.0)) < 1e-12
 
     def test_relabeling_survival_is_one(self, group24):
-        noisy = build_noisy_gateset(NoiseModel.relabeling(), group24)
+        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
         table = run_rb(
             group24, noisy, RBConfig(depths=(1, 2, 4, 8, 16, 32, 64), sequences=30, seed=5)
         )
@@ -92,7 +93,7 @@ class TestFitDecay:
         depths = np.array([1, 2, 4, 8, 16, 32, 64, 128])
         curve = 0.5 * 0.99 ** depths + 0.5
         table = SurvivalTable(depths=depths, survivals=np.tile(curve, (5, 1)), seed=1)
-        fit = fit_decay(table, dim=2, bootstrap=25)
+        fit = fit_decay(table, bootstrap=25)
         assert abs(fit.a - 0.5) < 1e-8
         assert abs(fit.b - 0.5) < 1e-8
         assert abs(fit.p - 0.99) < 1e-8
@@ -104,23 +105,23 @@ class TestFitDecay:
         truth = 0.5 * 0.97 ** depths + 0.5
         survivals = truth + rng.normal(scale=0.005, size=(200, depths.size))
         table = SurvivalTable(depths=depths, survivals=survivals, seed=77)
-        fit = fit_decay(table, dim=2)
+        fit = fit_decay(table)
         sigma = (fit.p_interval[1] - fit.p_interval[0]) / 4  # 95% interval ~ 4 sigma
         assert abs(fit.p - 0.97) <= 3 * sigma
 
     def test_relabeling_fit_finds_unit_decay(self, group24):
-        noisy = build_noisy_gateset(NoiseModel.relabeling(), group24)
+        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
         table = run_rb(
             group24, noisy, RBConfig(depths=(1, 2, 4, 8, 16, 32, 64), sequences=30, seed=5)
         )
-        fit = fit_decay(table, dim=2, bootstrap=50)
+        fit = fit_decay(table, bootstrap=50)
         assert abs(fit.p - 1.0) < 1e-6
 
     def test_flags_unphysical_decay(self):
         depths = np.array([1, 2, 4, 8])
         rising = np.tile(0.5 + 0.4 * 1.08 ** depths / 10, (4, 1))
         table = SurvivalTable(depths=depths, survivals=rising, seed=2)
-        fit = fit_decay(table, dim=2, bootstrap=10)
+        fit = fit_decay(table, bootstrap=10)
         assert fit.flagged
         assert "outside" in fit.message
 
@@ -133,13 +134,13 @@ class TestFitDecay:
 
     def test_spectral_p_inside_bootstrap_interval(self, group24, ztilt_noisy, ztilt_spectrum):
         table = run_rb(group24, ztilt_noisy, RBConfig(seed=42))
-        fit = fit_decay(table, dim=2)
+        fit = fit_decay(table)
         assert fit.p_interval[0] <= ztilt_spectrum.p <= fit.p_interval[1]
 
     def test_decay_parameter_spam_independent(self, group24, overrot_noisy, overrot_spectrum):
-        plain = fit_decay(run_rb(group24, overrot_noisy, RBConfig(seed=4)), dim=2)
+        plain = fit_decay(run_rb(group24, overrot_noisy, RBConfig(seed=4)))
         depol_meas = RBConfig(seed=4, meas_noise=depolarizing(0.9))
-        spam = fit_decay(run_rb(group24, overrot_noisy, depol_meas), dim=2)
+        spam = fit_decay(run_rb(group24, overrot_noisy, depol_meas))
         # same decay constant within the joint confidence region
         assert spam.p_interval[0] <= plain.p <= spam.p_interval[1]
         assert overrot_spectrum.p == pytest.approx(spam.p, abs=4 * (spam.p_interval[1] - spam.p_interval[0]))
@@ -209,7 +210,7 @@ class TestFitAgainstIndependentRoutes:
     """The profile fit is checked against curve_fit and a brute-force grid."""
 
     def check(self, table):
-        fit = fit_decay(table, dim=2, bootstrap=20)
+        fit = fit_decay(table, bootstrap=20)
         depths, means = table.depths, table.means
         ours = rss(depths, means, fit.a, fit.b, fit.p)
         a_cf, b_cf, p_cf = curve_fit_reference(depths, means)
@@ -247,7 +248,7 @@ class TestFitAgainstIndependentRoutes:
     def test_bootstrap_matches_per_resample_fits(self, group24):
         # reference: the resampled means drawn one depth at a time, each fitted alone
         table = shipped_table(group24, "overrotation_d2")
-        fit = fit_decay(table, dim=2, bootstrap=12)
+        fit = fit_decay(table, bootstrap=12)
         rng = np.random.default_rng(table.seed + 0x5EED)
         n_seq, n_depths = table.survivals.shape
         for p_boot in fit.bootstrap_p:
@@ -289,23 +290,47 @@ class TestExactMeans:
         name, spam = request.param
         cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 2), group24)
-        rho, mu = RBConfig(**SPAM_CASES[spam]).resolve(2)
-        return noisy, rho, mu
+        config = RBConfig(**SPAM_CASES[spam])
+        rho, mu = config.resolve(2)
+        return noisy, rho, mu, config
 
     def test_convolution_matches_enumeration(self, group24, case):
-        noisy, rho, mu = case
+        noisy, rho, mu, _ = case
         exact = exact_rb_means(group24, noisy, [1, 2], rho, mu)
         for m, mean in zip([1, 2], exact):
             assert mean == pytest.approx(enumerated_mean(group24, noisy, m, rho, mu), abs=1e-12)
 
     def test_fit_of_exact_means_gives_spectral_p(self, group24, case):
         # from m = 10 the non-dominant part of the twirl (|lambda_2|/p <= 0.037) is below 1e-14
-        noisy, rho, mu = case
+        noisy, rho, mu, _ = case
         depths = np.arange(10, 65)
         means = exact_rb_means(group24, noisy, depths, rho, mu)
         _, _, p, at_bound = _fit_profile(depths, means[None])
         assert not at_bound[0]
         assert p[0] == pytest.approx(dominant_spectrum(build_twirl(group24, noisy)).p, abs=1e-10)
+
+    def test_run_rb_means_within_sampling_error(self, group24, case):
+        # relabeling_d2 and depolarizing_left_d2 survive exactly, so their spread
+        # is rounding (about 4e-15) and only the 1e-12 floor bounds it
+        noisy, rho, mu, config = case
+        config = replace(config, depths=(1, 2, 8, 32), sequences=200, seed=11)
+        table = run_rb(group24, noisy, config)
+        stderr = table.survivals.std(axis=0, ddof=1) / np.sqrt(config.sequences)
+        exact = exact_rb_means(group24, noisy, config.depths, rho, mu)
+        assert np.all(np.abs(table.means - exact) <= 4 * stderr + 1e-12)
+
+    def test_d4_depth_one_mean_matches_run_rb(self, group11520):
+        # at m = 1 the mean needs no convolution step: (1/N) sum_h mu . noisy(h^-1) noisy(h) rho
+        cfg = json.loads((CONFIG_DIR / "ztilt_d4.json").read_text())
+        noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 4), group11520)
+        config = RBConfig(depths=(1,), sequences=2000, seed=19)
+        rho, mu = config.resolve(4)
+        mats = np.stack([s.mat for s in noisy])
+        exact = np.einsum("i,hij,hjk,k->", mu, mats[group11520.inverse_table], mats, rho) / len(mats)
+        assert exact == pytest.approx(0.9830524, abs=1e-7)
+        survivals = run_rb(group11520, noisy, config).survivals[:, 0]
+        stderr = survivals.std(ddof=1) / np.sqrt(survivals.size)
+        assert abs(survivals.mean() - exact) <= 4 * stderr
 
 
 def reference_run_rb(group, noisy_set, config):
@@ -346,7 +371,7 @@ class TestFitEdgeCases:
     def test_flat_data_gives_unit_decay(self):
         depths = np.array([1, 2, 4, 8, 16])
         table = SurvivalTable(depths=depths, survivals=np.full((6, 5), 0.8), seed=3)
-        fit = fit_decay(table, dim=2, bootstrap=20)
+        fit = fit_decay(table, bootstrap=20)
         assert fit.p == 1.0 and fit.a == 0.0
         assert fit.b == pytest.approx(0.8, abs=1e-15)
         assert fit.p_interval == (1.0, 1.0)
@@ -355,13 +380,13 @@ class TestFitEdgeCases:
     def test_rising_data_is_flagged_at_upper_bound(self):
         depths = np.array([1, 2, 4, 8, 16, 32])
         table = SurvivalTable(depths=depths, survivals=np.tile(0.6 + 0.01 * 1.05 ** depths, (5, 1)), seed=4)
-        fit = fit_decay(table, dim=2, bootstrap=10)
+        fit = fit_decay(table, bootstrap=10)
         assert fit.flagged and "outside" in fit.message
         assert fit.p == pytest.approx(1.02, abs=1e-6)
 
     def test_alternating_data_is_flagged_at_lower_bound(self):
         depths = np.array([1, 2, 3, 4, 5])
         table = SurvivalTable(depths=depths, survivals=np.tile(0.5 + 0.3 * (-0.6) ** depths, (5, 1)), seed=5)
-        fit = fit_decay(table, dim=2, bootstrap=10)
+        fit = fit_decay(table, bootstrap=10)
         assert fit.flagged and "outside" in fit.message
         assert fit.p == pytest.approx(0.0, abs=1e-6)

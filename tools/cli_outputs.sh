@@ -9,8 +9,8 @@
 # Starts with gen-group --dim 2 and --dim 4, which build the group caches in
 # OUTDIR/cache/ that every later run loads.  Then runs every configs/*.json
 # with spectrum, curve, correct and rb, then fig-delta, fig-pbloch and
-# fig-basis at --dim 2 and fig-delta and fig-basis at --dim 4 (about 4 s, the
-# slowest run), all with --seed 7: 35 runs.  Each run gets OUTDIR/<name>/
+# fig-basis at --dim 2 and at --dim 4 (fig-basis --dim 4, about 4 s, is the
+# slowest run), all with --seed 7: 36 runs.  Each run gets OUTDIR/<name>/
 # holding its output files and stdout.txt, stderr.txt and exit_code.txt.
 # The runs start in OUTDIR and pass --out and --group-cache as relative
 # paths, so no absolute path reaches what they print.  Nothing is written
@@ -49,5 +49,6 @@ done
 for command in fig-delta fig-pbloch fig-basis; do
     run "$command-d2" 2 "$command" --dim 2
 done
-run fig-delta-d4 4 fig-delta --dim 4
-run fig-basis-d4 4 fig-basis --dim 4
+for command in fig-delta fig-pbloch fig-basis; do
+    run "$command-d4" 4 "$command" --dim 4
+done
