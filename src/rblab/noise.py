@@ -23,6 +23,7 @@ from .channels import (
     SIGMA_Y,
     SIGMA_Z,
     SuperOp,
+    check_unitary,
     unitary_to_superop,
 )
 
@@ -359,10 +360,12 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
     if model.kind == "sandwich":
         return {"left": channel("left"), "right": channel("right")}
     if model.kind == "conjugation":
-        if isinstance(p.get("unitary"), SuperOp):
-            return {"u": channel("unitary")}
         if "unitary" in p:
+            frame = channel("unitary") if isinstance(p["unitary"], SuperOp) else None
             try:
+                if frame is not None:  # a conjugation's transfer matrix is orthogonal
+                    check_unitary(frame.mat)
+                    return {"u": frame}
                 u = np.asarray(p["unitary"])
                 if u.shape != (dim, dim):
                     raise ValueError(f"expected a {dim}x{dim} unitary matrix")

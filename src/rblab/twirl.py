@@ -56,13 +56,10 @@ def build_twirl(group: CliffordGroup, noisy_set: list[SuperOp]) -> TwirlSuperop:
             f"noisy set has {len(noisy_set)} elements, group has {len(group)}"
         )
     n = group.dim ** 2
-    # G Pi_tr is G with column 0 zeroed, done in place on one copy of the group's stack
-    ideal = group.mats.copy()
-    ideal[:, :, 0] = 0.0
-    ideal = ideal.reshape(len(group), n * n)
     noisy = np.stack([s.mat for s in noisy_set]).reshape(len(group), n * n)
-    # mean of kron(A_k, B_k) assembled from the (jk),(lm) moment matrix
-    moments = ideal.T @ noisy / len(group)
+    # mean of kron(G_k Pi_tr, B_k) from the (jk),(lm) moments: linear in G[j, k], so Pi_tr zeroes rows (j0)
+    moments = group.mats.reshape(len(group), n * n).T @ noisy / len(group)
+    moments.reshape(n, n, n * n)[:, 0] = 0.0
     t = moments.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return TwirlSuperop(group.dim, t)
 

@@ -180,6 +180,17 @@ class TestNoiseModels:
                 2,
             )
 
+    @pytest.mark.parametrize(
+        "frame", [depolarizing(0.9), amplitude_damping(0.3)], ids=["depolarizing", "amplitude_damping"]
+    )
+    def test_non_orthogonal_conjugation_frame_rejected(self, group24, frame):
+        # a SuperOp frame gets the unitarity check a matrix frame gets; a rotation still passes
+        with pytest.raises(ConfigError, match="model.unitary: matrix is not unitary"):
+            build_noisy_gateset(NoiseModel.conjugation(frame), group24)
+        u = rotation("x", 0.3)
+        noisy = build_noisy_gateset(NoiseModel.conjugation(u), group24)
+        assert np.array_equal(noisy[5].mat, u.mat @ group24.mats[5] @ u.mat.T)
+
     def test_null_cz_epsilon_means_absent(self, group11520):
         # left out or null, the CZ offset is 0 for z_tilt and epsilon for over_rotation
         cz = group11520.labels.index("cz")

@@ -296,8 +296,9 @@ class TestExactMeans:
 
     def test_convolution_matches_enumeration(self, group24, case):
         noisy, rho, mu, _ = case
-        exact = exact_rb_means(group24, noisy, [1, 2], rho, mu)
-        for m, mean in zip([1, 2], exact):
+        # all 24^3 = 13824 sequences at m = 3
+        exact = exact_rb_means(group24, noisy, [1, 2, 3], rho, mu)
+        for m, mean in zip([1, 2, 3], exact):
             assert mean == pytest.approx(enumerated_mean(group24, noisy, m, rho, mu), abs=1e-12)
 
     def test_fit_of_exact_means_gives_spectral_p(self, group24, case):

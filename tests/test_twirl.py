@@ -85,15 +85,28 @@ def make_sandwich(group, left, right):
 
 
 class TestBuildTwirl:
-    def test_ideal_noise_is_rank_one(self, group24):
-        noisy = build_noisy_gateset(NoiseModel("ideal"), group24)
-        t = build_twirl(group24, noisy)
+    @pytest.mark.parametrize("group_fixture", ["group24", "group11520"])
+    def test_ideal_noise_is_rank_one(self, request, group_fixture):
+        group = request.getfixturevalue(group_fixture)
+        noisy = build_noisy_gateset(NoiseModel("ideal"), group)
+        t = build_twirl(group, noisy)
         spectrum = dominant_spectrum(t)
         assert spectrum.p == pytest.approx(1.0, abs=1e-12)
         assert nondominant_radius(t) < 1e-10
-        pi_unit = traceless_projector(2) / np.sqrt(3)
+        pi_unit = traceless_projector(group.dim) / np.sqrt(group.dim ** 2 - 1)
         assert np.max(np.abs(spectrum.right_error_op - pi_unit)) < 1e-10
         assert np.max(np.abs(spectrum.left_error_op - pi_unit)) < 1e-10
+
+    def test_matches_literal_mean_of_krons(self, group24):
+        # the definition term by term, with a non-unital factor so column 0 of each noisy gate is not e0
+        factors = [
+            {"channel": "amplitude_damping", "gamma": 0.05},
+            {"channel": "rotation", "axis": "x", "angle": 0.1},
+        ]
+        noisy = build_noisy_gateset(NoiseModel.right(factors), group24)
+        pi = traceless_projector(2)
+        literal = sum(np.kron(g @ pi, nz.mat) for g, nz in zip(group24.mats, noisy)) / 24
+        assert np.max(np.abs(build_twirl(group24, noisy).mat - literal)) <= 1e-14
 
     def test_gate_independent_depolarizing_decay(self, group24):
         q = 0.97
