@@ -4,10 +4,11 @@ In the normalised Pauli basis every Clifford transfer matrix is a signed
 permutation, one +-1 per row (Gottesman, quant-ph/9807006).  The group stores
 element k as one int8 table row of length d^2 whose entry r is
 `sign * (col + 1)` for the +-1 at (r, col), so composing two elements is a
-gather and equality is exact.  Breadth-first closure gives each element its
-parent and the generator applied last, i.e. a minimal-length pulse sequence;
-the float transfer matrices are rebuilt by replaying those steps, and noise
-models replay them with imperfect generators.
+gather and equality is exact.  The entries at each qubit's X and Z rows fix the
+element (Aaronson and Gottesman, quant-ph/0406196); as digits, they are its key.
+Breadth-first closure gives each element its parent and the generator applied
+last, i.e. a minimal-length pulse sequence; replaying those steps rebuilds the
+float transfer matrices, and noise models replay them with imperfect generators.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ CLOSURE_DIGEST = {
     2: "a21cb590181578481d7f3f661a2f2a05677a41c089cc8bdeed3684f8233e8bfe",
     4: "ef33cff41bf2d9390a94ee877d4f83e5ae1603fe2de06e282faf6f2a2c7bcda1",
 }
+_KEY_ROWS = {2: [1, 3], 4: [4, 12, 1, 3]}  # the X and Z of each qubit in pauli_basis(dim)
+_KEY_SPACE = {dim: (2 * dim ** 2 + 1) ** len(at) for dim, at in _KEY_ROWS.items()}
 
 
 def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,10 +38,10 @@ def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.take_along_axis(b, cols, axis=-1) * np.sign(a)
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    raw = np.ascontiguousarray(rows, dtype=np.int8).tobytes()
-    step = rows.shape[-1]
-    return [raw[i:i + step] for i in range(0, len(raw), step)]
+def _keys(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Key of each table row: its X and Z entries, plus d^2, as base-(2 d^2 + 1) digits."""
+    digits = rows[..., _KEY_ROWS[dim]].astype(np.int64) + dim ** 2
+    return digits @ (2 * dim ** 2 + 1) ** np.arange(len(_KEY_ROWS[dim]))
 
 
 def _generator_rows(mats: np.ndarray) -> np.ndarray:
@@ -56,6 +59,8 @@ class CliffordGroup:
     its float transfer matrix; `generators` stacks the ideal generators'
     transfer matrices in label order.  The constructor checks the table
     exactly: its bytes, with parents and vias, hash to `CLOSURE_DIGEST[dim]`.
+    `indices` gathers by key from the read-only `_slot` (-1 where no element
+    has the key; 2.4 MB at d=4), then checks the rows found in full.
     Immutable; safe to share across threads.
     """
 
@@ -72,8 +77,9 @@ class CliffordGroup:
             raise ValueError(
                 f"group table is not the breadth-first closure of the dimension-{dim} generators"
             )
-        self._index = {key: k for k, key in enumerate(_row_keys(table))}
-        for arr in (table, parents, vias):
+        self._slot = np.full(_KEY_SPACE[dim], -1, dtype=np.int16)
+        self._slot[_keys(table, dim)] = np.arange(len(table))
+        for arr in (table, parents, vias, self._slot):
             arr.setflags(write=False)
         self.table, self.parents, self.vias = table, parents, vias
 
@@ -91,8 +97,11 @@ class CliffordGroup:
         return len(self.parents)
 
     def indices(self, rows: np.ndarray) -> np.ndarray:
-        """Element index of each table row in `rows` (shape `(k, d^2)`); KeyError if absent."""
-        return np.array([self._index[key] for key in _row_keys(rows)], dtype=np.int64)
+        """Element index of each row of `rows` (k, d^2) by key, checked in full; KeyError if absent."""
+        idx = self._slot.take(_keys(rows, self.dim), mode="clip").astype(np.int64)
+        if not np.array_equal(self.table[idx], rows):  # a non-member can share a member's key
+            raise KeyError("a row is not an element of the group")
+        return idx
 
     def replay(self, gens: np.ndarray) -> np.ndarray:
         """Every element's transfer matrix rebuilt from generator matrices in label order.
@@ -129,22 +138,20 @@ def generate_clifford_group(dim: int) -> CliffordGroup:
     """Breadth-first closure of the ideal generators under left multiplication.
 
     Candidates of one level are ordered parent first, then generator order,
-    and each is kept when its row is new.
+    and each is kept when its key is new.
     """
     gen_rows = _generator_rows(generator_mats(dim))
     n_gen, n = gen_rows.shape
     frontier = np.arange(1, n + 1, dtype=np.int8)[None]  # the identity
-    seen = {frontier.tobytes()}
+    seen = np.zeros(_KEY_SPACE[dim], dtype=bool)
     rows, parents, vias = [frontier], [np.array([-1])], [np.array([-1])]
     first = 0  # index of the frontier's first element
     while len(frontier):
+        seen[_keys(frontier, dim)] = True
         cands = compose_rows(gen_rows[None], frontier[:, None]).reshape(-1, n)
-        new = []
-        for c, key in enumerate(_row_keys(cands)):
-            if key not in seen:
-                seen.add(key)
-                new.append(c)
-        new = np.array(new, dtype=np.intp)
+        keys = _keys(cands, dim)
+        new = np.unique(keys, return_index=True)[1]  # first candidate of each key
+        new = np.sort(new[~seen[keys[new]]])
         parents.append(first + new // n_gen)
         vias.append(new % n_gen)
         first += len(frontier)

@@ -106,6 +106,19 @@ class TestIndices:
         with pytest.raises(KeyError):
             group.indices(row[None])
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_table_rows_index_themselves(self, group24, group11520, dim):
+        group = group24 if dim == 2 else group11520
+        assert np.array_equal(group.indices(group.table), np.arange(len(group)))
+
+    def test_row_with_no_element_key_raises_key_error(self, group11520):
+        # swapping X(x)I with X(x)X gives X and Z entries that no Clifford has:
+        # the slot is empty, unlike the key collisions above
+        row = np.arange(1, 17)
+        row[[4, 5]] = row[[5, 4]]
+        with pytest.raises(KeyError):
+            group11520.indices(row[None])
+
 
 class TestCZGenerator:
     def test_cz_pulse_matches_diagonal_unitary(self):

@@ -15,7 +15,7 @@ an N x N quotient table.  It then checks:
   standard errors.
 
 It prints one line per check and exits 1 naming every miss, 0 when all hold.
-The convolution step looks up 11520^2 products and takes about 80 s on a
+The convolution step looks up 11520^2 products and takes 30-40 s on a
 shared 2-vCPU machine, which is why it is not part of tier-1.
 """
 
