@@ -42,7 +42,7 @@ from .cliffords import (
     save_group,
 )
 from .correction import CorrectionResult, correct_spectrum, incoherence_defect
-from .noise import ConfigError, NoiseModel, build_noisy_gateset, check_keys, field_channel, finite
+from .noise import ConfigError, NoiseModel, NoisyGateSet, build_noisy_gateset, check_keys, field_channel, finite
 from .rb import RBConfig, fit_decay, run_rb
 from .twirl import (
     FidelityCurve,
@@ -181,7 +181,7 @@ class _Setup:
         return obtain_group(self.dim, self.group_cache)
 
     @cached_property
-    def noisy(self) -> list:
+    def noisy(self) -> NoisyGateSet:
         return build_noisy_gateset(self.model, self.group)
 
     @cached_property

@@ -20,12 +20,11 @@ from .channels import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    SuperOp,
     pauli_basis,
     unitary_to_superop,
 )
 from .cliffords import CliffordGroup
-from .noise import pulse
+from .noise import NoisyGateSet, pulse
 from .twirl import RegimeError, TwirlSpectrum, order_m_error_blocks
 
 
@@ -279,7 +278,7 @@ def incoherence_defect(block: np.ndarray) -> float:
 
 
 def correct_from_noisy_set(
-    group: CliffordGroup, noisy_set: list[SuperOp], spectrum: TwirlSpectrum
+    group: CliffordGroup, noisy_set: NoisyGateSet, spectrum: TwirlSpectrum
 ) -> np.ndarray:
     """Correction unitary from the order-4 right error of a noisy gate-set.
 

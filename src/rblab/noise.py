@@ -12,6 +12,7 @@ kinds compose fixed error channels around the ideal element.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -22,6 +23,7 @@ from .channels import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    STRUCT_TOL,
     SuperOp,
     check_unitary,
     unitary_to_superop,
@@ -388,8 +390,47 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
     return {}  # ideal
 
 
-def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> list[SuperOp]:
-    """Noisy transfer matrices, index-aligned with the ideal group."""
+@dataclass(frozen=True, eq=False)
+class NoisyGateSet:
+    """Noisy transfer matrices index-aligned with a group, as one read-only stack.
+
+    `mats` has shape `(N, d^2, d^2)`.  The constructor checks the whole stack
+    at once for what `SuperOp` checks one matrix at a time (real entries, the
+    shape, every first row within STRUCT_TOL of (1, 0, ..., 0)) and marks it
+    read-only.  It copies only an array that does not own its data, so a
+    writable base cannot alias the stack.  `noisy[k]` is element k as a
+    checked `SuperOp`.
+    """
+
+    dim: int
+    mats: np.ndarray
+
+    def __post_init__(self):
+        mats = self.mats
+        n = self.dim ** 2
+        if np.iscomplexobj(mats):
+            raise ValueError("transfer matrix entries must be real")
+        mats = np.asarray(mats, dtype=float)
+        if mats.ndim != 3 or mats.shape[1:] != (n, n):
+            raise ValueError(f"expected shape (N, {n}, {n}), got {mats.shape}")
+        row = np.zeros(n)
+        row[0] = 1.0
+        if np.max(np.abs(mats[:, 0] - row)) > STRUCT_TOL:
+            raise ValueError("first row deviates from trace preservation")
+        if not mats.flags.owndata:
+            mats = mats.copy()
+        mats.setflags(write=False)
+        object.__setattr__(self, "mats", mats)
+
+    def __len__(self) -> int:
+        return len(self.mats)
+
+    def __getitem__(self, k: int) -> SuperOp:
+        return SuperOp(self.dim, self.mats[operator.index(k)])
+
+
+def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> NoisyGateSet:
+    """Noisy transfer matrices, index-aligned with the ideal group, as one stack."""
     fixed = _resolve_errors(model, group.dim)
     mats = group.replay(fixed["gens"]) if "gens" in fixed else group.mats
     if "u" in fixed:  # conjugation and relabeling
@@ -398,4 +439,4 @@ def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> list[Super
         mats = mats @ fixed["right"].mat
     if "left" in fixed:
         mats = fixed["left"].mat @ mats
-    return [SuperOp(group.dim, m) for m in mats]
+    return NoisyGateSet(group.dim, mats)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .channels import SuperOp
 from .cliffords import CliffordGroup, compose_rows, compose_sequences
+from .noise import NoisyGateSet
 
 
 def default_state(dim: int) -> np.ndarray:
@@ -60,7 +61,7 @@ class SurvivalTable:
         return self.survivals.mean(axis=0)
 
 
-def run_rb(group: CliffordGroup, noisy_set: list[SuperOp], config: RBConfig) -> SurvivalTable:
+def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> SurvivalTable:
     """Sample motion-reversal circuits and record exact survival probabilities.
 
     All sequences of one depth are composed together, one batched matmul per
@@ -75,7 +76,7 @@ def run_rb(group: CliffordGroup, noisy_set: list[SuperOp], config: RBConfig) -> 
         raise ValueError("depths must be positive")
     if config.sequences < 1:
         raise ValueError("sequences must be positive")
-    noisy_mats = np.stack([s.mat for s in noisy_set])
+    noisy_mats = noisy_set.mats
     n_elems = len(group)
 
     table = np.empty((config.sequences, depths.size))

@@ -22,6 +22,7 @@ from .channels import (
     vec,
 )
 from .cliffords import CliffordGroup
+from .noise import NoisyGateSet
 
 
 class RegimeError(RuntimeError):
@@ -49,14 +50,14 @@ class TwirlSuperop:
     mat: np.ndarray
 
 
-def build_twirl(group: CliffordGroup, noisy_set: list[SuperOp]) -> TwirlSuperop:
-    """Arithmetic mean of kron(G Pi_tr, G_noisy) over the index-aligned sets."""
+def build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> TwirlSuperop:
+    """Arithmetic mean of kron(G Pi_tr, G_noisy) over the index-aligned stacks, read in place."""
     if len(noisy_set) != len(group):
         raise ValueError(
             f"noisy set has {len(noisy_set)} elements, group has {len(group)}"
         )
     n = group.dim ** 2
-    noisy = np.stack([s.mat for s in noisy_set]).reshape(len(group), n * n)
+    noisy = noisy_set.mats.reshape(len(group), n * n)
     # mean of kron(G_k Pi_tr, B_k) from the (jk),(lm) moments: linear in G[j, k], so Pi_tr zeroes rows (j0)
     moments = group.mats.reshape(len(group), n * n).T @ noisy / len(group)
     moments.reshape(n, n, n * n)[:, 0] = 0.0

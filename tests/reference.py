@@ -18,6 +18,7 @@ from rblab.channels import (
     vec,
 )
 from rblab.cliffords import CliffordGroup, compose_rows, compose_sequences
+from rblab.noise import NoisyGateSet
 from rblab.twirl import (
     TwirlSpectrum,
     build_twirl,
@@ -67,7 +68,7 @@ def deflated(spectrum: TwirlSpectrum) -> np.ndarray:
 
 def exact_rb_means(
     group: CliffordGroup,
-    noisy_set: list[SuperOp],
+    noisy_set: NoisyGateSet,
     depths,
     rho: np.ndarray,
     mu: np.ndarray,
@@ -84,7 +85,7 @@ def exact_rb_means(
     inverses = group.table[group.inverse_table]
     rows = compose_rows(inverses[:, None], group.table[None])  # [g, h] -> g^-1 h
     quotient = group.indices(rows.reshape(-1, rows.shape[-1])).reshape(n_el, n_el)
-    noisy = np.stack([s.mat for s in noisy_set])
+    noisy = noisy_set.mats
     closing = noisy[group.inverse_table]
     a = np.zeros((n_el, len(rho)))
     a[0] = rho
@@ -152,7 +153,7 @@ class MonteCarloCurve:
 
 def fidelity_curve_mc(
     group: CliffordGroup,
-    noisy_set: list[SuperOp],
+    noisy_set: NoisyGateSet,
     basis_u: np.ndarray,
     depths,
     samples: int,
@@ -164,7 +165,7 @@ def fidelity_curve_mc(
     depths = np.asarray(list(depths), dtype=int)
     basis_u = np.asarray(basis_u, dtype=complex)
     us = unitary_to_superop(basis_u).mat
-    noisy_mats = np.stack([s.mat for s in noisy_set])
+    noisy_mats = noisy_set.mats
     dim = group.dim
     n = dim ** 2 - 1
     eye = np.eye(dim ** 2)
@@ -201,7 +202,7 @@ class DecayLawReport:
 
 def verify_decay_law(
     group: CliffordGroup,
-    noisy_set: list[SuperOp],
+    noisy_set: NoisyGateSet,
     basis_u: np.ndarray,
     depths,
     envelope_const: float = 10.0,

@@ -230,7 +230,7 @@ class TestReplay:
     def test_noisy_replay_equals_per_element_products(self, group24, group11520, dim, model):
         group = group24 if dim == 2 else group11520
         gens = _resolve_errors(model, dim)["gens"]
-        noisy = np.stack([op.mat for op in build_noisy_gateset(model, group)])
+        noisy = build_noisy_gateset(model, group).mats
         assert np.array_equal(noisy, loop_replay(group, gens))
 
     @pytest.mark.parametrize("dim", [2, 4])

@@ -30,6 +30,7 @@ from rblab.correction import (
 )
 from rblab.noise import (
     NoiseModel,
+    NoisyGateSet,
     amplitude_damping,
     build_noisy_gateset,
     dephasing,
@@ -393,7 +394,7 @@ class TestGaugeCovariance:
         v = exp_i_pauli_sum(dim, 0.2 * np.random.default_rng(seed).normal(size=dim ** 2 - 1))
         s = unitary_to_superop(v).mat
         noisy = build_noisy_gateset(model, group)
-        moved = [SuperOp(dim, s @ g.mat @ s.T) for g in noisy]
+        moved = NoisyGateSet(dim, np.stack([s @ g @ s.T for g in noisy.mats]))
         base, result = cls.corrected_curve(group, noisy)
         gauged, moved_result = cls.corrected_curve(group, moved)
         assert result.converged and moved_result.converged
@@ -458,7 +459,7 @@ class TestVerifyDecayLaw:
     def test_sandwich_fixed_error_match(self, group24):
         left = depolarizing(0.999)
         right = rotation("y", 0.05)
-        noisy = [SuperOp(2, left.mat @ mat @ right.mat) for mat in group24.mats]
+        noisy = NoisyGateSet(2, np.stack([left.mat @ mat @ right.mat for mat in group24.mats]))
         spectrum = dominant_spectrum(build_twirl(group24, noisy))
         basis = correct_from_noisy_set(group24, noisy, spectrum=spectrum)
         report = verify_decay_law(
@@ -542,14 +543,12 @@ class TestHypothesisFailure:
         rot = rotation(axis, angle)
         dep = depolarizing(0.99)
         ideal = [SuperOp(2, mat) for mat in group24.mats]
-        conj_left = [
-            SuperOp(2, rot.mat @ dep.mat @ mat @ rot.mat.T)
-            for mat in group24.mats
-        ]
-        double_daggered = [
-            SuperOp(2, rot.mat.T @ dep.mat @ mat @ rot.mat.T)
-            for mat in group24.mats
-        ]
+        conj_left = NoisyGateSet(
+            2, np.stack([rot.mat @ dep.mat @ mat @ rot.mat.T for mat in group24.mats])
+        )
+        double_daggered = NoisyGateSet(
+            2, np.stack([rot.mat.T @ dep.mat @ mat @ rot.mat.T for mat in group24.mats])
+        )
         f1 = np.mean(
             [traceless_fidelity(nz, op) for nz, op in zip(conj_left, ideal)]
         )

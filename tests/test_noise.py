@@ -7,6 +7,7 @@ from rblab.channels import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    STRUCT_TOL,
     SuperOp,
     pauli_basis,
     traceless_projector,
@@ -16,6 +17,7 @@ from rblab.noise import (
     CZ_HAMILTONIAN,
     ConfigError,
     NoiseModel,
+    NoisyGateSet,
     _axis_vector,
     _resolve_errors,
     amplitude_damping,
@@ -331,3 +333,63 @@ class TestNoiseModels:
             lhs = mu @ total_noisy @ rho
             rhs = mu_rot @ total_ideal @ rho_rot
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("group_fixture", ["group24", "group11520"])
+class TestNoisyGateSet:
+    """One read-only stack, checked once for what `SuperOp` checks per matrix."""
+
+    @staticmethod
+    def ztilt(request, group_fixture):
+        group = request.getfixturevalue(group_fixture)
+        return group, build_noisy_gateset(NoiseModel.z_tilt(0.06, cz_epsilon=0.05), group)
+
+    def test_complex_stack_rejected(self, request, group_fixture):
+        group, noisy = self.ztilt(request, group_fixture)
+        with pytest.raises(ValueError, match="must be real"):
+            NoisyGateSet(group.dim, noisy.mats.astype(complex))
+
+    def test_wrong_shape_rejected(self, request, group_fixture):
+        group, noisy = self.ztilt(request, group_fixture)
+        other = 4 if group.dim == 2 else 2
+        for dim, mats in ((group.dim, noisy.mats[0]), (other, noisy.mats)):
+            with pytest.raises(ValueError, match="expected shape"):
+                NoisyGateSet(dim, mats)
+
+    def test_first_row_checked_on_every_element(self, request, group_fixture):
+        # the last element's trace row, off by 2 STRUCT_TOL, is refused; off by half of it, kept
+        group, noisy = self.ztilt(request, group_fixture)
+        for shift, refused in ((2 * STRUCT_TOL, True), (0.5 * STRUCT_TOL, False)):
+            mats = noisy.mats.copy()
+            mats[-1, 0, -1] += shift
+            if refused:
+                with pytest.raises(ValueError, match="trace preservation"):
+                    NoisyGateSet(group.dim, mats)
+            else:
+                assert NoisyGateSet(group.dim, mats)[-1].mat[0, -1] == shift
+
+    def test_stack_is_read_only(self, request, group_fixture):
+        group, noisy = self.ztilt(request, group_fixture)
+        with pytest.raises(ValueError, match="read-only"):
+            noisy.mats[1, 1, 1] = 0.0
+        ideal = build_noisy_gateset(NoiseModel("ideal"), group)
+        assert ideal.mats is group.mats  # the group's own read-only stack, not a copy
+
+    def test_view_is_copied(self, request, group_fixture):
+        # a view of a writable base is copied, so writing the base cannot reach the stack
+        group, noisy = self.ztilt(request, group_fixture)
+        base = noisy.mats.copy()
+        short = NoisyGateSet(group.dim, base[1:])
+        assert not np.shares_memory(short.mats, base)
+        base[1, 1, 1] = 7.0
+        assert np.array_equal(short.mats, noisy.mats[1:])
+
+    def test_length_and_elements(self, request, group_fixture):
+        group, noisy = self.ztilt(request, group_fixture)
+        assert len(noisy) == len(group)
+        for k in (0, 1, len(group) - 1):
+            op = noisy[k]
+            assert isinstance(op, SuperOp) and op.dim == group.dim
+            assert np.array_equal(op.mat, noisy.mats[k])
+        with pytest.raises(TypeError):
+            noisy[1:3]

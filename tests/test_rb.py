@@ -9,7 +9,7 @@ from scipy.optimize import curve_fit
 
 from rblab.channels import traceless_projector
 from rblab.cliffords import generate_clifford_group
-from rblab.noise import NoiseModel, build_noisy_gateset, depolarizing
+from rblab.noise import NoiseModel, NoisyGateSet, build_noisy_gateset, depolarizing
 from rblab.rb import (
     RBConfig,
     SurvivalTable,
@@ -81,7 +81,7 @@ class TestRunRB:
 
     def test_mismatched_sets_rejected(self, group24, ztilt_noisy):
         with pytest.raises(ValueError, match="index-aligned"):
-            run_rb(group24, ztilt_noisy[:-1], RBConfig())
+            run_rb(group24, NoisyGateSet(2, ztilt_noisy.mats[:-1]), RBConfig())
 
     def test_no_sequences_rejected(self, group24, ztilt_noisy):
         with pytest.raises(ValueError, match="sequences must be positive"):
@@ -326,7 +326,7 @@ class TestExactMeans:
         noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 4), group11520)
         config = RBConfig(depths=(1,), sequences=2000, seed=19)
         rho, mu = config.resolve(4)
-        mats = np.stack([s.mat for s in noisy])
+        mats = noisy.mats
         exact = np.einsum("i,hij,hjk,k->", mu, mats[group11520.inverse_table], mats, rho) / len(mats)
         assert exact == pytest.approx(0.9830524, abs=1e-7)
         survivals = run_rb(group11520, noisy, config).survivals[:, 0]

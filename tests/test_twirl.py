@@ -17,6 +17,7 @@ from rblab.channels import (
 from rblab.correction import correct_spectrum
 from rblab.noise import (
     NoiseModel,
+    NoisyGateSet,
     build_noisy_gateset,
     depolarizing,
     rotation,
@@ -81,7 +82,7 @@ def right_error_op_at(spectrum, m):
 
 
 def make_sandwich(group, left, right):
-    return [SuperOp(2, left.mat @ mat @ right.mat) for mat in group.mats]
+    return NoisyGateSet(2, np.stack([left.mat @ mat @ right.mat for mat in group.mats]))
 
 
 class TestBuildTwirl:
@@ -122,7 +123,7 @@ class TestBuildTwirl:
     def test_misaligned_lengths_rejected(self, group24):
         noisy = build_noisy_gateset(NoiseModel("ideal"), group24)
         with pytest.raises(ValueError, match="index-aligned|elements"):
-            build_twirl(group24, noisy[:-1])
+            build_twirl(group24, NoisyGateSet(2, noisy.mats[:-1]))
 
     def test_spectral_radius_at_most_one(self, group24, ztilt_noisy):
         t = build_twirl(group24, ztilt_noisy)
@@ -200,7 +201,7 @@ class TestGaugeInvariance:
     @staticmethod
     def gauge_shift(group, noisy, seed):
         s = unitary_to_superop(random_unitary(group.dim, np.random.default_rng(seed))).mat
-        moved = [SuperOp(group.dim, s @ g.mat @ s.T) for g in noisy]
+        moved = NoisyGateSet(group.dim, np.stack([s @ g @ s.T for g in noisy.mats]))
         p = dominant_spectrum(build_twirl(group, noisy)).p
         return dominant_spectrum(build_twirl(group, moved)).p - p
 

@@ -56,12 +56,11 @@ def main() -> int:
     cfg = json.loads((ROOT / "configs" / "ztilt_d4.json").read_text())
     group = generate_clifford_group(4)
     noisy_set = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 4), group)
-    noisy = np.stack([s.mat for s in noisy_set])
     config = RBConfig(depths=tuple(PINNED), sequences=SEQUENCES, seed=SEED)
     rho, mu = config.resolve(4)
 
     start = time.perf_counter()
-    exact = exact_means(group, noisy, rho, mu)
+    exact = exact_means(group, noisy_set.mats, rho, mu)
     print(f"convolution: {time.perf_counter() - start:.1f} s")
     survivals = run_rb(group, noisy_set, config).survivals
 
