@@ -3,12 +3,17 @@
 Sequences are sampled uniformly from the group, inverted through the ideal
 composition (exact lookup, then implemented with the noisy counterpart), and the
 survival probability <effect | noisy circuit | state> is recorded exactly; the
-only randomness is the sequence draw.  Each (depth, sequence) pair derives its
-own generator from the base seed, so results do not depend on execution order.
+only randomness is the sequence draw.  Sequence k at depth m holds exactly the
+indices `np.random.default_rng([seed, m, k]).integers(0, N, size=m)`, so results
+do not depend on execution order.  Those streams are computed for all sequences
+of a depth at once, by numpy's seeding, PCG64 and bounded-draw algorithms on
+uint64 arrays; the tests compare them with numpy itself, so a numpy release that
+changes the stream fails the suite rather than silently changing the survivals.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,11 +66,159 @@ class SurvivalTable:
         return self.survivals.mean(axis=0)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_M32 = np.uint64(0xFFFFFFFF)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The uint32 words SeedSequence reads from a non-negative int, low word first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed entries must be non-negative integers, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's running hash: each call mixes one uint32 array with the next constant."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ (out >> 16)
+
+
+def _seed_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(4, uint64) per row; entropy is uint32 columns."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return [words[i] | (words[i + 1] << 32) for i in range(0, 8, 2)]
+
+
+def _mul128(a, b):
+    """a * b mod 2^128, each a (hi, lo) pair of uint64 arrays."""
+    (ah, al), (bh, bl) = a, b
+    a1, a0, b1, b0 = al >> 32, al & _M32, bl >> 32, bl & _M32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + ah * bl + al * bh
+    return hi, (mid << 32) | (p00 & _M32)
+
+
+def _add128(a, b):
+    """a + b mod 2^128, each a (hi, lo) pair of uint64 arrays."""
+    (ah, al), (bh, bl) = a, b
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _limbs(values: list[int]):
+    """Python ints below 2^128 as a (hi, lo) pair of uint64 arrays."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64),
+    )
+
+
+def _step(state, inc):
+    """One PCG64 step: state * multiplier + inc."""
+    return _add128(_mul128(state, _limbs([_PCG_MULT])), inc)
+
+
+def _pcg_words(state, inc, start: int, stop: int) -> np.ndarray:
+    """32-bit words of PCG64 outputs start+1 .. stop of every row, low half first.
+
+    Output t is XSL-RR of the state t steps after `state`, which is
+    M^t state + (M^(t-1) + ... + M + 1) inc for the multiplier M, so all
+    outputs come from one pass over the rows.
+    """
+    mults, sums, a, c = [], [], 1, 0
+    for _ in range(stop):
+        a, c = a * _PCG_MULT % 2**128, (c * _PCG_MULT + 1) % 2**128
+        mults.append(a)
+        sums.append(c)
+    (sh, sl), (ih, il) = state, inc
+    hi, lo = _add128(
+        _mul128((sh[:, None], sl[:, None]), _limbs(mults[start:])),
+        _mul128((ih[:, None], il[:, None]), _limbs(sums[start:])),
+    )
+    rot = hi >> 58
+    out = hi ^ lo
+    out = (out >> rot) | (out << ((64 - rot) & 63))
+    return np.stack([out & _M32, out >> 32], axis=-1).reshape(len(out), -1)
+
+
+def _sequence_indices(seed: int, m: int, sequences: int, n: int) -> np.ndarray:
+    """Row k is `np.random.default_rng([seed, m, k]).integers(0, n, size=m)`, k < sequences.
+
+    All rows at once: SeedSequence mixes the uint32 words of seed, m and k;
+    PCG64 is seeded from its four uint64 words (state 0, inc = initseq<<1 | 1,
+    step, add initstate, step); numpy's buffered 32-bit draws take the low half
+    of each output first; Lemire's method maps a word w to w * n >> 32 and
+    rejects it when the low 32 bits of w * n fall below (2^32 - n) % n.  Each
+    row keeps its first m accepted words, and more are drawn only while a row
+    is short.
+    """
+    if not 2 <= n < 2**32:
+        raise ValueError(f"only 2 <= n < 2^32 draws are reproduced, got n={n}")
+    shared = _uint32_words(seed) + _uint32_words(m)  # the same in every row
+    entropy = [np.full(sequences, w, dtype=np.uint32) for w in shared]
+    entropy.append(np.arange(sequences, dtype=np.uint32))
+    s0, s1, s2, s3 = _seed_states(entropy)
+    inc = ((s2 << 1) | (s3 >> 63), (s3 << 1) | 1)
+    zero = np.zeros_like(s0)
+    state = _step((zero, zero), inc)
+    state = _step(_add128(state, (s0, s1)), inc)
+
+    threshold = (2**32 - n) % n
+    words = np.empty((sequences, 0), dtype=np.uint64)
+    drawn, short = 0, m
+    while short > 0:
+        more = -(-short // 2)
+        words = np.hstack([words, _pcg_words(state, inc, drawn, drawn + more)])
+        drawn += more
+        scaled = words * np.uint64(n)
+        accepted = (scaled & _M32) >= threshold
+        short = m - int(accepted.sum(axis=1).min())
+    first = np.argsort(~accepted, axis=1, kind="stable")[:, :m]
+    return (np.take_along_axis(scaled, first, axis=1) >> 32).astype(np.int64)
+
+
 def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> SurvivalTable:
     """Sample motion-reversal circuits and record exact survival probabilities.
 
-    All sequences of one depth are composed together, one batched matmul per
-    step; each sequence still draws from its own (seed, depth, index) generator.
+    All sequences of one depth are drawn and composed together, one batched
+    matmul per step.  Sequence k at depth m is exactly
+    `np.random.default_rng([seed, m, k]).integers(0, N, size=m)`; see
+    `_sequence_indices`.  A negative seed raises ValueError, as numpy does.
     """
     if len(noisy_set) != len(group):
         raise ValueError("noisy set is not index-aligned with the group")
@@ -81,13 +234,7 @@ def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> S
 
     table = np.empty((config.sequences, depths.size))
     for di, m in enumerate(depths.tolist()):
-        idx = np.array(
-            [
-                np.random.default_rng([config.seed, m, k]).integers(0, n_elems, size=m)
-                for k in range(config.sequences)
-            ],
-            dtype=np.int64,
-        ).reshape(config.sequences, m)
+        idx = _sequence_indices(config.seed, m, config.sequences, n_elems)
         vecs = compose_sequences(noisy_mats, idx, rho[:, None])
         ideal = group.table[idx[:, 0]]
         for j in range(1, m):

@@ -53,6 +53,17 @@ def random_ascent_starts(dim: int, seed: int) -> list[np.ndarray]:
     ]
 
 
+def sequence_draws(seed: int, m: int, sequences: int, n: int) -> np.ndarray:
+    """The RB sequence draw by numpy itself, one generator per sequence.
+
+    Row k is `np.random.default_rng([seed, m, k]).integers(0, n, size=m)`.
+    """
+    return np.array(
+        [np.random.default_rng([seed, m, k]).integers(0, n, size=m) for k in range(sequences)],
+        dtype=np.int64,
+    ).reshape(sequences, m)
+
+
 def find(group: CliffordGroup, mat: np.ndarray) -> int:
     """Index of the element with this signed-permutation transfer matrix; KeyError if absent."""
     row = np.rint(mat) @ np.arange(1, len(mat) + 1)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
 from rblab.channels import traceless_projector
@@ -14,12 +16,13 @@ from rblab.rb import (
     RBConfig,
     SurvivalTable,
     _fit_profile,
+    _sequence_indices,
     default_state,
     fit_decay,
     run_rb,
 )
 from rblab.twirl import build_twirl, dominant_spectrum
-from reference import exact_rb_means, find
+from reference import exact_rb_means, find, sequence_draws
 
 
 class TestSpamVectors:
@@ -339,10 +342,51 @@ def reference_run_rb(group, noisy_set, config):
     rho, mu = config.resolve(group.dim)
     table = np.empty((config.sequences, len(config.depths)))
     for di, m in enumerate(config.depths):
-        for k in range(config.sequences):
-            idx = np.random.default_rng([config.seed, m, k]).integers(0, len(group), size=m)
+        draws = sequence_draws(config.seed, m, config.sequences, len(group))
+        for k, idx in enumerate(draws):
             table[k, di] = sequence_survival(group, noisy_set, idx, rho, mu)
     return table
+
+
+class TestSequenceDraws:
+    """The vectorised draw against numpy's own per-sequence generators."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 70 - 1),
+        m=st.integers(min_value=1, max_value=130),
+        sequences=st.integers(min_value=1, max_value=40),
+        n=st.sampled_from([24, 11520]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_numpy_per_sequence(self, seed, m, sequences, n):
+        drawn = _sequence_indices(seed, m, sequences, n)
+        assert np.array_equal(drawn, sequence_draws(seed, m, sequences, n))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 70 - 1),
+        m=st.integers(min_value=8, max_value=130),
+        sequences=st.integers(min_value=8, max_value=40),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_numpy_under_heavy_rejection(self, seed, m, sequences):
+        # n = 2^31 + 1 rejects about half of all words, so rows run short and refill
+        n = 2 ** 31 + 1
+        drawn = _sequence_indices(seed, m, sequences, n)
+        assert np.array_equal(drawn, sequence_draws(seed, m, sequences, n))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+    @pytest.mark.parametrize("n", [2, 3, 2 ** 32 - 1])
+    def test_edge_bounds_and_seed_words(self, seed, n):
+        assert np.array_equal(_sequence_indices(seed, 9, 5, n), sequence_draws(seed, 9, 5, n))
+
+    @pytest.mark.parametrize("n", [1, 2 ** 32])
+    def test_unreproduced_bound_rejected(self, n):
+        with pytest.raises(ValueError, match="only 2 <= n < 2"):
+            _sequence_indices(0, 3, 4, n)
+
+    def test_negative_seed_rejected(self, group24, ztilt_noisy):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_rb(group24, ztilt_noisy, RBConfig(depths=(1, 2, 4), sequences=3, seed=-1))
 
 
 class TestBatchedSampler:

@@ -10,11 +10,12 @@
 # OUTDIR/cache/ that every later run loads.  Then runs every configs/*.json
 # with spectrum, curve, correct and rb, then fig-delta, fig-pbloch and
 # fig-basis at --dim 2 and at --dim 4 (fig-basis --dim 4, about 4 s, is the
-# slowest run), all with --seed 7: 36 runs.  Each run gets OUTDIR/<name>/
-# holding its output files and stdout.txt, stderr.txt and exit_code.txt.
-# The runs start in OUTDIR and pass --out and --group-cache as relative
-# paths, so no absolute path reaches what they print.  Nothing is written
-# into the repository.
+# slowest run), all with --seed 7.  Last, rb on configs/ztilt_d2.json with the
+# seed 2^64 + 5, whose three uint32 words all feed the sequence draw: 37 runs.
+# Each run gets OUTDIR/<name>/ holding its output files and stdout.txt,
+# stderr.txt and exit_code.txt.  The runs start in OUTDIR and pass --out and
+# --group-cache as relative paths, so no absolute path reaches what they
+# print.  Nothing is written into the repository.
 set -eu
 if [ $# -ne 1 ]; then
     echo "usage: $0 OUTDIR" >&2
@@ -31,11 +32,12 @@ run() {  # run NAME DIM COMMAND ARGS...
     shift 2
     mkdir -p "$name"
     code=0
-    python3 -m rblab.cli "$@" --out "$name" --seed 7 --group-cache "cache/g$dim.npz" \
+    python3 -m rblab.cli "$@" --out "$name" --seed "$seed" --group-cache "cache/g$dim.npz" \
         >"$name/stdout.txt" 2>"$name/stderr.txt" || code=$?
     echo "$code" >"$name/exit_code.txt"
 }
 
+seed=7
 run gen-group-d2 2 gen-group --dim 2
 run gen-group-d4 4 gen-group --dim 4
 
@@ -52,3 +54,5 @@ done
 for command in fig-delta fig-pbloch fig-basis; do
     run "$command-d4" 4 "$command" --dim 4
 done
+seed=18446744073709551621
+run ztilt_d2-rb-seed-2p64+5 2 rb --config "$root/configs/ztilt_d2.json"
