@@ -103,6 +103,28 @@ class CliffordGroup:
             raise KeyError("a row is not an element of the group")
         return idx
 
+    def products(self, idx: np.ndarray) -> np.ndarray:
+        """Element index of each row's product, the first column acting first.
+
+        The signed-slot table `L[g, v + d^2] = sign(v) table[g, |v| - 1] + d^2`
+        maps entry v of a product's row to that entry of the product times
+        element g, so the fold runs right to left from the identity rows, one
+        flat gather per column; the rows found go through `indices`.
+        """
+        n = self.dim ** 2
+        width = 2 * n + 1
+        slots = np.empty((len(self), width), dtype=np.int8)
+        slots[:, n + 1:] = self.table  # v > 0
+        slots[:, :n] = -self.table[:, ::-1]  # v < 0
+        slots[:, n] = 0  # v = 0 is never read
+        slots += np.int8(n)
+        slots = slots.ravel()
+        offsets = np.asarray(idx) * width
+        rows = np.broadcast_to(np.arange(n + 1, width), (len(offsets), n))
+        for j in range(offsets.shape[1] - 1, -1, -1):
+            rows = slots.take(offsets[:, j, None] + rows)
+        return self.indices(rows - np.int8(n))
+
     def replay(self, gens: np.ndarray) -> np.ndarray:
         """Every element's transfer matrix rebuilt from generator matrices in label order.
 

@@ -1,14 +1,17 @@
 """Motion-reversal benchmarking: sequence sampling, survival, and decay fitting.
 
 Sequences are sampled uniformly from the group, inverted through the ideal
-composition (exact lookup, then implemented with the noisy counterpart), and the
-survival probability <effect | noisy circuit | state> is recorded exactly; the
-only randomness is the sequence draw.  Sequence k at depth m holds exactly the
-indices `np.random.default_rng([seed, m, k]).integers(0, N, size=m)`, so results
-do not depend on execution order.  Those streams are computed for all sequences
-of a depth at once, by numpy's seeding, PCG64 and bounded-draw algorithms on
-uint64 arrays; the tests compare them with numpy itself, so a numpy release that
-changes the stream fails the suite rather than silently changing the survivals.
+composition (a signed-slot table gather per step, then implemented with the
+noisy counterpart), and the survival probability <effect | noisy circuit | state>
+is recorded exactly; the only randomness is the sequence draw.  Sequence k at
+depth m holds exactly the indices
+`np.random.default_rng([seed, m, k]).integers(0, N, size=m)`, so results do not
+depend on execution order or on the other depths of a run.  Those streams are
+computed by numpy's seeding, PCG64 and bounded-draw algorithms on uint64 arrays:
+every generator of a run is seeded in one pass, then each depth draws its
+indices at once.  The tests compare them with numpy itself, so a numpy release
+that changes the stream fails the suite rather than silently changing the
+survivals.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import SuperOp
-from .cliffords import CliffordGroup, compose_rows, compose_sequences
+from .cliffords import CliffordGroup, compose_sequences
 from .noise import NoisyGateSet
 
 
@@ -176,30 +179,16 @@ def _pcg_words(state, inc, start: int, stop: int) -> np.ndarray:
     return np.stack([out & _M32, out >> 32], axis=-1).reshape(len(out), -1)
 
 
-def _sequence_indices(seed: int, m: int, sequences: int, n: int) -> np.ndarray:
-    """Row k is `np.random.default_rng([seed, m, k]).integers(0, n, size=m)`, k < sequences.
+def _bounded_draws(state, inc, m: int, n: int) -> np.ndarray:
+    """`integers(0, n, size=m)` of the seeded PCG64 generator of every row.
 
-    All rows at once: SeedSequence mixes the uint32 words of seed, m and k;
-    PCG64 is seeded from its four uint64 words (state 0, inc = initseq<<1 | 1,
-    step, add initstate, step); numpy's buffered 32-bit draws take the low half
-    of each output first; Lemire's method maps a word w to w * n >> 32 and
-    rejects it when the low 32 bits of w * n fall below (2^32 - n) % n.  Each
-    row keeps its first m accepted words, and more are drawn only while a row
-    is short.
+    numpy's buffered 32-bit draws take the low half of each output first;
+    Lemire's method maps a word w to w * n >> 32 and rejects it when the low
+    32 bits of w * n fall below (2^32 - n) % n.  Each row keeps its first m
+    accepted words, and more are drawn only while a row is short.
     """
-    if not 2 <= n < 2**32:
-        raise ValueError(f"only 2 <= n < 2^32 draws are reproduced, got n={n}")
-    shared = _uint32_words(seed) + _uint32_words(m)  # the same in every row
-    entropy = [np.full(sequences, w, dtype=np.uint32) for w in shared]
-    entropy.append(np.arange(sequences, dtype=np.uint32))
-    s0, s1, s2, s3 = _seed_states(entropy)
-    inc = ((s2 << 1) | (s3 >> 63), (s3 << 1) | 1)
-    zero = np.zeros_like(s0)
-    state = _step((zero, zero), inc)
-    state = _step(_add128(state, (s0, s1)), inc)
-
     threshold = (2**32 - n) % n
-    words = np.empty((sequences, 0), dtype=np.uint64)
+    words = np.empty((len(state[0]), 0), dtype=np.uint64)
     drawn, short = 0, m
     while short > 0:
         more = -(-short // 2)
@@ -212,13 +201,61 @@ def _sequence_indices(seed: int, m: int, sequences: int, n: int) -> np.ndarray:
     return (np.take_along_axis(scaled, first, axis=1) >> 32).astype(np.int64)
 
 
+def _pcg_seeds(seed: int, depths: list[int], sequences: int):
+    """PCG64 (state, inc) of `default_rng([seed, m, k])` for each m in depths and k < sequences.
+
+    One pass over every row, depth-major: SeedSequence mixes the uint32 words
+    of seed, m and k, and PCG64 is seeded from its four uint64 words (state 0,
+    inc = initseq<<1 | 1, step, add initstate, step).  Rows are grouped by the
+    word count of m, which sets the entropy's length.
+    """
+    seed_words = _uint32_words(seed)
+    by_count: dict[int, list[int]] = {}
+    for i, m in enumerate(depths):
+        by_count.setdefault(len(_uint32_words(m)), []).append(i)
+    state = np.empty((2, len(depths) * sequences), dtype=np.uint64)
+    inc = np.empty_like(state)
+    for where in by_count.values():
+        rows = (np.array(where)[:, None] * sequences + np.arange(sequences)).ravel()
+        m_words = np.array([_uint32_words(depths[i]) for i in where], dtype=np.uint32)
+        entropy = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words]
+        entropy += [np.repeat(col, sequences) for col in m_words.T]
+        entropy.append(np.tile(np.arange(sequences, dtype=np.uint32), len(where)))
+        s0, s1, s2, s3 = _seed_states(entropy)
+        row_inc = ((s2 << 1) | (s3 >> 63), (s3 << 1) | 1)
+        zero = np.zeros_like(s0)
+        first = _step((zero, zero), row_inc)
+        state[:, rows] = _step(_add128(first, (s0, s1)), row_inc)
+        inc[:, rows] = row_inc
+    return state, inc
+
+
+def _sequence_indices(seed: int, depths: list[int], sequences: int, n: int) -> list[np.ndarray]:
+    """Entry i, row k is `np.random.default_rng([seed, depths[i], k]).integers(0, n, size=depths[i])`.
+
+    Every generator of the call is seeded at once by `_pcg_seeds`; the
+    bounded draws then run depth by depth, see `_bounded_draws`.
+    """
+    if not 2 <= n < 2**32:
+        raise ValueError(f"only 2 <= n < 2^32 draws are reproduced, got n={n}")
+    state, inc = _pcg_seeds(seed, depths, sequences)
+    draws = []
+    for i, m in enumerate(depths):
+        rows = slice(i * sequences, (i + 1) * sequences)
+        draws.append(_bounded_draws(state[:, rows], inc[:, rows], m, n))
+    return draws
+
+
 def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> SurvivalTable:
     """Sample motion-reversal circuits and record exact survival probabilities.
 
-    All sequences of one depth are drawn and composed together, one batched
-    matmul per step.  Sequence k at depth m is exactly
-    `np.random.default_rng([seed, m, k]).integers(0, N, size=m)`; see
-    `_sequence_indices`.  A negative seed raises ValueError, as numpy does.
+    Sequence k at depth m is exactly
+    `np.random.default_rng([seed, m, k]).integers(0, N, size=m)`; every
+    sequence of the run is drawn up front by `_sequence_indices`.  All
+    sequences of one depth are then composed together, one batched matmul per
+    step; their ideal products come from `CliffordGroup.products`, one
+    table gather per step; and the survivals are one batched dot with the
+    effect.  A negative seed raises ValueError, as numpy does.
     """
     if len(noisy_set) != len(group):
         raise ValueError("noisy set is not index-aligned with the group")
@@ -230,19 +267,14 @@ def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> S
     if config.sequences < 1:
         raise ValueError("sequences must be positive")
     noisy_mats = noisy_set.mats
-    n_elems = len(group)
 
+    draws = _sequence_indices(config.seed, depths.tolist(), config.sequences, len(group))
     table = np.empty((config.sequences, depths.size))
-    for di, m in enumerate(depths.tolist()):
-        idx = _sequence_indices(config.seed, m, config.sequences, n_elems)
+    for di, idx in enumerate(draws):
         vecs = compose_sequences(noisy_mats, idx, rho[:, None])
-        ideal = group.table[idx[:, 0]]
-        for j in range(1, m):
-            ideal = compose_rows(group.table[idx[:, j]], ideal)
-        inv = group.inverse_table[group.indices(ideal)]
-        vecs = noisy_mats[inv] @ vecs
-        # one 1-D dot per sequence: a batched product rounds differently
-        table[:, di] = [mu @ v for v in vecs[:, :, 0]]
+        vecs = noisy_mats[group.inverse_table[group.products(idx)]] @ vecs
+        # mu @ (k, n, 1) rounds like one 1-D dot per sequence; (k, n) @ mu does not
+        table[:, di] = (mu @ vecs)[:, 0]
     return SurvivalTable(depths=depths, survivals=table, seed=config.seed)
 
 
@@ -296,10 +328,6 @@ def _profile(depths: np.ndarray, y: np.ndarray, p: np.ndarray):
     return a, b, yc - a[..., None] * xc
 
 
-def _rss(depths: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return (_profile(depths, y, p)[2] ** 2).sum(axis=-1)
-
-
 def _fit_profile(depths: np.ndarray, y: np.ndarray):
     """Minimise the profile RSS(p) over _P_BOUNDS for every row of y at once.
 
@@ -319,24 +347,42 @@ def _fit_profile(depths: np.ndarray, y: np.ndarray):
     explained[:, sxx <= 0] = 0.0
     k = explained.argmax(axis=-1)  # lowest RSS = Syy - Sxy^2 / Sxx
 
+    # RSS(p) as _profile computes it, without B: y's centring, the depth-0
+    # mask and the error state are set once, and each mean is a sum over the
+    # depth count, which rounds like np.mean
+    count, zero = depths.size, np.flatnonzero(depths == 0)
+
+    def rss(p: np.ndarray) -> np.ndarray:
+        x1 = np.expm1(np.log(p)[:, None] * depths)
+        if zero.size:
+            x1[:, zero] = 0.0  # 0**0 == 1
+        xc = x1 - x1.sum(axis=-1, keepdims=True) / count
+        sxx = (xc * xc).sum(axis=-1)
+        sxy = (xc * yc).sum(axis=-1)
+        a = np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx > 0)
+        res = yc - a[:, None] * xc
+        return (res * res).sum(axis=-1)
+
     lo = grid[np.maximum(k - 1, 0)]
     hi = grid[np.minimum(k + 1, grid.size - 1)]
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    fc, fd = _rss(depths, y, c), _rss(depths, y, d)
     steps = int(np.ceil(np.log(_P_TOL / (2 * (grid[1] - grid[0]))) / np.log(_INV_PHI)))
-    for _ in range(steps):
-        left = fc < fd  # the minimum lies in [lo, d]
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        new = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        fnew = _rss(depths, y, new)
-        c, fc, d, fd = (
-            np.where(left, new, d),
-            np.where(left, fnew, fd),
-            np.where(left, c, new),
-            np.where(left, fc, fnew),
-        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fc, fd = rss(c), rss(d)
+        for _ in range(steps):
+            left = fc < fd  # the minimum lies in [lo, d]
+            hi = np.where(left, d, hi)
+            lo = np.where(left, lo, c)
+            step = _INV_PHI * (hi - lo)
+            new = np.where(left, hi - step, lo + step)
+            fnew = rss(new)
+            c, fc, d, fd = (
+                np.where(left, new, d),
+                np.where(left, fnew, fd),
+                np.where(left, c, new),
+                np.where(left, fc, fnew),
+            )
     p = np.where(fc < fd, c, d)
     at_bound = (p < lo_p + _BOUND_TOL) | (p > hi_p - _BOUND_TOL)
     a, b, _ = _profile(depths, y, p)
@@ -368,7 +414,10 @@ def fit_decay(
 
     For each p in [0, 1.02] the best A and B are closed-form, so the fit is
     a 1-D minimisation of RSS(p), done for the point estimate and every
-    bootstrap resample (sequences resampled within each depth) in one batch.
+    bootstrap resample (sequences resampled within each depth) in one batch:
+    a 1025-point grid brackets each row's minimum, and a golden-section
+    search that evaluates only RSS(p) narrows it to 1e-12; A and B are solved
+    once, at the final p.
     Means flat to 1e-12 identify no decay and give p = 1, A = 0.  A minimum
     on a bound of [0, 1.02] flags the result instead of raising.  `dim` is
     kept for callers; the fit does not use it.

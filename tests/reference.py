@@ -64,6 +64,95 @@ def sequence_draws(seed: int, m: int, sequences: int, n: int) -> np.ndarray:
     ).reshape(sequences, m)
 
 
+# The decay fit as it stood before its golden-section loop was trimmed to the
+# residual sum, kept verbatim as a bit-exact oracle for rb._fit_profile.
+_P_BOUNDS = (0.0, 1.02)
+_GRID_POINTS = 1025  # coarse p grid over _P_BOUNDS, spacing about 1e-3
+_P_TOL = 1e-12  # width of the final bracket on p
+_FLAT_TOL = 1e-12  # means within this range of each other carry no decay
+# A minimum this close to a bound sits on it.  Near p = 0 the profile is flat
+# to rounding (only the shortest depth still sees p^m), so the search stops
+# short of 0 instead of on it.
+_BOUND_TOL = 1e-6
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _powers_minus_one(p: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """p**m - 1 for each p (leading axes) and depth m (last axis), accurate near p = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1 = np.expm1(np.log(p)[..., None] * depths)
+    return np.where(depths == 0, 0.0, x1)  # 0**0 == 1
+
+
+def _profile(depths: np.ndarray, y: np.ndarray, p: np.ndarray):
+    """Least-squares A, B and residuals of y = A p^m + B, row by row at fixed p.
+
+    For a fixed p the model is linear in (A, B), so both follow in closed form.
+    At p = 0 or 1 (all p^m equal) A is not identifiable and is set to 0.
+    """
+    x1 = _powers_minus_one(p, depths)
+    xc = x1 - x1.mean(axis=-1, keepdims=True)
+    yc = y - y.mean(axis=-1, keepdims=True)
+    sxx = (xc * xc).sum(axis=-1)
+    sxy = (xc * yc).sum(axis=-1)
+    a = np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx > 0)
+    b = y.mean(axis=-1) - a * (1.0 + x1.mean(axis=-1))
+    return a, b, yc - a[..., None] * xc
+
+
+def _rss(depths: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return (_profile(depths, y, p)[2] ** 2).sum(axis=-1)
+
+
+def reference_fit_profile(depths: np.ndarray, y: np.ndarray):
+    """Minimise the profile RSS(p) over _P_BOUNDS for every row of y at once.
+
+    A coarse grid picks each row's bracket; golden-section search shrinks it
+    to _P_TOL.  Returns A, B, p and a mask of rows whose minimum sits on a
+    bound, that is whose least-squares p lies outside _P_BOUNDS.
+    """
+    lo_p, hi_p = _P_BOUNDS
+    grid = np.linspace(lo_p, hi_p, _GRID_POINTS)
+    xc = _powers_minus_one(grid, depths)
+    xc -= xc.mean(axis=-1, keepdims=True)
+    yc = y - y.mean(axis=-1, keepdims=True)
+    sxx = (xc * xc).sum(axis=-1)
+    explained = yc @ xc.T  # the largest array, so the rest works in place
+    np.square(explained, out=explained)
+    np.divide(explained, sxx, out=explained, where=sxx > 0)
+    explained[:, sxx <= 0] = 0.0
+    k = explained.argmax(axis=-1)  # lowest RSS = Syy - Sxy^2 / Sxx
+
+    lo = grid[np.maximum(k - 1, 0)]
+    hi = grid[np.minimum(k + 1, grid.size - 1)]
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = _rss(depths, y, c), _rss(depths, y, d)
+    steps = int(np.ceil(np.log(_P_TOL / (2 * (grid[1] - grid[0]))) / np.log(_INV_PHI)))
+    for _ in range(steps):
+        left = fc < fd  # the minimum lies in [lo, d]
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        new = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        fnew = _rss(depths, y, new)
+        c, fc, d, fd = (
+            np.where(left, new, d),
+            np.where(left, fnew, fd),
+            np.where(left, c, new),
+            np.where(left, fc, fnew),
+        )
+    p = np.where(fc < fd, c, d)
+    at_bound = (p < lo_p + _BOUND_TOL) | (p > hi_p - _BOUND_TOL)
+    a, b, _ = _profile(depths, y, p)
+    flat = np.ptp(y, axis=-1) <= _FLAT_TOL
+    return (
+        np.where(flat, 0.0, a),
+        np.where(flat, y.mean(axis=-1), b),
+        np.where(flat, 1.0, p),
+        at_bound & ~flat,
+    )
+
+
 def find(group: CliffordGroup, mat: np.ndarray) -> int:
     """Index of the element with this signed-permutation transfer matrix; KeyError if absent."""
     row = np.rint(mat) @ np.arange(1, len(mat) + 1)

@@ -120,6 +120,24 @@ class TestIndices:
             group11520.indices(row[None])
 
 
+class TestProducts:
+    """The signed-slot fold of `products` against a `compose_rows` fold."""
+
+    @pytest.mark.parametrize("m", [1, 2, 33])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_matches_compose_rows_fold(self, group24, group11520, dim, m):
+        group = group24 if dim == 2 else group11520
+        rng = np.random.default_rng([dim, m])
+        idx = rng.integers(0, len(group), size=(40, m))
+        idx[:3] = 0  # identities only
+        idx[np.arange(3, 13), rng.integers(0, m, size=10)] = 0  # one identity among others
+        ideal = group.table[idx[:, 0]]
+        for j in range(1, m):
+            ideal = compose_rows(group.table[idx[:, j]], ideal)
+        assert np.array_equal(group.products(idx), group.indices(ideal))
+        assert np.array_equal(group.products(idx[:3]), np.zeros(3))
+
+
 class TestCZGenerator:
     def test_cz_pulse_matches_diagonal_unitary(self):
         # oracle: the Hamiltonian is diagonal, so exponentiate entrywise

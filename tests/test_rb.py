@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
@@ -16,13 +16,14 @@ from rblab.rb import (
     RBConfig,
     SurvivalTable,
     _fit_profile,
+    _pcg_seeds,
     _sequence_indices,
     default_state,
     fit_decay,
     run_rb,
 )
 from rblab.twirl import build_twirl, dominant_spectrum
-from reference import exact_rb_means, find, sequence_draws
+from reference import exact_rb_means, find, reference_fit_profile, sequence_draws
 
 
 class TestSpamVectors:
@@ -359,7 +360,7 @@ class TestSequenceDraws:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_numpy_per_sequence(self, seed, m, sequences, n):
-        drawn = _sequence_indices(seed, m, sequences, n)
+        drawn = _sequence_indices(seed, [m], sequences, n)[0]
         assert np.array_equal(drawn, sequence_draws(seed, m, sequences, n))
 
     @given(
@@ -371,22 +372,68 @@ class TestSequenceDraws:
     def test_matches_numpy_under_heavy_rejection(self, seed, m, sequences):
         # n = 2^31 + 1 rejects about half of all words, so rows run short and refill
         n = 2 ** 31 + 1
-        drawn = _sequence_indices(seed, m, sequences, n)
+        drawn = _sequence_indices(seed, [m], sequences, n)[0]
         assert np.array_equal(drawn, sequence_draws(seed, m, sequences, n))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 70 - 1),
+        depths=st.lists(st.integers(min_value=1, max_value=70), min_size=1, max_size=6),
+        sequences=st.integers(min_value=1, max_value=20),
+        n=st.sampled_from([24, 11520, 2 ** 31 + 1]),
+    )
+    @example(seed=2 ** 64 + 5, depths=[33, 1, 33, 2], sequences=7, n=24)
+    @settings(max_examples=30, deadline=None)
+    def test_every_depth_of_a_tuple_matches_numpy(self, seed, depths, sequences, n):
+        # one call seeds every (depth, k) row; repeats and any order are allowed
+        drawn = _sequence_indices(seed, depths, sequences, n)
+        assert len(drawn) == len(depths)
+        for m, idx in zip(depths, drawn):
+            assert np.array_equal(idx, sequence_draws(seed, m, sequences, n))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 70 - 1),
+        depths=st.lists(
+            st.integers(min_value=1, max_value=200) | st.integers(min_value=1, max_value=2 ** 70),
+            min_size=1,
+            max_size=5,
+        ),
+        sequences=st.integers(min_value=1, max_value=6),
+    )
+    @example(seed=3, depths=[2 ** 32, 5, 2 ** 64 + 1, 2 ** 32 - 1], sequences=3)
+    @settings(max_examples=30, deadline=None)
+    def test_seeding_matches_numpy_across_word_counts(self, seed, depths, sequences):
+        # a depth of 2^32 or more adds a word to the entropy, so its rows seed
+        # in a group of their own; no such depth can be drawn, but it can be seeded
+        state, inc = _pcg_seeds(seed, depths, sequences)
+        rows = itertools.product(depths, range(sequences))
+        for row, (m, k) in enumerate(rows):
+            want = np.random.default_rng([seed, m, k]).bit_generator.state["state"]
+            assert int(state[0, row]) << 64 | int(state[1, row]) == want["state"]
+            assert int(inc[0, row]) << 64 | int(inc[1, row]) == want["inc"]
 
     @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
     @pytest.mark.parametrize("n", [2, 3, 2 ** 32 - 1])
     def test_edge_bounds_and_seed_words(self, seed, n):
-        assert np.array_equal(_sequence_indices(seed, 9, 5, n), sequence_draws(seed, 9, 5, n))
+        assert np.array_equal(_sequence_indices(seed, [9], 5, n)[0], sequence_draws(seed, 9, 5, n))
 
     @pytest.mark.parametrize("n", [1, 2 ** 32])
     def test_unreproduced_bound_rejected(self, n):
         with pytest.raises(ValueError, match="only 2 <= n < 2"):
-            _sequence_indices(0, 3, 4, n)
+            _sequence_indices(0, [3], 4, n)
 
     def test_negative_seed_rejected(self, group24, ztilt_noisy):
         with pytest.raises(ValueError, match="non-negative"):
             run_rb(group24, ztilt_noisy, RBConfig(depths=(1, 2, 4), sequences=3, seed=-1))
+
+    def test_depth_column_independent_of_the_other_depths(self, group24, ztilt_noisy):
+        def column(depths, col):
+            config = RBConfig(depths=depths, sequences=15, seed=2 ** 64 + 5)
+            return run_rb(group24, ztilt_noisy, config).survivals[:, col].tobytes()
+
+        alone = column((9,), 0)
+        assert column((1, 9, 30), 1) == alone  # with other depths
+        assert column((30, 2, 9), 2) == alone  # reordered
+        assert column((9, 4, 9), 0) == alone == column((9, 4, 9), 2)  # twice
 
 
 class TestBatchedSampler:
@@ -410,6 +457,46 @@ class TestBatchedSampler:
         config = RBConfig(depths=(1, 3, 6), sequences=6, seed=19)
         table = run_rb(group, noisy, config)
         assert np.array_equal(table.survivals, reference_run_rb(group, noisy, config))
+
+    def test_d4_with_spam_and_multiword_seed_matches_per_sequence_loop(self, group11520):
+        noisy = build_noisy_gateset(NoiseModel.over_rotation(0.05), group11520)
+        spam = {"prep_noise": depolarizing(0.98, 4), "meas_noise": depolarizing(0.97, 4)}
+        config = RBConfig(depths=(4, 1, 7), sequences=5, seed=2 ** 64 + 5, **spam)
+        table = run_rb(group11520, noisy, config)
+        assert np.array_equal(table.survivals, reference_run_rb(group11520, noisy, config))
+
+
+class TestFitOracle:
+    """`_fit_profile` against the verbatim fit before its loop was trimmed: the same bits."""
+
+    CURVES = {
+        "decay": lambda p, depths: 0.5 * p ** depths + 0.5,
+        "flat": lambda p, depths: np.full(depths.size, 0.8),
+        "rising": lambda p, depths: 0.6 + 0.01 * 1.05 ** depths,  # pinned at 1.02
+        "alternating": lambda p, depths: 0.5 + 0.3 * (-0.6) ** depths,  # pinned at 0
+    }
+
+    @given(
+        rows=st.sampled_from([1, 201]),
+        kind=st.sampled_from(sorted(CURVES)),
+        zero_depth=st.booleans(),
+        p=st.floats(min_value=0.3, max_value=0.99999),
+        noise=st.sampled_from([1e-6, 1e-3, 3e-2]),
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_exact_against_reference(self, rows, kind, zero_depth, p, noise, seed):
+        depths = np.array([0, 1, 2, 4, 8, 16, 32] if zero_depth else [1, 2, 4, 8, 16, 32, 64])
+        curve = self.CURVES[kind](p, depths)
+        y = curve + np.random.default_rng(seed).normal(scale=noise, size=(rows, depths.size))
+        y[0] = curve  # row 0 noise-free: flat, or on a bound, for those kinds
+        got, want = _fit_profile(depths, y), reference_fit_profile(depths, y)
+        for name, ours, theirs in zip(("A", "B", "p", "at_bound"), got, want):
+            assert np.array_equal(ours, theirs), name
+        if kind in ("rising", "alternating"):
+            assert want[3][0]
+        if kind == "flat":
+            assert want[2][0] == 1.0 and want[0][0] == 0.0
 
 
 class TestFitEdgeCases:
