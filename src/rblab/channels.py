@@ -50,6 +50,25 @@ def check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
         raise ValueError(f"matrix is not unitary: orthogonality defect {defect:.3e}")
 
 
+def checked_transfer(mats, dim: int, ndim: int) -> np.ndarray:
+    """`mats` as a float array of `ndim` axes, the last two a d^2 x d^2 transfer matrix.
+
+    Raises ValueError unless the entries are real and every first row is
+    (1, 0, ..., 0) within STRUCT_TOL, that is every matrix preserves trace.
+    """
+    n = dim ** 2
+    if np.iscomplexobj(mats):
+        raise ValueError("transfer matrix entries must be real")
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim != ndim or mats.shape[-2:] != (n, n):
+        raise ValueError(f"expected shape ({'N, ' * (ndim - 2)}{n}, {n}), got {mats.shape}")
+    row = np.zeros(n)
+    row[0] = 1.0
+    if np.max(np.abs(mats[..., 0, :] - row)) > STRUCT_TOL:
+        raise ValueError("first row deviates from trace preservation")
+    return mats
+
+
 @dataclass(frozen=True)
 class SuperOp:
     """Trace-preserving channel in the normalized Pauli basis.
@@ -62,18 +81,7 @@ class SuperOp:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = self.mat
-        n = self.dim ** 2
-        if np.iscomplexobj(mat):
-            raise ValueError("transfer matrix entries must be real")
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (n, n):
-            raise ValueError(f"expected shape {(n, n)}, got {mat.shape}")
-        row = np.zeros(n)
-        row[0] = 1.0
-        if np.max(np.abs(mat[0] - row)) > STRUCT_TOL:
-            raise ValueError("first row deviates from trace preservation")
-        mat = mat.copy()
+        mat = checked_transfer(self.mat, self.dim, 2).copy()
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 

@@ -5,11 +5,11 @@ The `_Setup` builds the model, group, noisy set, spectrum and correction on
 first use, so the command only formats library results.  Accepted config
 values, anything else being a configuration error: dim 2 or 4 and seed an
 integer >= 0 (--dim and --seed override them); depths a non-empty list of
-integers, >= 0 for curve and correct and >= 1 with at least 3 distinct
-values for rb; sequences an integer >= 1; basis identity, corrected or
-corrected-squared; spam an object with optional prep and meas channels;
-max_depth an integer >= 1 for fig-delta and >= 10 for fig-pbloch, whose fits
-span m = 5..10; theta_grid [start, stop, num] with finite start and stop and
+integers, >= 0 for curve and correct and, for rb, >= 1 and below 2^32 with
+at least 3 distinct values; sequences an integer >= 1; basis identity,
+corrected or corrected-squared; spam an object with optional prep and meas
+channels; max_depth an integer >= 1 for fig-delta and >= 10 for fig-pbloch,
+whose fits span m = 5..10; theta_grid [start, stop, num] with finite start and stop and
 an integer num >= 1; cz_epsilon a finite number.  Numbers are JSON numbers
 (not strings or booleans) and finite, and a list axis has a finite, non-zero
 norm; a key no command reads, at the top level, in spam, in the model or in
@@ -312,6 +312,8 @@ def cmd_rb(s: _Setup) -> int:
     depths = s.depths([1, 2, 4, 8, 16, 32, 64, 128], minimum=1)
     if len(set(depths)) < 3:
         raise ConfigError(f"depths: expected at least 3 distinct depths to fit A p^m + B, got {depths!r}")
+    if max(depths) >= 2**32:
+        raise ConfigError(f"depths: expected every depth below 2^32, got {max(depths)}")
     sequences = s.integer("sequences", 200, minimum=1)
     spam = {} if s.cfg.get("spam") is None else s.cfg["spam"]
     if not isinstance(spam, dict):

@@ -23,9 +23,9 @@ from .channels import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    STRUCT_TOL,
     SuperOp,
     check_unitary,
+    checked_transfer,
     unitary_to_superop,
 )
 
@@ -395,8 +395,7 @@ class NoisyGateSet:
     """Noisy transfer matrices index-aligned with a group, as one read-only stack.
 
     `mats` has shape `(N, d^2, d^2)`.  The constructor checks the whole stack
-    at once for what `SuperOp` checks one matrix at a time (real entries, the
-    shape, every first row within STRUCT_TOL of (1, 0, ..., 0)) and marks it
+    at once with `SuperOp`'s check, `channels.checked_transfer`, and marks it
     read-only.  It copies only an array that does not own its data, so a
     writable base cannot alias the stack.  `noisy[k]` is element k as a
     checked `SuperOp`.
@@ -406,17 +405,7 @@ class NoisyGateSet:
     mats: np.ndarray
 
     def __post_init__(self):
-        mats = self.mats
-        n = self.dim ** 2
-        if np.iscomplexobj(mats):
-            raise ValueError("transfer matrix entries must be real")
-        mats = np.asarray(mats, dtype=float)
-        if mats.ndim != 3 or mats.shape[1:] != (n, n):
-            raise ValueError(f"expected shape (N, {n}, {n}), got {mats.shape}")
-        row = np.zeros(n)
-        row[0] = 1.0
-        if np.max(np.abs(mats[:, 0] - row)) > STRUCT_TOL:
-            raise ValueError("first row deviates from trace preservation")
+        mats = checked_transfer(self.mats, self.dim, 3)
         if not mats.flags.owndata:
             mats = mats.copy()
         mats.setflags(write=False)

@@ -4,7 +4,7 @@ Sequences are sampled uniformly from the group, inverted through the ideal
 composition (a signed-slot table gather per step, then implemented with the
 noisy counterpart), and the survival probability <effect | noisy circuit | state>
 is recorded exactly; the only randomness is the sequence draw.  Sequence k at
-depth m holds exactly the indices
+depth m, each depth below 2^32, holds exactly the indices
 `np.random.default_rng([seed, m, k]).integers(0, N, size=m)`, so results do not
 depend on execution order or on the other depths of a run.  Those streams are
 computed by numpy's seeding, PCG64 and bounded-draw algorithms on uint64 arrays:
@@ -83,11 +83,7 @@ def _uint32_words(value: int) -> list[int]:
     value = operator.index(value)
     if value < 0:
         raise ValueError(f"seed entries must be non-negative integers, got {value}")
-    words = [value & 0xFFFFFFFF]
-    while value >> 32:
-        value >>= 32
-        words.append(value & 0xFFFFFFFF)
-    return words
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hasher(init: int, mult: int):
@@ -156,22 +152,22 @@ def _step(state, inc):
     return _add128(_mul128(state, _limbs([_PCG_MULT])), inc)
 
 
-def _pcg_words(state, inc, start: int, stop: int) -> np.ndarray:
-    """32-bit words of PCG64 outputs start+1 .. stop of every row, low half first.
+def _pcg_words(state, inc, count: int) -> np.ndarray:
+    """32-bit words of the first `count` PCG64 outputs of every row, low half first.
 
     Output t is XSL-RR of the state t steps after `state`, which is
     M^t state + (M^(t-1) + ... + M + 1) inc for the multiplier M, so all
     outputs come from one pass over the rows.
     """
     mults, sums, a, c = [], [], 1, 0
-    for _ in range(stop):
+    for _ in range(count):
         a, c = a * _PCG_MULT % 2**128, (c * _PCG_MULT + 1) % 2**128
         mults.append(a)
         sums.append(c)
     (sh, sl), (ih, il) = state, inc
     hi, lo = _add128(
-        _mul128((sh[:, None], sl[:, None]), _limbs(mults[start:])),
-        _mul128((ih[:, None], il[:, None]), _limbs(sums[start:])),
+        _mul128((sh[:, None], sl[:, None]), _limbs(mults)),
+        _mul128((ih[:, None], il[:, None]), _limbs(sums)),
     )
     rot = hi >> 58
     out = hi ^ lo
@@ -185,16 +181,13 @@ def _bounded_draws(state, inc, m: int, n: int) -> np.ndarray:
     numpy's buffered 32-bit draws take the low half of each output first;
     Lemire's method maps a word w to w * n >> 32 and rejects it when the low
     32 bits of w * n fall below (2^32 - n) % n.  Each row keeps its first m
-    accepted words, and more are drawn only while a row is short.
+    accepted words; while a row is short, all rows draw again with more words.
     """
     threshold = (2**32 - n) % n
-    words = np.empty((len(state[0]), 0), dtype=np.uint64)
-    drawn, short = 0, m
+    count, short = 0, m
     while short > 0:
-        more = -(-short // 2)
-        words = np.hstack([words, _pcg_words(state, inc, drawn, drawn + more)])
-        drawn += more
-        scaled = words * np.uint64(n)
+        count += -(-short // 2)
+        scaled = _pcg_words(state, inc, count) * np.uint64(n)
         accepted = (scaled & _M32) >= threshold
         short = m - int(accepted.sum(axis=1).min())
     first = np.argsort(~accepted, axis=1, kind="stable")[:, :m]
@@ -205,29 +198,18 @@ def _pcg_seeds(seed: int, depths: list[int], sequences: int):
     """PCG64 (state, inc) of `default_rng([seed, m, k])` for each m in depths and k < sequences.
 
     One pass over every row, depth-major: SeedSequence mixes the uint32 words
-    of seed, m and k, and PCG64 is seeded from its four uint64 words (state 0,
-    inc = initseq<<1 | 1, step, add initstate, step).  Rows are grouped by the
-    word count of m, which sets the entropy's length.
+    of seed, then m and k as one word each (every depth is below 2^32), and
+    PCG64 is seeded from its four uint64 words (state 0, inc = initseq<<1 | 1,
+    step, add initstate, step).
     """
-    seed_words = _uint32_words(seed)
-    by_count: dict[int, list[int]] = {}
-    for i, m in enumerate(depths):
-        by_count.setdefault(len(_uint32_words(m)), []).append(i)
-    state = np.empty((2, len(depths) * sequences), dtype=np.uint64)
-    inc = np.empty_like(state)
-    for where in by_count.values():
-        rows = (np.array(where)[:, None] * sequences + np.arange(sequences)).ravel()
-        m_words = np.array([_uint32_words(depths[i]) for i in where], dtype=np.uint32)
-        entropy = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words]
-        entropy += [np.repeat(col, sequences) for col in m_words.T]
-        entropy.append(np.tile(np.arange(sequences, dtype=np.uint32), len(where)))
-        s0, s1, s2, s3 = _seed_states(entropy)
-        row_inc = ((s2 << 1) | (s3 >> 63), (s3 << 1) | 1)
-        zero = np.zeros_like(s0)
-        first = _step((zero, zero), row_inc)
-        state[:, rows] = _step(_add128(first, (s0, s1)), row_inc)
-        inc[:, rows] = row_inc
-    return state, inc
+    entropy = [np.full(len(depths) * sequences, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy.append(np.repeat(np.array(depths, dtype=np.uint32), sequences))
+    entropy.append(np.tile(np.arange(sequences, dtype=np.uint32), len(depths)))
+    s0, s1, s2, s3 = _seed_states(entropy)
+    inc = ((s2 << 1) | (s3 >> 63), (s3 << 1) | 1)
+    zero = np.zeros_like(s0)
+    first = _step((zero, zero), inc)
+    return np.array(_step(_add128(first, (s0, s1)), inc)), np.array(inc)
 
 
 def _sequence_indices(seed: int, depths: list[int], sequences: int, n: int) -> list[np.ndarray]:
@@ -238,6 +220,8 @@ def _sequence_indices(seed: int, depths: list[int], sequences: int, n: int) -> l
     """
     if not 2 <= n < 2**32:
         raise ValueError(f"only 2 <= n < 2^32 draws are reproduced, got n={n}")
+    if any(m >= 2**32 for m in depths):
+        raise ValueError(f"only depths below 2^32 are reproduced, got {max(depths)}")
     state, inc = _pcg_seeds(seed, depths, sequences)
     draws = []
     for i, m in enumerate(depths):
@@ -305,70 +289,55 @@ _BOUND_TOL = 1e-6
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _powers_minus_one(p: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    """p**m - 1 for each p (leading axes) and depth m (last axis), accurate near p = 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x1 = np.expm1(np.log(p)[..., None] * depths)
-    return np.where(depths == 0, 0.0, x1)  # 0**0 == 1
-
-
-def _profile(depths: np.ndarray, y: np.ndarray, p: np.ndarray):
-    """Least-squares A, B and residuals of y = A p^m + B, row by row at fixed p.
-
-    For a fixed p the model is linear in (A, B), so both follow in closed form.
-    At p = 0 or 1 (all p^m equal) A is not identifiable and is set to 0.
-    """
-    x1 = _powers_minus_one(p, depths)
-    xc = x1 - x1.mean(axis=-1, keepdims=True)
-    yc = y - y.mean(axis=-1, keepdims=True)
-    sxx = (xc * xc).sum(axis=-1)
-    sxy = (xc * yc).sum(axis=-1)
-    a = np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx > 0)
-    b = y.mean(axis=-1) - a * (1.0 + x1.mean(axis=-1))
-    return a, b, yc - a[..., None] * xc
-
-
 def _fit_profile(depths: np.ndarray, y: np.ndarray):
     """Minimise the profile RSS(p) over _P_BOUNDS for every row of y at once.
 
-    A coarse grid picks each row's bracket; golden-section search shrinks it
-    to _P_TOL.  Returns A, B, p and a mask of rows whose minimum sits on a
-    bound, that is whose least-squares p lies outside _P_BOUNDS.
+    For a fixed p the model y = A p^m + B is linear in (A, B), so both follow
+    in closed form; at p = 0 or 1 (all p^m equal) A is not identifiable and
+    is set to 0.  A coarse grid picks each row's bracket; golden-section
+    search, which evaluates only RSS(p), shrinks it to _P_TOL.  Returns A, B,
+    p and a mask of rows whose minimum sits on a bound, that is whose
+    least-squares p lies outside _P_BOUNDS.
     """
     lo_p, hi_p = _P_BOUNDS
-    grid = np.linspace(lo_p, hi_p, _GRID_POINTS)
-    xc = _powers_minus_one(grid, depths)
-    xc -= xc.mean(axis=-1, keepdims=True)
-    yc = y - y.mean(axis=-1, keepdims=True)
-    sxx = (xc * xc).sum(axis=-1)
-    explained = yc @ xc.T  # the largest array, so the rest works in place
-    np.square(explained, out=explained)
-    np.divide(explained, sxx, out=explained, where=sxx > 0)
-    explained[:, sxx <= 0] = 0.0
-    k = explained.argmax(axis=-1)  # lowest RSS = Syy - Sxy^2 / Sxx
-
-    # RSS(p) as _profile computes it, without B: y's centring, the depth-0
-    # mask and the error state are set once, and each mean is a sum over the
-    # depth count, which rounds like np.mean
     count, zero = depths.size, np.flatnonzero(depths == 0)
+    yc = y - y.mean(axis=-1, keepdims=True)
 
-    def rss(p: np.ndarray) -> np.ndarray:
-        x1 = np.expm1(np.log(p)[:, None] * depths)
+    def centred(p: np.ndarray):
+        """p^m - 1 for each p (rows) and depth m, centred over the depths, and its mean."""
+        x1 = np.expm1(np.log(p)[:, None] * depths)  # accurate near p = 1
         if zero.size:
             x1[:, zero] = 0.0  # 0**0 == 1
-        xc = x1 - x1.sum(axis=-1, keepdims=True) / count
+        mean = x1.sum(axis=-1, keepdims=True) / count  # rounds like np.mean
+        return x1 - mean, mean[:, 0]
+
+    def slope(p: np.ndarray):
+        """Least-squares A at each row's p, with the centred p^m - 1 and its mean."""
+        xc, mean = centred(p)
         sxx = (xc * xc).sum(axis=-1)
         sxy = (xc * yc).sum(axis=-1)
-        a = np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx > 0)
+        return np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx > 0), xc, mean
+
+    def rss(p: np.ndarray) -> np.ndarray:
+        a, xc, _ = slope(p)
         res = yc - a[:, None] * xc
         return (res * res).sum(axis=-1)
 
-    lo = grid[np.maximum(k - 1, 0)]
-    hi = grid[np.minimum(k + 1, grid.size - 1)]
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    steps = int(np.ceil(np.log(_P_TOL / (2 * (grid[1] - grid[0]))) / np.log(_INV_PHI)))
+    grid = np.linspace(lo_p, hi_p, _GRID_POINTS)
     with np.errstate(divide="ignore", invalid="ignore"):
+        xc, _ = centred(grid)
+        sxx = (xc * xc).sum(axis=-1)
+        explained = yc @ xc.T  # the largest array, so the rest works in place
+        np.square(explained, out=explained)
+        np.divide(explained, sxx, out=explained, where=sxx > 0)
+        explained[:, sxx <= 0] = 0.0
+        k = explained.argmax(axis=-1)  # lowest RSS = Syy - Sxy^2 / Sxx
+
+        lo = grid[np.maximum(k - 1, 0)]
+        hi = grid[np.minimum(k + 1, grid.size - 1)]
+        c = hi - _INV_PHI * (hi - lo)
+        d = lo + _INV_PHI * (hi - lo)
+        steps = int(np.ceil(np.log(_P_TOL / (2 * (grid[1] - grid[0]))) / np.log(_INV_PHI)))
         fc, fd = rss(c), rss(d)
         for _ in range(steps):
             left = fc < fd  # the minimum lies in [lo, d]
@@ -383,9 +352,10 @@ def _fit_profile(depths: np.ndarray, y: np.ndarray):
                 np.where(left, c, new),
                 np.where(left, fc, fnew),
             )
-    p = np.where(fc < fd, c, d)
+        p = np.where(fc < fd, c, d)
+        a, _, mean = slope(p)
+    b = y.mean(axis=-1) - a * (1.0 + mean)
     at_bound = (p < lo_p + _BOUND_TOL) | (p > hi_p - _BOUND_TOL)
-    a, b, _ = _profile(depths, y, p)
     flat = np.ptp(y, axis=-1) <= _FLAT_TOL
     return (
         np.where(flat, 0.0, a),

@@ -236,6 +236,16 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("depth", [2 ** 32, 2 ** 64 + 1])
+    def test_undrawable_depth_exits_2_and_names_it(self, tmp_path, capsys, cache, depth):
+        # a depth of 2^32 or more cannot be drawn: rejected before any sequence is sampled
+        cfg = write_config(tmp_path, {"model": {"kind": "z_tilt", "theta_z": 0.1}, "depths": [1, 2, depth]})
+        out = tmp_path / "out"
+        code = main(["rb", "--config", cfg, "--out", str(out), "--group-cache", cache])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: depths: expected every depth below 2^32, got {depth}")
+        assert not out.exists()
+
     def test_out_below_a_file_exits_2(self, tmp_path, capsys, cache):
         (tmp_path / "FILE").write_text("")
         out = tmp_path / "FILE" / "sub"

@@ -393,23 +393,27 @@ class TestSequenceDraws:
     @given(
         seed=st.integers(min_value=0, max_value=2 ** 70 - 1),
         depths=st.lists(
-            st.integers(min_value=1, max_value=200) | st.integers(min_value=1, max_value=2 ** 70),
+            st.integers(min_value=1, max_value=200) | st.integers(min_value=1, max_value=2 ** 32 - 1),
             min_size=1,
             max_size=5,
         ),
         sequences=st.integers(min_value=1, max_value=6),
     )
-    @example(seed=3, depths=[2 ** 32, 5, 2 ** 64 + 1, 2 ** 32 - 1], sequences=3)
+    @example(seed=3, depths=[2 ** 32 - 1, 5, 2 ** 31, 1], sequences=3)
     @settings(max_examples=30, deadline=None)
-    def test_seeding_matches_numpy_across_word_counts(self, seed, depths, sequences):
-        # a depth of 2^32 or more adds a word to the entropy, so its rows seed
-        # in a group of their own; no such depth can be drawn, but it can be seeded
+    def test_seeding_matches_numpy_for_one_word_depths(self, seed, depths, sequences):
+        # every depth is one uint32 word of the entropy, up to 2^32 - 1
         state, inc = _pcg_seeds(seed, depths, sequences)
         rows = itertools.product(depths, range(sequences))
         for row, (m, k) in enumerate(rows):
             want = np.random.default_rng([seed, m, k]).bit_generator.state["state"]
             assert int(state[0, row]) << 64 | int(state[1, row]) == want["state"]
             assert int(inc[0, row]) << 64 | int(inc[1, row]) == want["inc"]
+
+    @pytest.mark.parametrize("depths", [[2 ** 32], [1, 2, 2 ** 32], [2 ** 64 + 1]])
+    def test_depth_of_two_words_rejected(self, depths):
+        with pytest.raises(ValueError, match="only depths below 2\\^32"):
+            _sequence_indices(0, depths, 4, 24)
 
     @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
     @pytest.mark.parametrize("n", [2, 3, 2 ** 32 - 1])
