@@ -5,15 +5,16 @@ The `_Setup` builds the model, group, noisy set, spectrum and correction on
 first use, so the command only formats library results.  Accepted config
 values, anything else being a configuration error: dim 2 or 4 and seed an
 integer >= 0 (--dim and --seed override them); depths a non-empty list of
-integers, >= 0 for curve and correct and, for rb, >= 1 and below 2^32 with
-at least 3 distinct values; sequences an integer >= 1; basis identity,
-corrected or corrected-squared; spam an object with optional prep and meas
-channels; max_depth an integer >= 1 for fig-delta and >= 10 for fig-pbloch,
-whose fits span m = 5..10; theta_grid [start, stop, num] with finite start and stop and
-an integer num >= 1; cz_epsilon a finite number.  Numbers are JSON numbers
-(not strings or booleans) and finite, and a list axis has a finite, non-zero
-norm; a key no command reads, at the top level, in spam, in the model or in
-a channel spec, is an error too.
+integers below 2^32, >= 0 for curve and correct and, for rb, >= 1 with at
+least 3 distinct values; sequences an integer >= 1 and below 2^32; basis
+identity, corrected or corrected-squared; spam an object with optional prep
+and meas channels; max_depth an integer below 2^32, >= 1 for fig-delta and
+>= 10 for fig-pbloch, whose fits span m = 5..10; theta_grid [start, stop,
+num] with finite start and stop and an integer num >= 1 and below 2^32;
+cz_epsilon a finite number.  Numbers are JSON numbers (not strings or
+booleans) and finite, and a list axis has a finite, non-zero norm; a key no
+command reads, at the top level, in spam, in the model or in a channel spec,
+is an error too.
 
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
@@ -42,8 +43,8 @@ from .cliffords import (
     save_group,
 )
 from .correction import CorrectionResult, correct_spectrum, incoherence_defect
-from .noise import ConfigError, NoiseModel, NoisyGateSet, build_noisy_gateset, check_keys, field_channel, finite
-from .rb import RBConfig, fit_decay, run_rb
+from .noise import ConfigError, NoiseModel, NoisyGateSet, build_noisy_gateset, check_keys, field_channel, finite, integer
+from .rb import RBConfig, check_fit_depths, fit_decay, run_rb
 from .twirl import (
     FidelityCurve,
     FitWindowError,
@@ -92,12 +93,14 @@ def load_config(path: str | None) -> dict:
         return {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, lists past the depth limit
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     check_keys(cfg, _CONFIG_KEYS, "the config")
@@ -130,16 +133,6 @@ def obtain_group(dim: int, cache: str | None) -> CliffordGroup:
     return group
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integer(name: str, value, minimum: int) -> int:
-    if not _is_int(value) or value < minimum:
-        raise ConfigError(f"{name}: expected an integer >= {minimum}, got {value!r}")
-    return value
-
-
 class _Setup:
     """The config, dim, seed, output directory and group cache that every command shares.
 
@@ -150,25 +143,12 @@ class _Setup:
     def __init__(self, args):
         self.cfg = load_config(args.config)
         self.dim = args.dim if args.dim is not None else self.cfg.get("dim", 2)
-        if not _is_int(self.dim) or self.dim not in (2, 4):
+        if type(self.dim) is not int or self.dim not in (2, 4):
             raise ConfigError(f"dim: expected 2 or 4, got {self.dim!r}")
         seed = args.seed if args.seed is not None else self.cfg.get("seed", 0)
-        self.seed = _integer("seed", seed, 0)
+        self.seed = integer("seed", seed, 0)
         self.out = Path(args.out)
         self.group_cache = args.group_cache
-
-    def integer(self, key: str, default: int, minimum: int) -> int:
-        return _integer(key, self.cfg.get(key, default), minimum)
-
-    def depths(self, default: list[int], minimum: int) -> list[int]:
-        depths = self.cfg.get("depths", default)
-        if not (isinstance(depths, list) and depths) or any(
-            not _is_int(m) or m < minimum for m in depths
-        ):
-            raise ConfigError(
-                f"depths: expected a non-empty list of integers >= {minimum}, got {depths!r}"
-            )
-        return depths
 
     @cached_property
     def model(self) -> NoiseModel:
@@ -257,9 +237,8 @@ def cmd_spectrum(s: _Setup) -> int:
 
 
 def cmd_curve(s: _Setup) -> int:
-    depths = s.depths(list(range(1, 33)), minimum=0)
     basis_name = s.cfg.get("basis", "identity")
-    curve = s.curve(basis_name, depths)
+    curve = s.curve(basis_name, s.cfg.get("depths", range(1, 33)))
     write_csv(
         s.output("curve.csv"),
         s.meta(p=repr(curve.p)),
@@ -278,7 +257,6 @@ def cmd_curve(s: _Setup) -> int:
 
 
 def cmd_correct(s: _Setup) -> int:
-    depths = s.depths(list(range(1, 33)), minimum=0)
     result = s.correction
     p = s.spectrum.p
     meta = s.meta(p=repr(p))
@@ -288,7 +266,7 @@ def cmd_correct(s: _Setup) -> int:
     meta["achieved_fidelity"] = repr(result.fidelity)
     meta["incoherence_defect"] = repr(incoherence_defect(result.corrected_block))
 
-    curve = s.curve("corrected", depths)
+    curve = s.curve("corrected", s.cfg.get("depths", range(1, 33)))
     p_power = p ** curve.depths.astype(float)
     resid = np.abs(curve.traceless_fidelity - p_power)
     write_csv(
@@ -309,21 +287,15 @@ def cmd_correct(s: _Setup) -> int:
 
 
 def cmd_rb(s: _Setup) -> int:
-    depths = s.depths([1, 2, 4, 8, 16, 32, 64, 128], minimum=1)
-    if len(set(depths)) < 3:
-        raise ConfigError(f"depths: expected at least 3 distinct depths to fit A p^m + B, got {depths!r}")
-    if max(depths) >= 2**32:
-        raise ConfigError(f"depths: expected every depth below 2^32, got {max(depths)}")
-    sequences = s.integer("sequences", 200, minimum=1)
     spam = {} if s.cfg.get("spam") is None else s.cfg["spam"]
     if not isinstance(spam, dict):
         raise ConfigError(f"spam: expected an object with prep and meas channels, got {spam!r}")
     check_keys(spam, ("prep", "meas"), "spam", "spam.")
     prep = None if spam.get("prep") is None else field_channel("spam.prep", spam["prep"], s.dim)
     meas = None if spam.get("meas") is None else field_channel("spam.meas", spam["meas"], s.dim)
-    rb_cfg = RBConfig(
-        depths=tuple(depths), sequences=sequences, seed=s.seed, prep_noise=prep, meas_noise=meas
-    )
+    sizes = {key: s.cfg[key] for key in ("depths", "sequences") if key in s.cfg}
+    rb_cfg = RBConfig(**sizes, seed=s.seed, prep_noise=prep, meas_noise=meas)
+    check_fit_depths(rb_cfg.depths)  # before any sequence is sampled
     table = run_rb(s.group, s.noisy, rb_cfg)
     fit = fit_decay(table)
 
@@ -331,8 +303,8 @@ def cmd_rb(s: _Setup) -> int:
         s.output("rb_survival.csv"),
         s.meta(),
         [
-            ("depth", [int(m) for m in table.depths for _ in range(sequences)]),
-            ("sequence", list(range(sequences)) * table.depths.size),
+            ("depth", [int(m) for m in table.depths for _ in range(rb_cfg.sequences)]),
+            ("sequence", list(range(rb_cfg.sequences)) * table.depths.size),
             ("survival", list(table.survivals.T.ravel())),
         ],
     )
@@ -361,7 +333,7 @@ def cmd_rb(s: _Setup) -> int:
 def cmd_fig_delta(s: _Setup) -> int:
     if "model" not in s.cfg:
         s.model = NoiseModel.z_tilt(0.1, cz_epsilon=0.1 if s.dim == 4 else 0.0)
-    depths = range(1, s.integer("max_depth", 30, minimum=1) + 1)
+    depths = range(1, integer("max_depth", s.cfg.get("max_depth", 30), 1, bounded=True) + 1)
     curve_i = s.curve("identity", depths)
     curve_u = s.curve("corrected", depths)
     infid_1 = 1.0 - curve_i.fidelity[0]
@@ -385,7 +357,7 @@ def cmd_fig_pbloch(s: _Setup) -> int:
     if "model" not in s.cfg:
         s.model = NoiseModel.over_rotation(0.1, cz_epsilon=0.1 if s.dim == 4 else None)
     # the log fits run over m = 5..10, so the curves must reach depth 10
-    depths = range(1, s.integer("max_depth", 12, minimum=10) + 1)
+    depths = range(1, integer("max_depth", s.cfg.get("max_depth", 12), 10, bounded=True) + 1)
     curves = {
         "identity": s.curve("identity", depths),
         "corrected": s.curve("corrected", depths),
@@ -417,7 +389,7 @@ def cmd_fig_basis(s: _Setup) -> int:
     if not (isinstance(grid_cfg, list) and len(grid_cfg) == 3):
         raise ConfigError(f"theta_grid: expected [start, stop, num], got {grid_cfg!r}")
     start, stop = (finite("theta_grid", x) for x in grid_cfg[:2])
-    thetas = np.linspace(start, stop, _integer("theta_grid", grid_cfg[2], 1))
+    thetas = np.linspace(start, stop, integer("theta_grid", grid_cfg[2], 1, bounded=True))
     cz_eps = finite("cz_epsilon", s.cfg.get("cz_epsilon", 0.1 if s.dim == 4 else 0.0))
 
     infid_i, infid_u, half_gap = [], [], []

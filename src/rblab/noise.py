@@ -44,6 +44,32 @@ def finite(name: str, value) -> float:
     return float(value)
 
 
+WORD_END = 2**32  # RB seeds each sequence with its depth and number as one uint32 word each
+
+
+def _integral(value) -> bool:
+    return type(value) is int or isinstance(value, np.integer)  # a bool is no integer here
+
+
+def integer(name: str, value, minimum: int, bounded: bool = False) -> int:
+    """`value` as an int if it is an integer >= minimum and, if `bounded`, below 2^32."""
+    if not _integral(value) or value < minimum:
+        raise ConfigError(f"{name}: expected an integer >= {minimum}, got {value!r}")
+    if bounded and value >= WORD_END:
+        raise ConfigError(f"{name}: expected an integer below 2^32, got {value}")
+    return int(value)
+
+
+def depth_grid(depths, minimum: int) -> np.ndarray:
+    """`depths` as an int64 array if it is a non-empty list of integers in [minimum, 2^32)."""
+    grid = isinstance(depths, (list, tuple, range, np.ndarray)) and len(depths) > 0
+    if not (grid and all(_integral(m) for m in depths) and min(depths) >= minimum):
+        raise ConfigError(f"depths: expected a non-empty list of integers >= {minimum}, got {depths!r}")
+    if max(depths) >= WORD_END:
+        raise ConfigError(f"depths: expected every depth below 2^32, got {max(depths)}")
+    return np.array(depths, dtype=np.int64)
+
+
 def check_keys(mapping: Mapping, known, owner: str, prefix: str = "") -> None:
     """Reject the first key of `mapping` that `known` does not list, naming it."""
     for key in mapping:

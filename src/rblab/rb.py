@@ -16,14 +16,13 @@ survivals.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import SuperOp
 from .cliffords import CliffordGroup, compose_sequences
-from .noise import NoisyGateSet
+from .noise import ConfigError, NoisyGateSet, depth_grid, integer
 
 
 def default_state(dim: int) -> np.ndarray:
@@ -38,13 +37,22 @@ def default_state(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RBConfig:
-    """Depth grid, sequences per depth, and optional SPAM noise around |0...0>."""
+    """Depth grid, sequences per depth, and optional SPAM noise around |0...0>.
+
+    Every depth and `sequences` must be an integer in [1, 2^32), and `seed`
+    one >= 0, or ConfigError is raised; `depths` is kept as a tuple of ints.
+    """
 
     depths: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
     sequences: int = 200
     seed: int = 0
     prep_noise: SuperOp | None = None
     meas_noise: SuperOp | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "depths", tuple(depth_grid(self.depths, 1).tolist()))
+        object.__setattr__(self, "sequences", integer("sequences", self.sequences, 1, bounded=True))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
 
     def resolve(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """Pauli vectors of the prepared state and the measured effect."""
@@ -80,9 +88,6 @@ _M32 = np.uint64(0xFFFFFFFF)
 
 def _uint32_words(value: int) -> list[int]:
     """The uint32 words SeedSequence reads from a non-negative int, low word first."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"seed entries must be non-negative integers, got {value}")
     return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
@@ -183,6 +188,8 @@ def _bounded_draws(state, inc, m: int, n: int) -> np.ndarray:
     32 bits of w * n fall below (2^32 - n) % n.  Each row keeps its first m
     accepted words; while a row is short, all rows draw again with more words.
     """
+    if m == 0:
+        return np.empty((state.shape[1], 0), dtype=np.int64)
     threshold = (2**32 - n) % n
     count, short = 0, m
     while short > 0:
@@ -215,13 +222,11 @@ def _pcg_seeds(seed: int, depths: list[int], sequences: int):
 def _sequence_indices(seed: int, depths: list[int], sequences: int, n: int) -> list[np.ndarray]:
     """Entry i, row k is `np.random.default_rng([seed, depths[i], k]).integers(0, n, size=depths[i])`.
 
-    Every generator of the call is seeded at once by `_pcg_seeds`; the
-    bounded draws then run depth by depth, see `_bounded_draws`.
+    Every depth is below 2^32 (`RBConfig` checks it).  All generators are
+    seeded at once by `_pcg_seeds`; the draws then run depth by depth.
     """
     if not 2 <= n < 2**32:
         raise ValueError(f"only 2 <= n < 2^32 draws are reproduced, got n={n}")
-    if any(m >= 2**32 for m in depths):
-        raise ValueError(f"only depths below 2^32 are reproduced, got {max(depths)}")
     state, inc = _pcg_seeds(seed, depths, sequences)
     draws = []
     for i, m in enumerate(depths):
@@ -239,27 +244,21 @@ def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> S
     sequences of one depth are then composed together, one batched matmul per
     step; their ideal products come from `CliffordGroup.products`, one
     table gather per step; and the survivals are one batched dot with the
-    effect.  A negative seed raises ValueError, as numpy does.
+    effect.  `RBConfig` keeps depths and `sequences` in [1, 2^32), seed >= 0.
     """
     if len(noisy_set) != len(group):
         raise ValueError("noisy set is not index-aligned with the group")
-    dim = group.dim
-    rho, mu = config.resolve(dim)
-    depths = np.asarray(config.depths, dtype=int)
-    if depths.size < 1 or depths.min() < 1:
-        raise ValueError("depths must be positive")
-    if config.sequences < 1:
-        raise ValueError("sequences must be positive")
+    rho, mu = config.resolve(group.dim)
     noisy_mats = noisy_set.mats
 
-    draws = _sequence_indices(config.seed, depths.tolist(), config.sequences, len(group))
-    table = np.empty((config.sequences, depths.size))
+    draws = _sequence_indices(config.seed, config.depths, config.sequences, len(group))
+    table = np.empty((config.sequences, len(config.depths)))
     for di, idx in enumerate(draws):
         vecs = compose_sequences(noisy_mats, idx, rho[:, None])
         vecs = noisy_mats[group.inverse_table[group.products(idx)]] @ vecs
         # mu @ (k, n, 1) rounds like one 1-D dot per sequence; (k, n) @ mu does not
         table[:, di] = (mu @ vecs)[:, 0]
-    return SurvivalTable(depths=depths, survivals=table, seed=config.seed)
+    return SurvivalTable(depths=np.array(config.depths), survivals=table, seed=config.seed)
 
 
 @dataclass(frozen=True)
@@ -276,6 +275,12 @@ class DecayFit:
     message: str = ""
     bootstrap_samples: int = 0
     bootstrap_p: np.ndarray = field(default=None, repr=False)
+
+
+def check_fit_depths(depths) -> None:
+    """A p^m + B has three parameters, so the fit needs at least 3 distinct depths."""
+    if len(set(depths)) < 3:
+        raise ConfigError(f"depths: expected at least 3 distinct depths to fit A p^m + B, got {list(depths)!r}")
 
 
 _P_BOUNDS = (0.0, 1.02)
@@ -393,8 +398,7 @@ def fit_decay(
     kept for callers; the fit does not use it.
     """
     depths = table.depths
-    if np.unique(depths).size < 3:
-        raise ValueError("need at least 3 distinct depths to fit three parameters")
+    check_fit_depths(depths.tolist())
     means = table.means
     rng = np.random.default_rng(table.seed + 0x5EED)
     resampled = _resample_means(table.survivals, bootstrap, rng)

@@ -22,7 +22,7 @@ from .channels import (
     vec,
 )
 from .cliffords import CliffordGroup
-from .noise import NoisyGateSet
+from .noise import NoisyGateSet, depth_grid
 
 
 class RegimeError(RuntimeError):
@@ -242,18 +242,15 @@ class FidelityCurve:
 
 
 def fidelity_curve_exact(spectrum: TwirlSpectrum, basis_u: np.ndarray, depths) -> FidelityCurve:
-    """Exact fidelity curve via repeated twirl-vector products."""
+    """Exact fidelity curve via repeated twirl-vector products; every depth in [0, 2^32)."""
     t = spectrum.twirl.mat
     dim = spectrum.dim
-    depths = np.asarray(list(depths), dtype=int)
-    if depths.size and depths.min() < 0:
-        raise ValueError("depths must be nonnegative")
-    basis_u = np.asarray(basis_u, dtype=complex)
+    depths = depth_grid(depths, 0)
     us = unitary_to_superop(basis_u)
     pi = traceless_projector(dim)
     u_vec = vec(us.mat @ pi) / np.sqrt(dim ** 2 - 1)
 
-    max_m = int(depths.max()) if depths.size else 0
+    max_m = int(depths.max())
     ftr_all = np.empty(max_m + 2)
     v = u_vec.copy()
     ftr_all[0] = u_vec @ v

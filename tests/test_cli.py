@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import rblab
 from rblab import cli
@@ -50,9 +53,12 @@ INF = float("inf")
 NAN_ROTATION = {"channel": "rotation", "axis": "x", "angle": NAN}
 
 
+HUGE = "<5000 digits>"  # json.dumps cannot write a 5000-digit integer, so it is swapped in as text
+
+
 def write_config(tmp_path, payload):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload).replace(json.dumps(HUGE), "7" * 5000))
     return str(path)
 
 
@@ -245,6 +251,51 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: depths: expected every depth below 2^32, got {depth}")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            # each exited 1 with a traceback, or ran a depth other than the one asked for
+            ("curve", {"depths": [2 ** 63]}, "depths: expected every depth below 2^32, got 9223372036854775808"),
+            ("curve", {"depths": [1.5, 2.9]}, "depths: expected a non-empty list of integers >= 0, got [1.5, 2.9]"),
+            ("rb", {"depths": [1.7, 2, 3]}, "depths: expected a non-empty list of integers >= 1, got [1.7, 2, 3]"),
+            ("rb", {"sequences": 2.5}, "sequences: expected an integer >= 1, got 2.5"),
+            ("rb", {"sequences": 2 ** 70}, "sequences: expected an integer below 2^32, got 1180591620717411303424"),
+            ("fig-delta", {"max_depth": 2 ** 70}, "max_depth: expected an integer below 2^32, got"),
+            ("fig-basis", {"theta_grid": [0.0, 0.1, 2 ** 32]}, "theta_grid: expected an integer below 2^32, got"),
+            # the fit's rule runs before the draw, so two depths of 2^31 never start one
+            ("rb", {"depths": [2 ** 31, 2 ** 31, 1]}, "depths: expected at least 3 distinct depths"),
+        ],
+    )
+    def test_out_of_range_request_exits_2_and_names_it(self, tmp_path, capsys, cache, command, payload, message):
+        cfg = write_config(tmp_path, {"model": {"kind": "z_tilt", "theta_z": 0.1}, **payload})
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out), "--group-cache", cache])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            # json raises a plain ValueError for an int of more than 4300 digits
+            ('{"seed": ' + "7" * 5000 + "}", "5000 digits"),
+            # and a RecursionError for lists nested past the recursion limit
+            ('{"model": ' + "[" * 100000 + "]" * 100000 + "}", "recursion"),
+        ],
+    )
+    def test_unparsable_json_exits_2_and_names_the_file(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and reason in err
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"model": "\xff"}')
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
 
     def test_out_below_a_file_exits_2(self, tmp_path, capsys, cache):
         (tmp_path / "FILE").write_text("")
@@ -544,3 +595,125 @@ class TestTwoQubitFigures:
         valid = ~np.isnan(corrected)
         assert np.all(corrected[valid] < ref)
         assert cache.exists()
+
+
+# ---------------------------------------------------------------------------
+# The exit contract under fuzzing: exit 0, 2 or 3, never a traceback or a non-finite number
+# ---------------------------------------------------------------------------
+
+COMMANDS = ["gen-group", "spectrum", "curve", "correct", "rb", "fig-delta", "fig-pbloch", "fig-basis"]
+# the documented nan of the ratio columns once |f_tr| <= 1e-13
+NAN_COLUMNS = {"delta", "abs_delta_identity", "abs_delta_corrected"}
+BAD_INTEGERS = st.sampled_from(
+    [True, False, 2.0, 2.5, -1, 2 ** 32, 2 ** 63, 2 ** 64 + 1, 2 ** 70, HUGE, "3", None, NAN, INF, [3]]
+)
+BAD_NUMBERS = st.sampled_from([NAN, INF, -INF, True, "0.1", None, [0.1], 2 ** 70, HUGE])
+
+
+def fuzz_models(number):
+    """Model specs of the README schema, their numbers drawn by `number(lo, hi)`."""
+    unit, small = number(0.0, 1.0), number(-0.3, 0.3)
+    channel = st.one_of(
+        st.fixed_dictionaries({"channel": st.just("depolarizing"), "q": unit}),
+        st.fixed_dictionaries({"channel": st.just("dephasing"), "q": unit}, optional={"axis": st.sampled_from("xyz")}),
+        st.fixed_dictionaries({"channel": st.just("amplitude_damping"), "gamma": unit}),
+        st.fixed_dictionaries({
+            "channel": st.just("rotation"),
+            "axis": st.sampled_from("xyz") | st.lists(number(-1.0, 1.0), min_size=3, max_size=3),
+            "angle": number(-3.2, 3.2),
+        }),
+    )
+    models = st.one_of(
+        st.sampled_from([{"kind": "ideal"}, {"kind": "relabeling"}]),
+        st.fixed_dictionaries({"kind": st.just("over_rotation"), "epsilon": small}, optional={"cz_epsilon": small}),
+        st.fixed_dictionaries({"kind": st.just("z_tilt"), "theta_z": small}, optional={"cz_epsilon": small}),
+        st.fixed_dictionaries({"kind": st.sampled_from(["left", "right"]), "error": channel}),
+        st.fixed_dictionaries({"kind": st.just("sandwich"), "left": channel, "right": channel}),
+        st.fixed_dictionaries({"kind": st.just("conjugation"), "axis": st.sampled_from("xyz"), "angle": small}),
+        st.fixed_dictionaries(
+            {"kind": st.just("composite"), "factors": st.lists(channel, min_size=1, max_size=2)},
+            optional={"side": st.sampled_from(["left", "right"])},
+        ),
+    )
+    return models, channel
+
+
+def some_bad_numbers(lo, hi):
+    return st.floats(lo, hi) | BAD_NUMBERS
+
+
+GOOD_MODEL, GOOD_CHANNEL_SPEC = fuzz_models(st.floats)
+BAD_MODEL, BAD_CHANNEL_SPEC = fuzz_models(some_bad_numbers)
+SMALL = st.floats(-0.3, 0.3)
+# in-range sizes stay small (the run cost grows with depth x sequences); d=4 runs are left to the d=4 tests
+VALID_FIELDS = {
+    "dim": st.just(2),
+    "seed": st.integers(0, 2 ** 70),
+    "depths": st.lists(st.integers(0, 64), min_size=1, max_size=6),
+    "sequences": st.integers(1, 8),
+    "basis": st.sampled_from(["identity", "corrected", "corrected-squared"]),
+    "spam": st.fixed_dictionaries({}, optional={"prep": st.none() | GOOD_CHANNEL_SPEC, "meas": GOOD_CHANNEL_SPEC}),
+    "max_depth": st.integers(1, 64),
+    "theta_grid": st.tuples(SMALL, SMALL, st.integers(1, 4)).map(list),
+    "cz_epsilon": SMALL,
+}
+BROKEN_FIELDS = {
+    "dim": BAD_INTEGERS | st.just(3),
+    "seed": BAD_INTEGERS,
+    "model": BAD_MODEL | st.sampled_from(["z_tilt", [], {}, {"kind": "bogus"}, {"kind": "z_tilt"}]),
+    "depths": BAD_INTEGERS | st.just([]) | st.lists(st.integers(0, 64) | BAD_INTEGERS, min_size=1, max_size=4),
+    "sequences": BAD_INTEGERS,
+    "basis": st.sampled_from(["bogus", 3, None]),
+    "spam": st.sampled_from([False, [], {"measure": None}])
+    | st.fixed_dictionaries({"prep": BAD_CHANNEL_SPEC | BAD_NUMBERS}),
+    "max_depth": BAD_INTEGERS,
+    "theta_grid": BAD_INTEGERS | st.lists(SMALL | BAD_INTEGERS, max_size=4),
+    "cz_epsilon": BAD_NUMBERS,
+    "sequence": st.integers(1, 8),  # not a key of the schema
+}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A config of the README schema, and at times one field broken."""
+    cfg = draw(st.fixed_dictionaries({"model": GOOD_MODEL}, optional=VALID_FIELDS))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(BROKEN_FIELDS)))
+        cfg[key] = draw(BROKEN_FIELDS[key])
+    return cfg
+
+
+def assert_csv_numbers_finite(out):
+    for path in out.glob("*.csv"):
+        _, columns = read_csv(path)
+        for name, cells in columns.items():
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a label such as the basis name
+                assert math.isfinite(value) or (name in NAN_COLUMNS and math.isnan(value)), (path.name, name)
+
+
+class TestExitContract:
+    MODEL = {"kind": "z_tilt", "theta_z": 0.1}
+
+    @given(command=st.sampled_from(COMMANDS), cfg=fuzz_configs())
+    @example(command="curve", cfg={"model": MODEL, "depths": [2 ** 63]})
+    @example(command="curve", cfg={"model": MODEL, "depths": [1.5, 2.9]})
+    @example(command="rb", cfg={"model": MODEL, "depths": [1.7, 2, 3]})
+    @example(command="rb", cfg={"model": MODEL, "depths": [1, 2, 2 ** 64]})
+    @example(command="rb", cfg={"model": MODEL, "sequences": 2.5})
+    @example(command="rb", cfg={"model": MODEL, "sequences": 2 ** 70})
+    @example(command="rb", cfg={"model": MODEL, "depths": [2 ** 31, 2 ** 31, 1], "sequences": 1})
+    @example(command="spectrum", cfg={"model": MODEL, "seed": HUGE})
+    @example(command="fig-delta", cfg={"max_depth": 2 ** 70})
+    @example(command="curve", cfg={"model": {"kind": "relabeling"}, "depths": [1, 2]})  # the nan rows
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_config_exits_0_2_or_3(self, tmp_path_factory, command, cfg):
+        """Every command on any config exits 0, 2 or 3 and writes only finite numbers, bar the nan rows."""
+        root = tmp_path_factory.mktemp("fuzz")
+        out = root / "out"
+        code = main([command, "--config", write_config(root, cfg), "--out", str(out)])
+        assert code in (0, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert_csv_numbers_finite(out)

@@ -11,7 +11,7 @@ from scipy.optimize import curve_fit
 
 from rblab.channels import traceless_projector
 from rblab.cliffords import generate_clifford_group
-from rblab.noise import NoiseModel, NoisyGateSet, build_noisy_gateset, depolarizing
+from rblab.noise import ConfigError, NoiseModel, NoisyGateSet, build_noisy_gateset, depolarizing
 from rblab.rb import (
     RBConfig,
     SurvivalTable,
@@ -88,8 +88,30 @@ class TestRunRB:
             run_rb(group24, NoisyGateSet(2, ztilt_noisy.mats[:-1]), RBConfig())
 
     def test_no_sequences_rejected(self, group24, ztilt_noisy):
-        with pytest.raises(ValueError, match="sequences must be positive"):
+        with pytest.raises(ValueError, match="sequences: expected an integer >= 1, got 0"):
             run_rb(group24, ztilt_noisy, RBConfig(sequences=0))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # each was run before: depth 1.7 as depth 1, 2^64 as an OverflowError, 2.5 as a TypeError
+            ({"depths": (1.7, 2, 3)}, "depths: expected a non-empty list of integers >= 1, got"),
+            ({"depths": (1, True, 3)}, "depths: expected a non-empty list of integers >= 1, got"),
+            ({"depths": ()}, "depths: expected a non-empty list of integers >= 1, got"),
+            ({"depths": (1, 2, 2 ** 64)}, "depths: expected every depth below 2\\^32, got 18446744073709551616"),
+            ({"sequences": 2.5}, "sequences: expected an integer >= 1, got 2.5"),
+            ({"sequences": 2 ** 32}, "sequences: expected an integer below 2\\^32, got 4294967296"),
+            ({"seed": 1.0}, "seed: expected an integer >= 0, got 1.0"),
+        ],
+    )
+    def test_bad_request_raises_config_error(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            RBConfig(**fields)
+
+    def test_request_kept_as_plain_ints(self):
+        config = RBConfig(depths=np.array([4, 1]), sequences=np.int64(2 ** 32 - 1), seed=np.uint64(3))
+        assert config.depths == (4, 1) and config.sequences == 2 ** 32 - 1 and config.seed == 3
+        assert {type(v) for v in (*config.depths, config.sequences, config.seed)} == {int}
 
 
 class TestFitDecay:
@@ -412,8 +434,16 @@ class TestSequenceDraws:
 
     @pytest.mark.parametrize("depths", [[2 ** 32], [1, 2, 2 ** 32], [2 ** 64 + 1]])
     def test_depth_of_two_words_rejected(self, depths):
-        with pytest.raises(ValueError, match="only depths below 2\\^32"):
-            _sequence_indices(0, depths, 4, 24)
+        with pytest.raises(ValueError, match="depths: expected every depth below 2\\^32"):
+            RBConfig(depths=depths, sequences=4, seed=0)
+
+    def test_depth_zero_draws_nothing_like_numpy(self):
+        # numpy's integers(0, n, size=0) is an empty int64 draw
+        drawn = _sequence_indices(0, [0, 3], 2, 24)
+        for m, idx in zip([0, 3], drawn):
+            want = sequence_draws(0, m, 2, 24)
+            assert idx.shape == want.shape == (2, m) and idx.dtype == want.dtype
+            assert np.array_equal(idx, want)
 
     @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
     @pytest.mark.parametrize("n", [2, 3, 2 ** 32 - 1])
@@ -426,7 +456,7 @@ class TestSequenceDraws:
             _sequence_indices(0, [3], 4, n)
 
     def test_negative_seed_rejected(self, group24, ztilt_noisy):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="seed: expected an integer >= 0, got -1"):
             run_rb(group24, ztilt_noisy, RBConfig(depths=(1, 2, 4), sequences=3, seed=-1))
 
     def test_depth_column_independent_of_the_other_depths(self, group24, ztilt_noisy):

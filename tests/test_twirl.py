@@ -16,6 +16,7 @@ from rblab.channels import (
 )
 from rblab.correction import correct_spectrum
 from rblab.noise import (
+    ConfigError,
     NoiseModel,
     NoisyGateSet,
     build_noisy_gateset,
@@ -277,6 +278,27 @@ class TestFidelityCurveExact:
         curve = fidelity_curve_exact(dominant_spectrum(build_twirl(group24, noisy)), np.eye(2), range(1, 65))
         assert np.max(np.abs(curve.traceless_fidelity)) < 1e-10
         assert np.all(np.isnan(curve.ratio_deviation))
+
+    @pytest.mark.parametrize(
+        "depths, message",
+        [
+            # [1.5, 2.9] used to be read as depths [1, 2]; 2^63 overflowed int64
+            ([1.5, 2.9], "depths: expected a non-empty list of integers >= 0, got \\[1.5, 2.9\\]"),
+            ([1, True], "depths: expected a non-empty list of integers >= 0"),
+            ([-1, 2], "depths: expected a non-empty list of integers >= 0"),
+            ([], "depths: expected a non-empty list of integers >= 0"),
+            ("12", "depths: expected a non-empty list of integers >= 0"),
+            ([2 ** 63], "depths: expected every depth below 2\\^32, got 9223372036854775808"),
+        ],
+    )
+    def test_bad_grid_raises_config_error(self, ztilt_spectrum, depths, message):
+        with pytest.raises(ConfigError, match=message):
+            fidelity_curve_exact(ztilt_spectrum, np.eye(2), depths)
+
+    def test_grid_forms_agree(self, ztilt_spectrum):
+        want = fidelity_curve_exact(ztilt_spectrum, np.eye(2), [1, 2, 3]).fidelity
+        for depths in (range(1, 4), (1, 2, 3), np.arange(1, 4), np.array([1, 2, 3], dtype=np.uint32)):
+            assert np.array_equal(fidelity_curve_exact(ztilt_spectrum, np.eye(2), depths).fidelity, want)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_depth_zero_is_perfect_in_every_frame(self, group24, group11520, dim):
