@@ -100,7 +100,7 @@ def load_config(path: str | None) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an int past the digit limit, lists past the depth limit
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {str(exc).partition('; use sys.set_int_max_str_digits')[0]}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     check_keys(cfg, _CONFIG_KEYS, "the config")

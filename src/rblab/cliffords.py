@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import os
 import zipfile
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ class CliffordGroup:
     exactly: its bytes, with parents and vias, hash to `CLOSURE_DIGEST[dim]`.
     `indices` gathers by key from the read-only `_slot` (-1 where no element
     has the key; 2.4 MB at d=4), then checks the rows found in full.
-    Immutable; safe to share across threads.
+    `cosets` is built on first use.  Immutable; safe to share across threads.
     """
 
     def __init__(self, dim: int, table: np.ndarray, parents: np.ndarray, vias: np.ndarray):
@@ -95,6 +96,26 @@ class CliffordGroup:
 
     def __len__(self) -> int:
         return len(self.parents)
+
+    @cached_property
+    def cosets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`(idx, signs, cols)` over the cosets of the d^2 Paulis, the elements with diagonal rows.
+
+        `idx[c, p]` indexes `c p`, with c the coset's member whose key-row
+        entries are all positive, so `G_{cp} = G_c D_p`: `signs[k, p]` is
+        `D_p[k, k]` and `cols[k, j, c]` is `G_c[j, k]`.
+        """
+        n = self.dim ** 2
+        paulis = np.flatnonzero((np.abs(self.table) == np.arange(1, n + 1)).all(axis=1))
+        reps = np.flatnonzero((self.table[:, _KEY_ROWS[self.dim]] > 0).all(axis=1))
+        idx = self.indices(compose_rows(self.table[reps, None], self.table[None, paulis]).reshape(-1, n))
+        if not np.array_equal(np.sort(idx), np.arange(len(self))):
+            raise ValueError("the Pauli cosets do not partition the group")
+        out = (idx.reshape(len(reps), -1), np.sign(self.table[paulis]).T.astype(float),
+               np.ascontiguousarray(self.mats[reps].transpose(2, 1, 0)))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     def indices(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each row of `rows` (k, d^2) by key, checked in full; KeyError if absent."""

@@ -61,12 +61,18 @@ def integer(name: str, value, minimum: int, bounded: bool = False) -> int:
 
 
 def depth_grid(depths, minimum: int) -> np.ndarray:
-    """`depths` as an int64 array if it is a non-empty list of integers in [minimum, 2^32)."""
-    grid = isinstance(depths, (list, tuple, range, np.ndarray)) and len(depths) > 0
-    if not (grid and all(_integral(m) for m in depths) and min(depths) >= minimum):
+    """`depths` as an int64 array if it is a non-empty 1-D grid of integers in [minimum, 2^32)."""
+    ends = []  # a range's ends, an integer array's extremes or a list's items; empty for no grid
+    if isinstance(depths, range) and depths:
+        ends = [depths[0], depths[-1]]
+    elif isinstance(depths, np.ndarray) and depths.ndim == 1 and depths.size and depths.dtype.kind in "iu":
+        ends = [depths.min(), depths.max()]
+    elif isinstance(depths, (list, tuple)) and all(_integral(m) for m in depths):
+        ends = list(depths)
+    if not (ends and min(ends) >= minimum):
         raise ConfigError(f"depths: expected a non-empty list of integers >= {minimum}, got {depths!r}")
-    if max(depths) >= WORD_END:
-        raise ConfigError(f"depths: expected every depth below 2^32, got {max(depths)}")
+    if max(ends) >= WORD_END:
+        raise ConfigError(f"depths: expected every depth below 2^32, got {max(ends)}")
     return np.array(depths, dtype=np.int64)
 
 

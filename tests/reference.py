@@ -21,6 +21,7 @@ from rblab.cliffords import CliffordGroup, compose_rows, compose_sequences
 from rblab.noise import NoisyGateSet
 from rblab.twirl import (
     TwirlSpectrum,
+    TwirlSuperop,
     build_twirl,
     dominant_spectrum,
     fidelity_curve_exact,
@@ -151,6 +152,21 @@ def reference_fit_profile(depths: np.ndarray, y: np.ndarray):
         np.where(flat, 1.0, p),
         at_bound & ~flat,
     )
+
+
+def reference_build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> TwirlSuperop:
+    """The twirl as one dense moment GEMM over the whole group, the route before the coset split."""
+    if len(noisy_set) != len(group):
+        raise ValueError(
+            f"noisy set has {len(noisy_set)} elements, group has {len(group)}"
+        )
+    n = group.dim ** 2
+    noisy = noisy_set.mats.reshape(len(group), n * n)
+    # mean of kron(G_k Pi_tr, B_k) from the (jk),(lm) moments: linear in G[j, k], so Pi_tr zeroes rows (j0)
+    moments = group.mats.reshape(len(group), n * n).T @ noisy / len(group)
+    moments.reshape(n, n, n * n)[:, 0] = 0.0
+    t = moments.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return TwirlSuperop(group.dim, t)
 
 
 def find(group: CliffordGroup, mat: np.ndarray) -> int:

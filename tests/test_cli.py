@@ -290,6 +290,7 @@ class TestConfigErrors:
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and reason in err
+        assert "set_int_max_str_digits" not in err  # Python-level advice a CLI user cannot act on
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -10,6 +10,7 @@ from rblab.channels import (
 )
 from rblab.cliffords import (
     compose_rows,
+    generate_clifford_group,
     load_group,
     save_group,
 )
@@ -136,6 +137,49 @@ class TestProducts:
             ideal = compose_rows(group.table[idx[:, j]], ideal)
         assert np.array_equal(group.products(idx), group.indices(ideal))
         assert np.array_equal(group.products(idx[:3]), np.zeros(3))
+
+
+class TestCosets:
+    """The group split into cosets of its Paulis, which the twirl sums over."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_cosets_partition_the_group(self, group24, group11520, dim):
+        group = group24 if dim == 2 else group11520
+        n = dim ** 2
+        idx, signs, cols = group.cosets
+        assert idx.shape == (len(group) // n, n) and signs.shape == (n, n)
+        assert np.array_equal(np.sort(idx.ravel()), np.arange(len(group)))
+        # the identity's coset is the Paulis, whose rows are diagonal; each coset starts at its member c
+        paulis, reps = idx[0], idx[:, 0]
+        assert np.array_equal(np.abs(group.table[paulis]), np.broadcast_to(np.arange(1, n + 1), (n, n)))
+        assert np.array_equal(group.table[idx], compose_rows(group.table[reps, None], group.table[None, paulis]))
+        assert np.array_equal(signs, np.sign(group.table[paulis]).T)
+        assert np.array_equal(cols, group.mats[reps].transpose(2, 1, 0))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_coset_products_of_transfer_matrices(self, group24, group11520, dim):
+        # rounded to their exact +-1 entries, G_{cp} = G_c D_p holds bit for bit;
+        # the float matrices carry the generators' rounding, about 1e-16 per entry
+        group = group24 if dim == 2 else group11520
+        idx, signs, _ = group.cosets
+        exact = np.rint(group.mats)
+        assert np.array_equal(exact[idx], exact[idx[:, :1]] @ exact[idx[:1]])
+        assert np.array_equal(exact[idx[0]], signs.T[:, :, None] * np.eye(dim ** 2))
+        assert np.max(np.abs(group.mats[idx] - group.mats[idx[:, :1]] @ group.mats[idx[:1]])) < 1e-14
+
+    def test_built_on_first_use(self, group24, tmp_path):
+        path = tmp_path / "g2.npz"
+        save_group(group24, path)
+        loaded = load_group(path)
+        assert "cosets" not in vars(loaded)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.cosets, group24.cosets))
+        assert not any(arr.flags.writeable for arr in loaded.cosets)
+
+    def test_overlapping_cosets_raise(self, monkeypatch):
+        group = generate_clifford_group(2)
+        monkeypatch.setattr(group, "indices", lambda rows: np.zeros(len(rows), dtype=np.int64))
+        with pytest.raises(ValueError, match="the Pauli cosets do not partition the group"):
+            group.cosets
 
 
 class TestCZGenerator:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rblab.twirl
 from rblab.channels import (
@@ -33,7 +34,14 @@ from rblab.twirl import (
     order_m_error_blocks,
     power_iteration,
 )
-from reference import avg_gate_fidelity, deflated, fidelity_curve_mc, infidelity, random_unitary
+from reference import (
+    avg_gate_fidelity,
+    deflated,
+    fidelity_curve_mc,
+    infidelity,
+    random_unitary,
+    reference_build_twirl,
+)
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,24 @@ class TestBuildTwirl:
         pi = traceless_projector(2)
         literal = sum(np.kron(g @ pi, nz.mat) for g, nz in zip(group24.mats, noisy)) / 24
         assert np.max(np.abs(build_twirl(group24, noisy).mat - literal)) <= 1e-14
+
+    @given(hnp.arrays(np.float64, (24, 4, 4), elements=st.floats(-1.0, 1.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_coset_route_matches_one_gemm_d2(self, group24, mats):
+        # an arbitrary trace-preserving stack: gate-dependent and, in general, unphysical
+        mats[:, 0] = np.eye(4)[0]
+        noisy = NoisyGateSet(2, mats)
+        want = reference_build_twirl(group24, noisy).mat
+        assert np.max(np.abs(build_twirl(group24, noisy).mat - want)) <= 1e-14
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), scale=st.sampled_from([1e-3, 1.0]))
+    @settings(max_examples=4, deadline=None)
+    def test_coset_route_matches_one_gemm_d4(self, group11520, seed, scale):
+        mats = scale * np.random.default_rng(seed).standard_normal((11520, 16, 16))
+        mats[:, 0] = np.eye(16)[0]
+        noisy = NoisyGateSet(4, mats)
+        want = reference_build_twirl(group11520, noisy).mat
+        assert np.max(np.abs(build_twirl(group11520, noisy).mat - want)) <= 1e-14
 
     def test_gate_independent_depolarizing_decay(self, group24):
         q = 0.97
@@ -289,6 +315,20 @@ class TestFidelityCurveExact:
             ([], "depths: expected a non-empty list of integers >= 0"),
             ("12", "depths: expected a non-empty list of integers >= 0"),
             ([2 ** 63], "depths: expected every depth below 2\\^32, got 9223372036854775808"),
+            # len() of this range overflowed; a range is checked from its ends
+            (range(1, 2 ** 70), "depths: expected every depth below 2\\^32, got 1180591620717411303423"),
+            # walking this range in Python took minutes before the bound applied
+            (range(-1, 2 ** 31), "depths: expected a non-empty list of integers >= 0, got range\\(-1, 2147483648\\)"),
+            (range(3, 3), "depths: expected a non-empty list of integers >= 0"),
+            # a 0-d array raised TypeError from len(); anything not 1-D is refused
+            (np.array(5), "depths: expected a non-empty list of integers >= 0, got array\\(5\\)"),
+            (np.array([[1, 2]]), "depths: expected a non-empty list of integers >= 0"),
+            # an integer array is checked in one vectorised pass; bool and float arrays stay refused
+            (np.array([1, 2 ** 40]), "depths: expected every depth below 2\\^32, got 1099511627776"),
+            (np.array([-1, 2]), "depths: expected a non-empty list of integers >= 0"),
+            (np.array([True, False]), "depths: expected a non-empty list of integers >= 0"),
+            (np.array([1.0, 2.0]), "depths: expected a non-empty list of integers >= 0"),
+            (np.array([], dtype=np.int64), "depths: expected a non-empty list of integers >= 0"),
         ],
     )
     def test_bad_grid_raises_config_error(self, ztilt_spectrum, depths, message):
@@ -299,6 +339,8 @@ class TestFidelityCurveExact:
         want = fidelity_curve_exact(ztilt_spectrum, np.eye(2), [1, 2, 3]).fidelity
         for depths in (range(1, 4), (1, 2, 3), np.arange(1, 4), np.array([1, 2, 3], dtype=np.uint32)):
             assert np.array_equal(fidelity_curve_exact(ztilt_spectrum, np.eye(2), depths).fidelity, want)
+        # a descending range: its ends are its largest and smallest depth
+        assert np.array_equal(fidelity_curve_exact(ztilt_spectrum, np.eye(2), range(3, 0, -1)).fidelity, want[::-1])
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_depth_zero_is_perfect_in_every_frame(self, group24, group11520, dim):

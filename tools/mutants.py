@@ -9,7 +9,7 @@ naming the mutant.  Then, one mutant at a time, it copies `src/`, `tests/`,
 there and runs `python -m pytest -q -x` with `PYTHONPATH=src`.  A failing run
 (or one that exceeds TIMEOUT_S) kills the mutant.  It prints one line per
 mutant and exits 1 naming every survivor, 0 when all are killed.  Nothing is
-written into the repository.  The 56 mutants took about 10 minutes in
+written into the repository.  The 60 mutants took about 10 minutes in
 all on a shared 2-vCPU machine, which is why it is not part of tier-1.
 
 Left out as equivalent:
@@ -22,11 +22,12 @@ Left out as equivalent:
 - `t.T @ v` for `t @ v` in `twirl.fidelity_curve_exact`.  Each f_tr(m) is
   the scalar u^T T^m u, which equals its own transpose u^T (T^T)^m u, so
   the curve is the same up to rounding.
-- `moments.reshape(n, n, n * n)[0] = 0.0` for `[:, 0] = 0.0` in
-  `twirl.build_twirl`, that is `Pi_tr G` for `G Pi_tr`.  Every ideal
-  transfer matrix has row 0 and column 0 exactly `e0`: `unitary_to_superop`
-  pins them and `replay` keeps the zeros exact.  So the two products are
-  equal bit for bit, and so is the twirl.
+- `ks = slice(0, n)` plus `moments[:, 0] = 0.0` for `ks = slice(1, n)` in
+  `twirl.build_twirl`: zeroing the moments' row j = 0 instead of leaving
+  out column k = 0, that is `Pi_tr G` for `G Pi_tr`.  Every ideal transfer
+  matrix has row 0 and column 0 exactly `e0`: `unitary_to_superop` pins them
+  and `replay` keeps the zeros exact, so the coset members' entries the two
+  drop are the same exact zeros and ones.  The twirl is equal bit for bit.
 """
 
 from __future__ import annotations
@@ -47,13 +48,24 @@ TIMEOUT_S = 600
 MUTANTS = {
     "twirl transpose dropped": (
         "src/rblab/twirl.py",
-        ".transpose(0, 2, 1, 3)",
-        ".transpose(0, 1, 2, 3)",
+        ".transpose(1, 2, 0, 3)",
+        ".transpose(1, 0, 2, 3)",
     ),
     "Pi_tr not applied to the moments": (
         "src/rblab/twirl.py",
-        "moments.reshape(n, n, n * n)[:, 0] = 0.0",
-        "moments.reshape(n, n, n * n)[:, 0] *= 1.0",
+        "ks = slice(1, n)",
+        "ks = slice(0, n)",
+    ),
+    # the coset route of the twirl
+    "Pauli signs dropped": (
+        "src/rblab/cliffords.py",
+        "np.sign(self.table[paulis]).T.astype(float)",
+        "np.abs(np.sign(self.table[paulis])).T.astype(float)",
+    ),
+    "coset block shifted by one": (
+        "src/rblab/twirl.py",
+        "blk = slice(lo, lo + _COSET_BLOCK)",
+        "blk = slice(lo + 1, lo + 1 + _COSET_BLOCK)",
     ),
     "compose_rows operands swapped": (
         "src/rblab/cliffords.py",
@@ -185,8 +197,8 @@ MUTANTS = {
     # the one input boundary: a depth grid, sequences and seed are checked once, in noise.py
     "depth bound off by one": (
         "src/rblab/noise.py",
-        "if max(depths) >= WORD_END:",
-        "if max(depths) > WORD_END:",
+        "if max(ends) >= WORD_END:",
+        "if max(ends) > WORD_END:",
     ),
     "uint32 bound off by one": (
         "src/rblab/noise.py",
@@ -202,6 +214,16 @@ MUTANTS = {
         "src/rblab/noise.py",
         "all(_integral(m) for m in depths)",
         "all(isinstance(m, (int, float, np.integer)) for m in depths)",
+    ),
+    "range checked at its start only": (
+        "src/rblab/noise.py",
+        "ends = [depths[0], depths[-1]]",
+        "ends = [depths[0]]",
+    ),
+    "integer array checked at its maximum only": (
+        "src/rblab/noise.py",
+        "ends = [depths.min(), depths.max()]",
+        "ends = [depths.max()]",
     ),
     "ideal product folded left to right": (
         "src/rblab/cliffords.py",
