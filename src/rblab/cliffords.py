@@ -56,9 +56,9 @@ class CliffordGroup:
 
     Element k is generator `labels[vias[k]]` applied after element
     `parents[k]` (the identity, element 0, has parent and via -1), in
-    breadth-first order; `table[k]` is its signed permutation and `mats[k]`
-    its float transfer matrix; `generators` stacks the ideal generators'
-    transfer matrices in label order.  The constructor checks the table
+    breadth-first order; `table[k]` is its signed permutation, and its float
+    transfer matrix `replay(generators)[k]` (`generators`: the ideal ones in
+    label order) is built where it is read.  The constructor checks the table
     exactly: its bytes, with parents and vias, hash to `CLOSURE_DIGEST[dim]`.
     `indices` gathers by key from the read-only `_slot` (-1 where no element
     has the key; 2.4 MB at d=4), then checks the rows found in full.
@@ -91,9 +91,6 @@ class CliffordGroup:
         self.inverse_table = self.indices(inv_rows)
         self.inverse_table.setflags(write=False)
 
-        self.mats = self.replay(self.generators)
-        self.mats.setflags(write=False)
-
     def __len__(self) -> int:
         return len(self.parents)
 
@@ -112,7 +109,7 @@ class CliffordGroup:
         if not np.array_equal(np.sort(idx), np.arange(len(self))):
             raise ValueError("the Pauli cosets do not partition the group")
         out = (idx.reshape(len(reps), -1), np.sign(self.table[paulis]).T.astype(float),
-               np.ascontiguousarray(self.mats[reps].transpose(2, 1, 0)))
+               np.ascontiguousarray(self.replay(self.generators)[reps].transpose(2, 1, 0)))
         for arr in out:
             arr.setflags(write=False)
         return out

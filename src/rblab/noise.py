@@ -453,7 +453,7 @@ class NoisyGateSet:
 def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> NoisyGateSet:
     """Noisy transfer matrices, index-aligned with the ideal group, as one stack."""
     fixed = _resolve_errors(model, group.dim)
-    mats = group.replay(fixed["gens"]) if "gens" in fixed else group.mats
+    mats = group.replay(fixed.get("gens", group.generators))
     if "u" in fixed:  # conjugation and relabeling
         mats = fixed["u"].mat @ mats @ fixed["u"].mat.T
     if "right" in fixed:

@@ -207,16 +207,14 @@ def _pcg_seeds(seed: int, depths: list[int], sequences: int):
     One pass over every row, depth-major: SeedSequence mixes the uint32 words
     of seed, then m and k as one word each (every depth is below 2^32), and
     PCG64 is seeded from its four uint64 words (state 0, inc = initseq<<1 | 1,
-    step, add initstate, step).
+    step, which from 0 gives inc, add initstate, step).
     """
     entropy = [np.full(len(depths) * sequences, w, dtype=np.uint32) for w in _uint32_words(seed)]
     entropy.append(np.repeat(np.array(depths, dtype=np.uint32), sequences))
     entropy.append(np.tile(np.arange(sequences, dtype=np.uint32), len(depths)))
     s0, s1, s2, s3 = _seed_states(entropy)
     inc = ((s2 << 1) | (s3 >> 63), (s3 << 1) | 1)
-    zero = np.zeros_like(s0)
-    first = _step((zero, zero), inc)
-    return np.array(_step(_add128(first, (s0, s1)), inc)), np.array(inc)
+    return np.array(_step(_add128(inc, (s0, s1)), inc)), np.array(inc)
 
 
 def _sequence_indices(seed: int, depths: list[int], sequences: int, n: int) -> list[np.ndarray]:

@@ -8,6 +8,7 @@ line runs.  pytest does not collect this module; test files import it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -27,6 +28,14 @@ from rblab.twirl import (
     fidelity_curve_exact,
     order_m_error_blocks,
 )
+
+
+@cache
+def ideal_mats(group: CliffordGroup) -> np.ndarray:
+    """The ideal transfer matrices of every element, `group.replay(group.generators)`, read-only."""
+    mats = group.replay(group.generators)
+    mats.setflags(write=False)
+    return mats
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -163,7 +172,7 @@ def reference_build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> Twir
     n = group.dim ** 2
     noisy = noisy_set.mats.reshape(len(group), n * n)
     # mean of kron(G_k Pi_tr, B_k) from the (jk),(lm) moments: linear in G[j, k], so Pi_tr zeroes rows (j0)
-    moments = group.mats.reshape(len(group), n * n).T @ noisy / len(group)
+    moments = ideal_mats(group).reshape(len(group), n * n).T @ noisy / len(group)
     moments.reshape(n, n, n * n)[:, 0] = 0.0
     t = moments.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return TwirlSuperop(group.dim, t)
@@ -291,7 +300,7 @@ def fidelity_curve_mc(
     for i, m in enumerate(depths):
         rng = np.random.default_rng([seed, int(m)])
         idx = rng.integers(0, len(group), size=(samples, int(m)))
-        target = us @ compose_sequences(group.mats, idx, eye) @ us.T
+        target = us @ compose_sequences(ideal_mats(group), idx, eye) @ us.T
         noisy = compose_sequences(noisy_mats, idx, eye)
         f_tr = np.array([np.sum(t[:, 1:] * g[:, 1:]) for t, g in zip(target, noisy)]) / n
         vals = 1.0 / dim + (dim - 1.0) / dim * f_tr

@@ -24,7 +24,7 @@ from rblab.twirl import (
     fidelity_curve_exact,
     order_m_error_blocks,
 )
-from reference import random_unitary
+from reference import ideal_mats, random_unitary
 from test_twirl import right_error_op_at
 
 COMPOSITE_FACTORS = [
@@ -325,8 +325,8 @@ def test_criterion_09_order_four_sufficiency():
     noisy, spectrum = spectrum_of(group, NoiseModel.z_tilt(0.1))
     pi = traceless_projector(2)
     acc = np.zeros((4, 4))
-    for k1, mat1 in enumerate(group.mats):
-        for k2, mat2 in enumerate(group.mats):
+    for k1, mat1 in enumerate(ideal_mats(group)):
+        for k2, mat2 in enumerate(ideal_mats(group)):
             ideal = mat2 @ mat1
             nz = noisy[k2].mat @ noisy[k1].mat
             acc += pi @ ideal.T @ nz

@@ -17,6 +17,7 @@ from rblab.cliffords import generate_clifford_group, load_group
 from rblab.correction import ImproperRotationError, correct_spectrum, incoherence_defect
 from rblab.noise import NoiseModel, build_noisy_gateset
 from rblab.twirl import build_twirl, dominant_spectrum
+from reference import ideal_mats
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -355,7 +356,7 @@ class TestGroupCache:
             np.savez(path, **fields)
         elif damage == "old_format":
             # the float-key layout: one transfer matrix per element under "ops"
-            ops = generate_clifford_group(2).mats
+            ops = ideal_mats(generate_clifford_group(2))
             fields = {k: v for k, v in fields.items() if k != "table"}
             np.savez_compressed(path, ops=ops, **fields)
         elif damage == "other_generators":

@@ -23,7 +23,7 @@ from rblab.noise import (
     generator_mats,
     pulse,
 )
-from reference import find, random_unitary
+from reference import find, ideal_mats, random_unitary
 
 
 def word(group, k):
@@ -49,10 +49,10 @@ class TestGeneration:
 
     def test_identity_element_has_empty_word(self, group24):
         assert word(group24, 0) == ()
-        assert np.array_equal(group24.mats[0], np.eye(4))
+        assert np.array_equal(ideal_mats(group24)[0], np.eye(4))
 
     def test_words_replay_to_ops(self, group24):
-        for k, mat in enumerate(group24.mats):
+        for k, mat in enumerate(ideal_mats(group24)):
             op = np.eye(4)
             for label in word(group24, k):
                 op = group24.generators[group24.labels.index(label)] @ op
@@ -64,14 +64,15 @@ class TestGeneration:
                 assert len(word(group24, k)) == len(word(group24, parent)) + 1
 
     def test_composition_closure_random_pairs(self, group24, rng):
+        mats = ideal_mats(group24)
         for _ in range(100):
             g = int(rng.integers(len(group24)))
             h = int(rng.integers(len(group24)))
-            product = group24.mats[g] @ group24.mats[h]
+            product = mats[g] @ mats[h]
             assert find(group24, product) is not None
 
     def test_entries_are_signed_integers(self, group24):
-        for mat in group24.mats:
+        for mat in ideal_mats(group24):
             assert np.max(np.abs(mat - np.round(mat))) < 1e-12
 
 
@@ -82,13 +83,15 @@ class TestInverse:
     def test_generator_inverse_product(self, group24):
         idx = find(group24, group24.generators[group24.labels.index("x")])
         inv = group24.inverse_table[idx]
-        product = group24.mats[inv] @ group24.mats[idx]
+        mats = ideal_mats(group24)
+        product = mats[inv] @ mats[idx]
         assert np.max(np.abs(product - np.eye(4))) < 1e-10
 
     def test_all_inverses(self, group24):
-        for k, mat in enumerate(group24.mats):
+        mats = ideal_mats(group24)
+        for k, mat in enumerate(mats):
             inv = group24.inverse_table[k]
-            assert np.max(np.abs(group24.mats[inv] @ mat - np.eye(4))) < 1e-10
+            assert np.max(np.abs(mats[inv] @ mat - np.eye(4))) < 1e-10
 
     def test_involution(self, group24):
         for k in range(len(group24)):
@@ -154,7 +157,7 @@ class TestCosets:
         assert np.array_equal(np.abs(group.table[paulis]), np.broadcast_to(np.arange(1, n + 1), (n, n)))
         assert np.array_equal(group.table[idx], compose_rows(group.table[reps, None], group.table[None, paulis]))
         assert np.array_equal(signs, np.sign(group.table[paulis]).T)
-        assert np.array_equal(cols, group.mats[reps].transpose(2, 1, 0))
+        assert np.array_equal(cols, ideal_mats(group)[reps].transpose(2, 1, 0))
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_coset_products_of_transfer_matrices(self, group24, group11520, dim):
@@ -162,10 +165,11 @@ class TestCosets:
         # the float matrices carry the generators' rounding, about 1e-16 per entry
         group = group24 if dim == 2 else group11520
         idx, signs, _ = group.cosets
-        exact = np.rint(group.mats)
+        mats = ideal_mats(group)
+        exact = np.rint(mats)
         assert np.array_equal(exact[idx], exact[idx[:, :1]] @ exact[idx[:1]])
         assert np.array_equal(exact[idx[0]], signs.T[:, :, None] * np.eye(dim ** 2))
-        assert np.max(np.abs(group.mats[idx] - group.mats[idx[:, :1]] @ group.mats[idx[:1]])) < 1e-14
+        assert np.max(np.abs(mats[idx] - mats[idx[:, :1]] @ mats[idx[:1]])) < 1e-14
 
     def test_built_on_first_use(self, group24, tmp_path):
         path = tmp_path / "g2.npz"
@@ -206,7 +210,7 @@ class TestCache:
         assert len(loaded) == len(group24)
         for k in range(len(group24)):
             assert word(loaded, k) == word(group24, k)
-        assert np.array_equal(loaded.mats, group24.mats)
+        assert np.array_equal(ideal_mats(loaded), ideal_mats(group24))
         assert np.array_equal(loaded.inverse_table, group24.inverse_table)
 
     def test_load_rejects_a_tree_of_other_generators(self, group24, tmp_path):
@@ -228,16 +232,17 @@ class TestDefaultGenerators:
 class TestTwoQubitGroup:
     def test_order_and_structure(self, group11520):
         group = group11520
+        mats = ideal_mats(group)
         assert len(group) == 11520
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = int(rng.integers(len(group)))
             h = int(rng.integers(len(group)))
-            assert find(group, group.mats[g] @ group.mats[h]) is not None
+            assert find(group, mats[g] @ mats[h]) is not None
         for _ in range(50):
             g = int(rng.integers(len(group)))
             inv = group.inverse_table[g]
-            assert np.max(np.abs(group.mats[inv] @ group.mats[g] - np.eye(16))) < 1e-10
+            assert np.max(np.abs(mats[inv] @ mats[g] - np.eye(16))) < 1e-10
 
     def test_every_inverse_is_exact_on_the_table(self, group11520):
         table = group11520.table
@@ -269,14 +274,29 @@ class TestElementOrder:
 
 
 
+class TestExactDataOnly:
+    """The group holds exact integer arrays and its ideal generators, not a float stack per element."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_arrays_smaller_than_one_float_stack(self, dim, source, tmp_path):
+        group = generate_clifford_group(dim)
+        if source == "loaded":
+            save_group(group, tmp_path / "g.npz")
+            group = load_group(tmp_path / "g.npz")
+        assert "cosets" not in vars(group)
+        held = sum(arr.nbytes for arr in vars(group).values() if isinstance(arr, np.ndarray))
+        # a float stack is 3 kB at d=2 and 23.6 MB at d=4; the key slots make most of the 2.7 MB at d=4
+        assert held < min(4e6, len(group) * dim ** 4 * 8)
+
+
 class TestReplay:
     """The batched replay rounds exactly like per-element products."""
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_mats_equal_per_element_products(self, group24, group11520, dim):
         group = group24 if dim == 2 else group11520
-        assert np.array_equal(group.mats, loop_replay(group, group.generators))
-        assert not group.mats.flags.writeable
+        assert np.array_equal(ideal_mats(group), loop_replay(group, group.generators))
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize(
@@ -306,7 +326,7 @@ class TestReplay:
         conj = build_noisy_gateset(NoiseModel.conjugation(u), group)
         model = NoiseModel.sandwich(depolarizing(0.97, dim), SuperOp(dim, right))
         sandwich = build_noisy_gateset(model, group)
-        for mat, c, s in zip(group.mats, conj, sandwich):
+        for mat, c, s in zip(ideal_mats(group), conj, sandwich):
             assert np.array_equal(c.mat, us @ mat @ np.ascontiguousarray(us.T))
             assert np.array_equal(s.mat, left @ (mat @ right))
 

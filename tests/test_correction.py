@@ -41,6 +41,7 @@ from rblab.noise import (
 from rblab.twirl import build_twirl, dominant_spectrum, fidelity_curve_exact, order_m_error_blocks
 from reference import (
     exp_i_pauli_sum,
+    ideal_mats,
     infidelity,
     random_ascent_starts,
     random_unitary,
@@ -459,7 +460,7 @@ class TestVerifyDecayLaw:
     def test_sandwich_fixed_error_match(self, group24):
         left = depolarizing(0.999)
         right = rotation("y", 0.05)
-        noisy = NoisyGateSet(2, np.stack([left.mat @ mat @ right.mat for mat in group24.mats]))
+        noisy = NoisyGateSet(2, np.stack([left.mat @ mat @ right.mat for mat in ideal_mats(group24)]))
         spectrum = dominant_spectrum(build_twirl(group24, noisy))
         basis = correct_from_noisy_set(group24, noisy, spectrum=spectrum)
         report = verify_decay_law(
@@ -542,12 +543,12 @@ class TestHypothesisFailure:
     def test_decay_straddles_identity_basis_fidelity(self, group24, axis, angle):
         rot = rotation(axis, angle)
         dep = depolarizing(0.99)
-        ideal = [SuperOp(2, mat) for mat in group24.mats]
+        ideal = [SuperOp(2, mat) for mat in ideal_mats(group24)]
         conj_left = NoisyGateSet(
-            2, np.stack([rot.mat @ dep.mat @ mat @ rot.mat.T for mat in group24.mats])
+            2, np.stack([rot.mat @ dep.mat @ mat @ rot.mat.T for mat in ideal_mats(group24)])
         )
         double_daggered = NoisyGateSet(
-            2, np.stack([rot.mat.T @ dep.mat @ mat @ rot.mat.T for mat in group24.mats])
+            2, np.stack([rot.mat.T @ dep.mat @ mat @ rot.mat.T for mat in ideal_mats(group24)])
         )
         f1 = np.mean(
             [traceless_fidelity(nz, op) for nz, op in zip(conj_left, ideal)]

@@ -23,7 +23,7 @@ from rblab.rb import (
     run_rb,
 )
 from rblab.twirl import build_twirl, dominant_spectrum
-from reference import exact_rb_means, find, reference_fit_profile, sequence_draws
+from reference import exact_rb_means, find, ideal_mats, reference_fit_profile, sequence_draws
 
 
 class TestSpamVectors:
@@ -291,7 +291,7 @@ def sequence_survival(group, noisy_set, idx, rho, mu):
     ideal = np.eye(group.dim ** 2)
     for j in idx:
         vec = noisy_set[j].mat @ vec
-        ideal = group.mats[j] @ ideal
+        ideal = ideal_mats(group)[j] @ ideal
     vec = noisy_set[find(group, ideal.T)].mat @ vec
     return mu @ vec
 

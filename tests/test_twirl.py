@@ -38,6 +38,7 @@ from reference import (
     avg_gate_fidelity,
     deflated,
     fidelity_curve_mc,
+    ideal_mats,
     infidelity,
     random_unitary,
     reference_build_twirl,
@@ -57,7 +58,7 @@ def perturbation_report(group, noisy_set, basis_u) -> PerturbationReport:
     us = unitary_to_superop(np.asarray(basis_u, dtype=complex))
     eye = np.eye(group.dim ** 2)
     deltas = []
-    for ideal, noisy in zip(group.mats, noisy_set):
+    for ideal, noisy in zip(ideal_mats(group), noisy_set):
         target = us.mat @ ideal @ us.mat.T
         deltas.append(noisy.mat @ target.T - eye)
     mean_delta = np.mean(deltas, axis=0)
@@ -91,7 +92,7 @@ def right_error_op_at(spectrum, m):
 
 
 def make_sandwich(group, left, right):
-    return NoisyGateSet(2, np.stack([left.mat @ mat @ right.mat for mat in group.mats]))
+    return NoisyGateSet(2, np.stack([left.mat @ mat @ right.mat for mat in ideal_mats(group)]))
 
 
 class TestBuildTwirl:
@@ -115,7 +116,7 @@ class TestBuildTwirl:
         ]
         noisy = build_noisy_gateset(NoiseModel.right(factors), group24)
         pi = traceless_projector(2)
-        literal = sum(np.kron(g @ pi, nz.mat) for g, nz in zip(group24.mats, noisy)) / 24
+        literal = sum(np.kron(g @ pi, nz.mat) for g, nz in zip(ideal_mats(group24), noisy)) / 24
         assert np.max(np.abs(build_twirl(group24, noisy).mat - literal)) <= 1e-14
 
     @given(hnp.arrays(np.float64, (24, 4, 4), elements=st.floats(-1.0, 1.0)))
@@ -261,8 +262,8 @@ class TestOrderMErrors:
         pi = traceless_projector(2)
         acc_r = np.zeros((4, 4))
         acc_l = np.zeros((4, 4))
-        for k1, mat1 in enumerate(group24.mats):
-            for k2, mat2 in enumerate(group24.mats):
+        for k1, mat1 in enumerate(ideal_mats(group24)):
+            for k2, mat2 in enumerate(ideal_mats(group24)):
                 ideal = mat2 @ mat1
                 noisy = ztilt_noisy[k2].mat @ ztilt_noisy[k1].mat
                 acc_r += pi @ ideal.T @ noisy

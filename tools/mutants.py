@@ -9,7 +9,7 @@ naming the mutant.  Then, one mutant at a time, it copies `src/`, `tests/`,
 there and runs `python -m pytest -q -x` with `PYTHONPATH=src`.  A failing run
 (or one that exceeds TIMEOUT_S) kills the mutant.  It prints one line per
 mutant and exits 1 naming every survivor, 0 when all are killed.  Nothing is
-written into the repository.  The 60 mutants took about 10 minutes in
+written into the repository.  The 62 mutants took about 10 minutes in
 all on a shared 2-vCPU machine, which is why it is not part of tier-1.
 
 Left out as equivalent:
@@ -24,10 +24,12 @@ Left out as equivalent:
   the curve is the same up to rounding.
 - `ks = slice(0, n)` plus `moments[:, 0] = 0.0` for `ks = slice(1, n)` in
   `twirl.build_twirl`: zeroing the moments' row j = 0 instead of leaving
-  out column k = 0, that is `Pi_tr G` for `G Pi_tr`.  Every ideal transfer
-  matrix has row 0 and column 0 exactly `e0`: `unitary_to_superop` pins them
-  and `replay` keeps the zeros exact, so the coset members' entries the two
-  drop are the same exact zeros and ones.  The twirl is equal bit for bit.
+  out column k = 0, that is `Pi_tr G` for `G Pi_tr`.  The coset columns
+  come from `replay(generators)`, and every ideal transfer matrix it builds
+  has row 0 and column 0 exactly `e0`: `unitary_to_superop` pins them in the
+  generators and `replay` keeps the zeros exact, so the coset members' entries
+  the two drop are the same exact zeros and ones.  The twirl is equal bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ MUTANTS = {
     ),
     "first PCG64 seeding step skipped": (
         "src/rblab/rb.py",
-        "first = _step((zero, zero), inc)",
-        "first = (zero, zero)",
+        "np.array(_step(_add128(inc, (s0, s1)), inc))",
+        "np.array(_step((s0, s1), inc))",
     ),
     "every depth seeded with the first depth's m": (
         "src/rblab/rb.py",
@@ -254,6 +256,17 @@ MUTANTS = {
         "src/rblab/channels.py",
         "np.max(np.abs(mats[..., 0, :] - row))",
         "np.max(np.abs(mats.reshape(-1, n, n)[0, 0] - row))",
+    ),
+    # the ideal float matrices come from one replay of the closure, where they are read
+    "fixed-channel kinds replay the wrong generators": (
+        "src/rblab/noise.py",
+        'fixed.get("gens", group.generators)',
+        'fixed.get("gens", group.generators[::-1])',
+    ),
+    "coset columns from the wrong replay": (
+        "src/rblab/cliffords.py",
+        "self.replay(self.generators)[reps]",
+        "self.replay(self.generators[::-1])[reps]",
     ),
     "noisy stack left writable": (
         "src/rblab/noise.py",
