@@ -1,23 +1,21 @@
 """Wall time and peak RSS of CLI commands at a base commit and in the working tree.
 
-    python3 tools/cli_rss.py BASE OUTDIR [--runs N] COMMAND [COMMAND ...]
+    python3 tools/cli_rss.py BASE OUTDIR COMMAND [COMMAND ...]
 
 Each COMMAND is one quoted `rblab` command line with paths relative to the
 repository root, e.g. "gen-group --dim 4" or "rb --config
 configs/ztilt_d4.json".  BASE is exported with `git archive` into
 OUTDIR/base, as `tools/refactor_gate.sh` does, and the working tree's `src/`
-and `configs/` are copied into OUTDIR/work, so both sides run from a copy
-with the same relative paths and nothing is written into the repository.
-Each command runs N times per side (default 10) as `python3 -m rblab.cli`,
-started in that side's copy, the two sides alternating which runs first; BLAS
-is pinned to one thread.  For each command and side it prints the median
-wall time and the median peak RSS that `os.wait4` reports for the child, and
-the change over the base.  Exits 1 if any run exits non-zero.
+and `configs/` are copied into OUTDIR/work, so nothing is written into the
+repository.  Each command runs RUNS times per side as `python3 -m rblab.cli`
+in that side's copy, the sides alternating which runs first, BLAS on one
+thread.  It prints the median wall time and the median peak RSS that
+`os.wait4` reports for the child, and the change over the base.  Exits 1 if
+any run exits non-zero.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shlex
 import shutil
@@ -28,68 +26,49 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def export_trees(base: str, out: Path) -> dict[str, Path]:
-    trees = {"base": out / "base", "work": out / "work"}
-    for tree in trees.values():
-        shutil.rmtree(tree, ignore_errors=True)
-        tree.mkdir(parents=True)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", base], check=True, capture_output=True)
-    subprocess.run(["tar", "-x", "-C", str(trees["base"])], input=archive.stdout, check=True)
-    for part in ("src", "configs"):
-        shutil.copytree(ROOT / part, trees["work"] / part, ignore=shutil.ignore_patterns("__pycache__"))
-    return trees
+RUNS = 10
+ENV = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def timed_run(tree: Path, args: list[str]) -> tuple[float, float]:
     """Wall seconds and peak RSS in MB of one `python3 -m rblab.cli ARGS` run in `tree`."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.update(dict.fromkeys(THREAD_VARS, "1"))
-    with open(tree / "stderr.txt", "wb") as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "rblab.cli", *args], cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=err
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
+    env = dict(os.environ, **ENV, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "rblab.cli", *args], cwd=tree, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
     if proc.returncode != 0:
-        detail = (tree / "stderr.txt").read_text()
-        raise RuntimeError(f"{shlex.join(args)} in {tree} exited {proc.returncode}: {detail}")
+        sys.exit(f"{shlex.join(args)} in {tree} exited {proc.returncode}")
     return wall, usage.ru_maxrss / 1024  # ru_maxrss is in kB on Linux
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base")
-    parser.add_argument("outdir", type=Path)
-    parser.add_argument("commands", nargs="+")
-    parser.add_argument("--runs", type=int, default=10)
-    opts = parser.parse_args()
-    trees = export_trees(opts.base, opts.outdir.resolve())
+def main() -> None:
+    if len(sys.argv) < 4:
+        sys.exit(__doc__.split("\n\n")[1])
+    base, out, commands = sys.argv[1], Path(sys.argv[2]).resolve(), sys.argv[3:]
+    trees = {"base": out / "base", "work": out / "work"}
+    for tree in trees.values():
+        shutil.rmtree(tree, ignore_errors=True)
+    trees["base"].mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", base], check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(trees["base"])], input=archive.stdout, check=True)
+    for part in ("src", "configs"):
+        shutil.copytree(ROOT / part, trees["work"] / part, ignore=shutil.ignore_patterns("__pycache__"))
 
-    print(f"base {opts.base} vs working tree, {opts.runs} alternating runs per side, medians")
+    print(f"base {base} vs working tree, {RUNS} alternating runs per side, medians")
     print(f"{'command':<40} {'base s':>8} {'work s':>8} {'ratio':>6} {'base MB':>8} {'work MB':>8} {'ratio':>6}")
-    try:
-        for command in opts.commands:
-            args = shlex.split(command)
-            runs = {side: [] for side in trees}
-            for i in range(opts.runs):
-                for side in ("base", "work") if i % 2 == 0 else ("work", "base"):
-                    runs[side].append(timed_run(trees[side], args))
-            wall = {side: statistics.median(r[0] for r in rs) for side, rs in runs.items()}
-            rss = {side: statistics.median(r[1] for r in rs) for side, rs in runs.items()}
-            print(
-                f"{command:<40} {wall['base']:8.3f} {wall['work']:8.3f} {wall['work'] / wall['base']:6.3f}"
-                f" {rss['base']:8.1f} {rss['work']:8.1f} {rss['work'] / rss['base']:6.3f}"
-            )
-    except RuntimeError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    return 0
+    for command in commands:
+        runs = {"base": [], "work": []}
+        for i in range(RUNS):
+            for side in ("base", "work") if i % 2 == 0 else ("work", "base"):
+                runs[side].append(timed_run(trees[side], shlex.split(command)))
+        wall = {side: statistics.median(r[0] for r in rs) for side, rs in runs.items()}
+        rss = {side: statistics.median(r[1] for r in rs) for side, rs in runs.items()}
+        print(f"{command:<40} {wall['base']:8.3f} {wall['work']:8.3f} {wall['work'] / wall['base']:6.3f}"
+              f" {rss['base']:8.1f} {rss['work']:8.1f} {rss['work'] / rss['base']:6.3f}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
