@@ -40,13 +40,13 @@ def pauli_basis(dim: int) -> np.ndarray:
     return stack
 
 
-def check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
-    """Raise ValueError when u'u deviates from the identity by more than tol."""
+def check_unitary(u: np.ndarray) -> None:
+    """Raise ValueError when u'u deviates from the identity by more than 1e-8 (Frobenius)."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if not defect <= tol:  # a NaN defect fails too
+    if not defect <= 1e-8:  # a NaN defect fails too
         raise ValueError(f"matrix is not unitary: orthogonality defect {defect:.3e}")
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise import GENERATORS, generator_mats
+from .noise import generator_mats
 
 # SHA-256 of the breadth-first closure's table (int8), parents (little-endian
 # int32) and vias (int8) bytes, in that order
@@ -54,7 +54,7 @@ def _generator_rows(mats: np.ndarray) -> np.ndarray:
 class CliffordGroup:
     """Closed, indexed gate-set with an exact inverse table.
 
-    Element k is generator `labels[vias[k]]` applied after element
+    Element k is generator `vias[k]`, in label order, applied after element
     `parents[k]` (the identity, element 0, has parent and via -1), in
     breadth-first order; `table[k]` is its signed permutation, and its float
     transfer matrix `replay(generators)[k]` (`generators`: the ideal ones in
@@ -67,9 +67,8 @@ class CliffordGroup:
 
     def __init__(self, dim: int, table: np.ndarray, parents: np.ndarray, vias: np.ndarray):
         self.dim = dim
-        self.generators = generator_mats(dim)  # before GENERATORS[dim]: a bad dim is a ValueError
+        self.generators = generator_mats(dim)  # before CLOSURE_DIGEST[dim]: a bad dim is a ValueError
         self.generators.setflags(write=False)
-        self.labels = tuple(GENERATORS[dim])
         table = np.asarray(table, dtype=np.int8)
         parents = np.asarray(parents, dtype="<i4")
         vias = np.asarray(vias, dtype=np.int8)
@@ -100,7 +99,7 @@ class CliffordGroup:
 
         `idx[c, p]` indexes `c p`, with c the coset's member whose key-row
         entries are all positive, so `G_{cp} = G_c D_p`: `signs[k, p]` is
-        `D_p[k, k]` and `cols[k, j, c]` is `G_c[j, k]`.
+        `D_p[k, k]` and `cols[k, j, c]` is `G_c[j, k]`, composed from c's own pulses.
         """
         n = self.dim ** 2
         paulis = np.flatnonzero((np.abs(self.table) == np.arange(1, n + 1)).all(axis=1))
@@ -108,8 +107,13 @@ class CliffordGroup:
         idx = self.indices(compose_rows(self.table[reps, None], self.table[None, paulis]).reshape(-1, n))
         if not np.array_equal(np.sort(idx), np.arange(len(self))):
             raise ValueError("the Pauli cosets do not partition the group")
+        chain = [reps]  # each member's ancestors up to the identity, which stays there
+        while chain[-1].any():
+            chain.append(np.maximum(self.parents[chain[-1]], 0))
+        gens = np.concatenate([self.generators, np.eye(n)[None]])  # the identity's via, -1, pads
+        mats = compose_sequences(gens, self.vias[np.array(chain[::-1]).T], np.eye(n))
         out = (idx.reshape(len(reps), -1), np.sign(self.table[paulis]).T.astype(float),
-               np.ascontiguousarray(self.replay(self.generators)[reps].transpose(2, 1, 0)))
+               np.ascontiguousarray(mats.transpose(2, 1, 0)))
         for arr in out:
             arr.setflags(write=False)
         return out
@@ -156,7 +160,7 @@ class CliffordGroup:
         while start < len(self):
             # the level ends where the first child of its own elements begins
             stop = int(np.searchsorted(self.parents, start))
-            out[start:stop] = gens[self.vias[start:stop]] @ out[self.parents[start:stop]]
+            np.matmul(gens[self.vias[start:stop]], out[self.parents[start:stop]], out=out[start:stop])
             start = stop
         return out
 

@@ -193,13 +193,6 @@ def _axis_vector(axis) -> np.ndarray:
     return n / norm
 
 
-def kron_channel(a: SuperOp, b: SuperOp) -> SuperOp:
-    """Two-qubit product channel; index order must match the Pauli basis."""
-    if a.dim != 2 or b.dim != 2:
-        raise ValueError("kron_channel combines two single-qubit channels")
-    return SuperOp(4, np.kron(a.mat, b.mat))
-
-
 def relabeling_channel() -> SuperOp:
     """Exact axis permutation X -> Y -> Z -> X as a transfer matrix."""
     mat = np.zeros((4, 4))
@@ -257,9 +250,8 @@ def channel_from_spec(spec, dim: int) -> SuperOp:
             return rotation(spec.get("axis", "z"), finite("angle", spec["angle"]))
         if kind == "kron":
             _require_dim(dim, 4, kind)
-            return kron_channel(
-                channel_from_spec(spec["first"], 2), channel_from_spec(spec["second"], 2)
-            )
+            first, second = (channel_from_spec(spec[key], 2).mat for key in ("first", "second"))
+            return SuperOp(4, np.kron(first, second))  # the Pauli basis's lexicographic order
     except KeyError as exc:
         raise ConfigError(f"channel spec {kind!r} is missing key {exc.args[0]!r}") from None
     except ConfigError:

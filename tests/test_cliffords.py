@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rblab.cliffords import (
 )
 from rblab.noise import (
     CZ_HAMILTONIAN,
+    GENERATORS,
     NoiseModel,
     _resolve_errors,
     build_noisy_gateset,
@@ -30,7 +32,7 @@ def word(group, k):
     """Generator labels of element k, first applied first, rebuilt from the closure."""
     labels = []
     while group.parents[k] >= 0:
-        labels.append(group.labels[group.vias[k]])
+        labels.append(list(GENERATORS[group.dim])[group.vias[k]])
         k = group.parents[k]
     return tuple(reversed(labels))
 
@@ -55,7 +57,7 @@ class TestGeneration:
         for k, mat in enumerate(ideal_mats(group24)):
             op = np.eye(4)
             for label in word(group24, k):
-                op = group24.generators[group24.labels.index(label)] @ op
+                op = group24.generators[list(GENERATORS[2]).index(label)] @ op
             assert np.max(np.abs(op - mat)) < 1e-10
 
     def test_bfs_words_are_minimal_from_parents(self, group24):
@@ -81,7 +83,7 @@ class TestInverse:
         assert group24.inverse_table[0] == 0
 
     def test_generator_inverse_product(self, group24):
-        idx = find(group24, group24.generators[group24.labels.index("x")])
+        idx = find(group24, group24.generators[list(GENERATORS[2]).index("x")])
         inv = group24.inverse_table[idx]
         mats = ideal_mats(group24)
         product = mats[inv] @ mats[idx]
@@ -259,14 +261,14 @@ class TestElementOrder:
         assert group24.parents.tolist() == [
             -1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 6, 7, 8, 8, 9, 10, 11, 13, 14, 17, 18
         ]
-        assert [group24.labels[v] if v >= 0 else None for v in group24.vias] == [
+        assert [list(GENERATORS[2])[v] if v >= 0 else None for v in group24.vias] == [
             None, "x", "y", "x", "y", "x", "y", "x", "y", "x", "y", "x",
             "x", "y", "y", "x", "y", "x", "y", "x", "x", "x", "x", "x",
         ]
 
     def test_two_qubit_order_digest(self, group11520):
         # digest of json.dumps([parents, via labels]) from the float-key closure
-        vias = [group11520.labels[v] if v >= 0 else None for v in group11520.vias]
+        vias = [list(GENERATORS[4])[v] if v >= 0 else None for v in group11520.vias]
         payload = json.dumps([group11520.parents.tolist(), vias]).encode()
         assert hashlib.sha256(payload).hexdigest() == (
             "fb295e83b385e37f990958f76b6694e8d2d90c9136545d065c4af0fe5f340cb5"
@@ -288,6 +290,17 @@ class TestExactDataOnly:
         held = sum(arr.nbytes for arr in vars(group).values() if isinstance(arr, np.ndarray))
         # a float stack is 3 kB at d=2 and 23.6 MB at d=4; the key slots make most of the 2.7 MB at d=4
         assert held < min(4e6, len(group) * dim ** 4 * 8)
+
+    def test_cosets_allocate_less_than_half_a_float_stack(self):
+        # the columns compose the 720 members' own pulses; a replay of all 11520 peaks near 40 MB
+        group = generate_clifford_group(4)
+        tracemalloc.start()
+        try:
+            group.cosets
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(group) * 16 ** 2 * 8 / 2
 
 
 class TestReplay:

@@ -15,6 +15,7 @@ from rblab.channels import (
 )
 from rblab.noise import (
     CZ_HAMILTONIAN,
+    GENERATORS,
     ConfigError,
     NoiseModel,
     NoisyGateSet,
@@ -195,7 +196,7 @@ class TestNoiseModels:
 
     def test_null_cz_epsilon_means_absent(self, group11520):
         # left out or null, the CZ offset is 0 for z_tilt and epsilon for over_rotation
-        cz = group11520.labels.index("cz")
+        cz = list(GENERATORS[4]).index("cz")
         for cfg, offset in (
             ({"kind": "z_tilt", "theta_z": 0.1}, 0.0),
             ({"kind": "over_rotation", "epsilon": 0.07}, 0.07),
@@ -220,7 +221,7 @@ class TestNoiseModels:
         # oracle: compose the tilt channel with the ideal generator directly
         noisy = build_noisy_gateset(NoiseModel.z_tilt(0.1), group24)
         tilt = unitary_to_superop(pulse(SIGMA_Z, 0.1))
-        gx = SuperOp(2, group24.generators[group24.labels.index("x")])
+        gx = SuperOp(2, group24.generators[list(GENERATORS[2]).index("x")])
         idx = find(group24, gx.mat)
         expected = tilt @ gx
         assert np.max(np.abs(noisy[idx].mat - expected.mat)) < 1e-12

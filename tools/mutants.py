@@ -9,7 +9,7 @@ naming the mutant.  Then, one mutant at a time, it copies `src/`, `tests/`,
 there and runs `python -m pytest -q -x` with `PYTHONPATH=src`.  A failing run
 (or one that exceeds TIMEOUT_S) kills the mutant.  It prints one line per
 mutant and exits 1 naming every survivor, 0 when all are killed.  Nothing is
-written into the repository.  The 62 mutants took about 10 minutes in
+written into the repository.  The 63 mutants took about 10 minutes in
 all on a shared 2-vCPU machine, which is why it is not part of tier-1.
 
 Left out as equivalent:
@@ -25,11 +25,11 @@ Left out as equivalent:
 - `ks = slice(0, n)` plus `moments[:, 0] = 0.0` for `ks = slice(1, n)` in
   `twirl.build_twirl`: zeroing the moments' row j = 0 instead of leaving
   out column k = 0, that is `Pi_tr G` for `G Pi_tr`.  The coset columns
-  come from `replay(generators)`, and every ideal transfer matrix it builds
-  has row 0 and column 0 exactly `e0`: `unitary_to_superop` pins them in the
-  generators and `replay` keeps the zeros exact, so the coset members' entries
-  the two drop are the same exact zeros and ones.  The twirl is equal bit for
-  bit.
+  are the members' own pulse sequences composed from the ideal generators,
+  and every such product has row 0 and column 0 exactly `e0`:
+  `unitary_to_superop` pins them in the generators and the products keep the
+  zeros exact, so the coset members' entries the two drop are the same exact
+  zeros and ones.  The twirl is equal bit for bit.
 """
 
 from __future__ import annotations
@@ -257,16 +257,21 @@ MUTANTS = {
         "np.max(np.abs(mats[..., 0, :] - row))",
         "np.max(np.abs(mats.reshape(-1, n, n)[0, 0] - row))",
     ),
-    # the ideal float matrices come from one replay of the closure, where they are read
+    # the ideal float matrices are built where they are read: one replay, or the coset members alone
     "fixed-channel kinds replay the wrong generators": (
         "src/rblab/noise.py",
         'fixed.get("gens", group.generators)',
         'fixed.get("gens", group.generators[::-1])',
     ),
-    "coset columns from the wrong replay": (
+    "coset members composed from the wrong generators": (
         "src/rblab/cliffords.py",
-        "self.replay(self.generators)[reps]",
-        "self.replay(self.generators[::-1])[reps]",
+        "np.concatenate([self.generators, np.eye(n)[None]])",
+        "np.concatenate([self.generators[::-1], np.eye(n)[None]])",
+    ),
+    "coset members composed leaf first": (
+        "src/rblab/cliffords.py",
+        "self.vias[np.array(chain[::-1]).T]",
+        "self.vias[np.array(chain).T]",
     ),
     "noisy stack left writable": (
         "src/rblab/noise.py",
