@@ -85,7 +85,14 @@ def write_csv(path: Path, meta: dict, columns: list[tuple[str, list]]) -> None:
     length = len(columns[0][1])
     for i in range(length):
         lines.append(",".join(_fmt(values[i]) for _, values in columns))
-    path.write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"{path} cannot be written: {exc.strerror or exc}") from exc
 
 
 def load_config(path: str | None) -> dict:
@@ -323,7 +330,7 @@ def cmd_rb(s: _Setup) -> int:
     ]
     for di, m in enumerate(table.depths):
         lines.append(f"{m},{_fmt(fit.mean_survival[di])},{_fmt(fit.residuals[di])}")
-    s.output("rb_fit.txt").write_text("\n".join(lines) + "\n")
+    write_text(s.output("rb_fit.txt"), "\n".join(lines) + "\n")
     print(f"fitted p = {fit.p!r}  95% interval {fit.p_interval}")
     if fit.flagged:
         print(f"fit flagged: {fit.message}")

@@ -178,10 +178,26 @@ def reference_build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> Twir
     return TwirlSuperop(group.dim, t)
 
 
-def find(group: CliffordGroup, mat: np.ndarray) -> int:
-    """Index of the element with this signed-permutation transfer matrix; KeyError if absent."""
-    row = np.rint(mat) @ np.arange(1, len(mat) + 1)
-    return int(group.indices(row.astype(np.int8)[None])[0])
+def find(group: CliffordGroup, mat: np.ndarray):
+    """Index of the element with this signed-permutation transfer matrix (array of them for a stack)."""
+    rows = (np.rint(mat) @ np.arange(1, mat.shape[-1] + 1)).astype(np.int8)
+    idx = group.indices(rows.reshape(-1, mat.shape[-1]))
+    return idx if mat.ndim == 3 else int(idx[0])
+
+
+def enumerated_products(group: CliffordGroup, noisy_set: NoisyGateSet, m: int):
+    """Ideal and noisy products of all N^m sequences of m gates, as two stacks.
+
+    Row r belongs to the r-th sequence of `itertools.product(range(N), repeat=m)`,
+    whose first gate acts first.  Each gate is one batched matmul of every
+    element against every product so far, with no library composition routine.
+    """
+    n = group.dim ** 2
+    ideal = noisy = np.eye(n)[None]
+    for _ in range(m):
+        ideal = (ideal_mats(group)[None] @ ideal[:, None]).reshape(-1, n, n)
+        noisy = (noisy_set.mats[None] @ noisy[:, None]).reshape(-1, n, n)
+    return ideal, noisy
 
 
 def deflated(spectrum: TwirlSpectrum) -> np.ndarray:
@@ -200,25 +216,27 @@ def exact_rb_means(
 ) -> np.ndarray:
     """Exact mean survival of motion-reversal RB at each depth, by group convolution.
 
-    `a[h]` sums, over the sequences of k gates whose ideal product is h, their
-    noisy product applied to `rho`, divided by N^k: the last gate g leaves a
-    prefix of product g^-1 h, so `a_k[h] = (1/N) sum_g noisy(g) a_{k-1}[g^-1 h]`,
-    from `a_0[h] = [h = identity] rho`.  The depth-m mean survival is
-    `sum_h mu . noisy(h^-1) a_m[h]`.  `depths` must be increasing.
+    The convolution of Merkel, Pritchett and Fong (arXiv:1804.05951), at both
+    dims.  `a_m[h]` sums, over the sequences of m gates whose ideal product is
+    h, their noisy product applied to `rho`, over N^m: `a_1[h] = noisy(h) rho / N`,
+    and as the last gate g leaves a prefix of product g^-1 h,
+    `a_m[h] = (1/N) sum_g noisy(g) a_{m-1}[g^-1 h]`, one g at a time from the
+    N products `g^-1 h` of its row.  The depth-m mean survival is
+    `sum_h mu . noisy(h^-1) a_m[h]`.  `depths` must be increasing, from 1.
     """
     n_el = len(group)
-    inverses = group.table[group.inverse_table]
-    rows = compose_rows(inverses[:, None], group.table[None])  # [g, h] -> g^-1 h
-    quotient = group.indices(rows.reshape(-1, rows.shape[-1])).reshape(n_el, n_el)
     noisy = noisy_set.mats
     closing = noisy[group.inverse_table]
-    a = np.zeros((n_el, len(rho)))
-    a[0] = rho
-    done = 0
+    a = noisy @ rho / n_el
+    done = 1
     means = []
     for m in depths:
         for _ in range(m - done):
-            a = np.einsum("gij,ghj->hi", noisy, a[quotient]) / n_el
+            step = np.zeros_like(a)
+            for g in range(n_el):
+                rows = compose_rows(group.table[group.inverse_table[g]][None], group.table)  # g^-1 h
+                step += a[group.indices(rows)] @ noisy[g].T / n_el
+            a = step
         done = m
         means.append(float(np.einsum("i,hij,hj->", mu, closing, a)))
     return np.array(means)

@@ -24,7 +24,7 @@ from rblab.twirl import (
     fidelity_curve_exact,
     order_m_error_blocks,
 )
-from reference import ideal_mats, random_unitary
+from reference import enumerated_products, random_unitary
 from test_twirl import right_error_op_at
 
 COMPOSITE_FACTORS = [
@@ -324,13 +324,8 @@ def test_criterion_09_order_four_sufficiency():
     # depth-2 enumeration oracle against the power construction
     noisy, spectrum = spectrum_of(group, NoiseModel.z_tilt(0.1))
     pi = traceless_projector(2)
-    acc = np.zeros((4, 4))
-    for k1, mat1 in enumerate(ideal_mats(group)):
-        for k2, mat2 in enumerate(ideal_mats(group)):
-            ideal = mat2 @ mat1
-            nz = noisy[k2].mat @ noisy[k1].mat
-            acc += pi @ ideal.T @ nz
-    acc /= len(group) ** 2
+    ideal, nz = enumerated_products(group, noisy, 2)
+    acc = (pi @ ideal.transpose(0, 2, 1) @ nz).mean(axis=0)
     enum_err = float(np.max(np.abs(acc / spectrum.p ** 2 - right_error_op_at(spectrum, 2))))
     ok = close and enum_err <= 1e-10
     worst = max(gap / bound for gap, bound in gaps.values())

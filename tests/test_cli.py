@@ -84,6 +84,15 @@ class TestConfigErrors:
         code = main(["spectrum", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, name", [("spectrum", "spectrum.csv"), ("rb", "rb_fit.txt")])
+    def test_unwritable_output_file(self, tmp_path, capsys, cache, command, name):
+        # a directory where the output file goes was an IsADirectoryError traceback and exit 1
+        cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 0.1}, "sequences": 5})
+        (tmp_path / name).mkdir()
+        code = main([command, "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {tmp_path / name} cannot be written: ")
+
     def test_wrong_dimension_cache(self, tmp_path, capsys, cache):
         cfg = write_config(tmp_path, {"model": {"kind": "z_tilt", "theta_z": 0.1}})
         code = main([

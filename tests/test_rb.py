@@ -23,7 +23,7 @@ from rblab.rb import (
     run_rb,
 )
 from rblab.twirl import build_twirl, dominant_spectrum
-from reference import exact_rb_means, find, ideal_mats, reference_fit_profile, sequence_draws
+from reference import enumerated_products, exact_rb_means, find, ideal_mats, reference_fit_profile, sequence_draws
 
 
 class TestSpamVectors:
@@ -70,11 +70,7 @@ class TestRunRB:
         noisy = build_noisy_gateset(NoiseModel.left(err), group24)
         rho = default_state(2)
         mu = default_state(2)
-        total = 0.0
-        for k in range(len(group24)):
-            inv = group24.inverse_table[k]
-            total += mu @ (noisy[inv].mat @ (noisy[k].mat @ rho))
-        mean = total / len(group24)
+        mean = enumerated_mean(group24, noisy, 1, rho, mu)
         pi = traceless_projector(2)
         p = np.trace(err.mat[1:, 1:]) / 3
         a = mu @ err.mat @ (pi @ rho)
@@ -290,16 +286,17 @@ def sequence_survival(group, noisy_set, idx, rho, mu):
     vec = rho
     ideal = np.eye(group.dim ** 2)
     for j in idx:
-        vec = noisy_set[j].mat @ vec
+        vec = noisy_set.mats[j] @ vec
         ideal = ideal_mats(group)[j] @ ideal
-    vec = noisy_set[find(group, ideal.T)].mat @ vec
+    vec = noisy_set.mats[find(group, ideal.T)] @ vec
     return mu @ vec
 
 
 def enumerated_mean(group, noisy_set, m, rho, mu):
     """Mean survival over all N^m sequences of m gates."""
-    sequences = itertools.product(range(len(group)), repeat=m)
-    return sum(sequence_survival(group, noisy_set, idx, rho, mu) for idx in sequences) / len(group) ** m
+    ideal, noisy = enumerated_products(group, noisy_set, m)
+    closing = noisy_set.mats[find(group, ideal.transpose(0, 2, 1))]
+    return float(np.einsum("i,sij,sj->", mu, closing, noisy @ rho)) / len(noisy)
 
 
 SPAM_CASES = {
@@ -352,8 +349,7 @@ class TestExactMeans:
         noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 4), group11520)
         config = RBConfig(depths=(1,), sequences=2000, seed=19)
         rho, mu = config.resolve(4)
-        mats = noisy.mats
-        exact = np.einsum("i,hij,hjk,k->", mu, mats[group11520.inverse_table], mats, rho) / len(mats)
+        exact = exact_rb_means(group11520, noisy, [1], rho, mu)[0]
         assert exact == pytest.approx(0.9830524, abs=1e-7)
         survivals = run_rb(group11520, noisy, config).survivals[:, 0]
         stderr = survivals.std(ddof=1) / np.sqrt(survivals.size)

@@ -37,6 +37,7 @@ from rblab.twirl import (
 from reference import (
     avg_gate_fidelity,
     deflated,
+    enumerated_products,
     fidelity_curve_mc,
     ideal_mats,
     infidelity,
@@ -58,9 +59,9 @@ def perturbation_report(group, noisy_set, basis_u) -> PerturbationReport:
     us = unitary_to_superop(np.asarray(basis_u, dtype=complex))
     eye = np.eye(group.dim ** 2)
     deltas = []
-    for ideal, noisy in zip(ideal_mats(group), noisy_set):
+    for ideal, noisy in zip(ideal_mats(group), noisy_set.mats):
         target = us.mat @ ideal @ us.mat.T
-        deltas.append(noisy.mat @ target.T - eye)
+        deltas.append(noisy @ target.T - eye)
     mean_delta = np.mean(deltas, axis=0)
     mean_infidelity = 1.0 - avg_gate_fidelity(SuperOp(group.dim, eye + mean_delta), SuperOp(group.dim, eye))
     return PerturbationReport(deltas=deltas, mean_infidelity=mean_infidelity)
@@ -116,7 +117,7 @@ class TestBuildTwirl:
         ]
         noisy = build_noisy_gateset(NoiseModel.right(factors), group24)
         pi = traceless_projector(2)
-        literal = sum(np.kron(g @ pi, nz.mat) for g, nz in zip(ideal_mats(group24), noisy)) / 24
+        literal = sum(np.kron(g @ pi, nz) for g, nz in zip(ideal_mats(group24), noisy.mats)) / 24
         assert np.max(np.abs(build_twirl(group24, noisy).mat - literal)) <= 1e-14
 
     @given(hnp.arrays(np.float64, (24, 4, 4), elements=st.floats(-1.0, 1.0)))
@@ -260,16 +261,9 @@ class TestOrderMErrors:
     def test_power_construction_matches_enumeration_depth2(self, group24, ztilt_noisy):
         # oracle: average over all 24^2 two-gate sequences explicitly
         pi = traceless_projector(2)
-        acc_r = np.zeros((4, 4))
-        acc_l = np.zeros((4, 4))
-        for k1, mat1 in enumerate(ideal_mats(group24)):
-            for k2, mat2 in enumerate(ideal_mats(group24)):
-                ideal = mat2 @ mat1
-                noisy = ztilt_noisy[k2].mat @ ztilt_noisy[k1].mat
-                acc_r += pi @ ideal.T @ noisy
-                acc_l += noisy @ ideal.T @ pi
-        acc_r /= len(group24) ** 2
-        acc_l /= len(group24) ** 2
+        ideal, noisy = enumerated_products(group24, ztilt_noisy, 2)
+        acc_r = (pi @ ideal.transpose(0, 2, 1) @ noisy).mean(axis=0)
+        acc_l = (noisy @ ideal.transpose(0, 2, 1) @ pi).mean(axis=0)
         right_blk, left_blk = order_m_error_blocks(build_twirl(group24, ztilt_noisy), 2)
         assert np.max(np.abs(right_blk - acc_r[1:, 1:])) < 1e-10
         assert np.max(np.abs(left_blk - acc_l[1:, 1:])) < 1e-10

@@ -3,19 +3,17 @@
     python3 tools/exact_d4.py
 
 For `configs/ztilt_d4.json` (z-tilt 0.1 with CZ over-rotation 0.1, no SPAM
-noise) it computes the exact mean survival of motion-reversal RB by the
-group convolution of Merkel, Pritchett and Fong (arXiv:1804.05951):
-`a_1[h] = noisy(h) rho / N`, `a_2[h] = (1/N) sum_g noisy(g) a_1[g^-1 h]` and
-`mean_m = sum_h mu . noisy(h^-1) a_m[h]`.  The step walks the group one
-element `g` at a time, so it needs the N products `g^-1 h` of one row, never
-an N x N quotient table.  It then checks:
+noise) it computes the exact mean survival of motion-reversal RB by
+`tests/reference.exact_rb_means`, the group convolution of Merkel,
+Pritchett and Fong (arXiv:1804.05951) that the test suite also runs at
+d=2.  It then checks:
 
 - the exact means against their pinned values to 1e-7;
 - a seeded `run_rb` of 4000 sequences against each exact mean, within 4
   standard errors.
 
 It prints one line per check and exits 1 naming every miss, 0 when all hold.
-The convolution step looks up 11520^2 products and takes 30-40 s on a
+The convolution step looks up 11520^2 products and takes about 22 s on a
 shared 2-vCPU machine, which is why it is not part of tier-1.
 """
 
@@ -30,26 +28,16 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from rblab.cliffords import compose_rows, generate_clifford_group  # noqa: E402
+from rblab.cliffords import generate_clifford_group  # noqa: E402
 from rblab.noise import NoiseModel, build_noisy_gateset  # noqa: E402
 from rblab.rb import RBConfig, run_rb  # noqa: E402
+from reference import exact_rb_means  # noqa: E402
 
 PINNED = {1: 0.9830524, 2: 0.9734505}
 SEQUENCES = 4000
 SEED = 19
-
-
-def exact_means(group, noisy: np.ndarray, rho: np.ndarray, mu: np.ndarray) -> dict[int, float]:
-    """Exact mean survivals at depths 1 and 2, one convolution step over g."""
-    n_el = len(group)
-    closing = noisy[group.inverse_table]
-    a1 = noisy @ rho / n_el
-    a2 = np.zeros_like(a1)
-    for g in range(n_el):
-        rows = compose_rows(group.table[group.inverse_table[g]][None], group.table)  # g^-1 h
-        a2 += a1[group.indices(rows)] @ noisy[g].T / n_el
-    return {m: float(np.einsum("i,hij,hj->", mu, closing, a)) for m, a in ((1, a1), (2, a2))}
 
 
 def main() -> int:
@@ -60,7 +48,7 @@ def main() -> int:
     rho, mu = config.resolve(4)
 
     start = time.perf_counter()
-    exact = exact_means(group, noisy_set.mats, rho, mu)
+    exact = dict(zip(PINNED, exact_rb_means(group, noisy_set, PINNED, rho, mu)))
     print(f"convolution: {time.perf_counter() - start:.1f} s")
     survivals = run_rb(group, noisy_set, config).survivals
 
