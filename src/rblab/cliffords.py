@@ -7,8 +7,9 @@ element k as one int8 table row of length d^2 whose entry r is
 gather and equality is exact.  The entries at each qubit's X and Z rows fix the
 element (Aaronson and Gottesman, quant-ph/0406196); as digits, they are its key.
 Breadth-first closure gives each element its parent and the generator applied
-last, i.e. a minimal-length pulse sequence; replaying those steps rebuilds the
-float transfer matrices, and noise models replay them with imperfect generators.
+last, i.e. a minimal-length pulse sequence.  The ideal float transfer matrices
+are one exact scatter of the table (`transfer_mats`); only noise models with
+imperfect generators replay the closure's steps with them (`replay`).
 """
 
 from __future__ import annotations
@@ -45,35 +46,27 @@ def _keys(rows: np.ndarray, dim: int) -> np.ndarray:
     return digits @ (2 * dim ** 2 + 1) ** np.arange(len(_KEY_ROWS[dim]))
 
 
-def _generator_rows(mats: np.ndarray) -> np.ndarray:
-    """Table rows of the generators; each ideal generator is a signed permutation."""
-    ints = np.rint(mats)
-    return (ints @ np.arange(1, ints.shape[-1] + 1)).astype(np.int8)
-
-
 class CliffordGroup:
     """Closed, indexed gate-set with an exact inverse table.
 
     Element k is generator `vias[k]`, in label order, applied after element
     `parents[k]` (the identity, element 0, has parent and via -1), in
-    breadth-first order; `table[k]` is its signed permutation, and its float
-    transfer matrix `replay(generators)[k]` (`generators`: the ideal ones in
-    label order) is built where it is read.  The constructor checks the table
-    exactly: its bytes, with parents and vias, hash to `CLOSURE_DIGEST[dim]`.
-    `indices` gathers by key from the read-only `_slot` (-1 where no element
-    has the key; 2.4 MB at d=4), then checks the rows found in full.
-    `cosets` is built on first use.  Immutable; safe to share across threads.
+    breadth-first order; `table[k]` is its signed permutation, scattered into
+    an exact float matrix by `transfer_mats` where it is read.  The constructor
+    checks the table exactly: its bytes, with parents and vias, hash to
+    `CLOSURE_DIGEST[dim]`.  `indices` gathers by key from the read-only `_slot`
+    (-1 where no element has the key; 2.4 MB at d=4), then checks the rows
+    found in full.  `cosets` is built on first use.  Immutable; safe to share
+    across threads.
     """
 
     def __init__(self, dim: int, table: np.ndarray, parents: np.ndarray, vias: np.ndarray):
         self.dim = dim
-        self.generators = generator_mats(dim)  # before CLOSURE_DIGEST[dim]: a bad dim is a ValueError
-        self.generators.setflags(write=False)
         table = np.asarray(table, dtype=np.int8)
         parents = np.asarray(parents, dtype="<i4")
         vias = np.asarray(vias, dtype=np.int8)
         digest = hashlib.sha256(b"".join(arr.tobytes() for arr in (table, parents, vias)))
-        if digest.hexdigest() != CLOSURE_DIGEST[dim]:
+        if digest.hexdigest() != CLOSURE_DIGEST.get(dim):  # a bad dim is a ValueError too
             raise ValueError(
                 f"group table is not the breadth-first closure of the dimension-{dim} generators"
             )
@@ -98,8 +91,8 @@ class CliffordGroup:
         """`(idx, signs, cols)` over the cosets of the d^2 Paulis, the elements with diagonal rows.
 
         `idx[c, p]` indexes `c p`, with c the coset's member whose key-row
-        entries are all positive, so `G_{cp} = G_c D_p`: `signs[k, p]` is
-        `D_p[k, k]` and `cols[k, j, c]` is `G_c[j, k]`, composed from c's own pulses.
+        entries are all positive, so `G_{cp} = G_c D_p` exactly: `signs[k, p]`
+        is `D_p[k, k]` and `cols[k, j, c]` is `G_c[j, k]`, scattered from c's row.
         """
         n = self.dim ** 2
         paulis = np.flatnonzero((np.abs(self.table) == np.arange(1, n + 1)).all(axis=1))
@@ -107,15 +100,17 @@ class CliffordGroup:
         idx = self.indices(compose_rows(self.table[reps, None], self.table[None, paulis]).reshape(-1, n))
         if not np.array_equal(np.sort(idx), np.arange(len(self))):
             raise ValueError("the Pauli cosets do not partition the group")
-        chain = [reps]  # each member's ancestors up to the identity, which stays there
-        while chain[-1].any():
-            chain.append(np.maximum(self.parents[chain[-1]], 0))
-        gens = np.concatenate([self.generators, np.eye(n)[None]])  # the identity's via, -1, pads
-        mats = compose_sequences(gens, self.vias[np.array(chain[::-1]).T], np.eye(n))
         out = (idx.reshape(len(reps), -1), np.sign(self.table[paulis]).T.astype(float),
-               np.ascontiguousarray(mats.transpose(2, 1, 0)))
+               np.ascontiguousarray(self.transfer_mats(reps).transpose(2, 1, 0)))
         for arr in out:
             arr.setflags(write=False)
+        return out
+
+    def transfer_mats(self, idx=slice(None)) -> np.ndarray:
+        """Exact transfer matrices of elements `idx`: entry `(r, |v| - 1)` is `sign(v)`, v = `table[k, r]`."""
+        rows = self.table[idx]
+        out = np.zeros(rows.shape + rows.shape[-1:])
+        np.put_along_axis(out, np.abs(rows[..., None]).astype(np.intp) - 1, np.sign(rows[..., None]), axis=-1)
         return out
 
     def indices(self, rows: np.ndarray) -> np.ndarray:
@@ -148,7 +143,7 @@ class CliffordGroup:
         return self.indices(rows - np.int8(n))
 
     def replay(self, gens: np.ndarray) -> np.ndarray:
-        """Every element's transfer matrix rebuilt from generator matrices in label order.
+        """Every element's transfer matrix rebuilt from noisy generator matrices in label order.
 
         Element k is `gens[vias[k]] @ element[parent]`, one batched matmul
         per breadth-first level, which rounds exactly like per-element products.
@@ -184,8 +179,9 @@ def generate_clifford_group(dim: int) -> CliffordGroup:
     Candidates of one level are ordered parent first, then generator order,
     and each is kept when its key is new.
     """
-    gen_rows = _generator_rows(generator_mats(dim))
-    n_gen, n = gen_rows.shape
+    n = dim ** 2  # each ideal generator is a signed permutation: its rounded rows give its table row
+    gen_rows = (np.rint(generator_mats(dim)) @ np.arange(1, n + 1)).astype(np.int8)
+    n_gen = len(gen_rows)
     frontier = np.arange(1, n + 1, dtype=np.int8)[None]  # the identity
     seen = np.zeros(_KEY_SPACE[dim], dtype=bool)
     rows, parents, vias = [frontier], [np.array([-1])], [np.array([-1])]

@@ -6,7 +6,7 @@ its closure, and the over-rotation and z-tilt models perturb the same
 pulses.  A noise model maps every element of an ideal Clifford gate-set to
 a noisy transfer matrix, index-aligned with the group.  Those two kinds
 replay the group's closure steps with their noisy generators; the remaining
-kinds compose fixed error channels around the ideal element.
+kinds compose fixed error channels around the exact ideal element.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ class NoisyGateSet:
 def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> NoisyGateSet:
     """Noisy transfer matrices, index-aligned with the ideal group, as one stack."""
     fixed = _resolve_errors(model, group.dim)
-    mats = group.replay(fixed.get("gens", group.generators))
+    mats = group.replay(fixed["gens"]) if "gens" in fixed else group.transfer_mats()
     if "u" in fixed:  # conjugation and relabeling
         mats = fixed["u"].mat @ mats @ fixed["u"].mat.T
     if "right" in fixed:

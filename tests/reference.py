@@ -19,7 +19,7 @@ from rblab.channels import (
     vec,
 )
 from rblab.cliffords import CliffordGroup, compose_rows, compose_sequences
-from rblab.noise import NoisyGateSet
+from rblab.noise import NoisyGateSet, generator_mats
 from rblab.twirl import (
     TwirlSpectrum,
     TwirlSuperop,
@@ -32,8 +32,12 @@ from rblab.twirl import (
 
 @cache
 def ideal_mats(group: CliffordGroup) -> np.ndarray:
-    """The ideal transfer matrices of every element, `group.replay(group.generators)`, read-only."""
-    mats = group.replay(group.generators)
+    """The exact ideal transfer matrices of every element, read-only.
+
+    Its own route to the group's `transfer_mats()`: the replay of the ideal
+    pulses, whose entries are within 4e-15 of +-1 and 0, rounded to them.
+    """
+    mats = np.rint(group.replay(generator_mats(group.dim)))
     mats.setflags(write=False)
     return mats
 

@@ -57,7 +57,7 @@ class TestGeneration:
         for k, mat in enumerate(ideal_mats(group24)):
             op = np.eye(4)
             for label in word(group24, k):
-                op = group24.generators[list(GENERATORS[2]).index(label)] @ op
+                op = generator_mats(2)[list(GENERATORS[2]).index(label)] @ op
             assert np.max(np.abs(op - mat)) < 1e-10
 
     def test_bfs_words_are_minimal_from_parents(self, group24):
@@ -83,7 +83,7 @@ class TestInverse:
         assert group24.inverse_table[0] == 0
 
     def test_generator_inverse_product(self, group24):
-        idx = find(group24, group24.generators[list(GENERATORS[2]).index("x")])
+        idx = find(group24, generator_mats(2)[list(GENERATORS[2]).index("x")])
         inv = group24.inverse_table[idx]
         mats = ideal_mats(group24)
         product = mats[inv] @ mats[idx]
@@ -163,15 +163,13 @@ class TestCosets:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_coset_products_of_transfer_matrices(self, group24, group11520, dim):
-        # rounded to their exact +-1 entries, G_{cp} = G_c D_p holds bit for bit;
-        # the float matrices carry the generators' rounding, about 1e-16 per entry
+        # the float columns are exact signed permutations, so G_{cp} = G_c D_p holds bit for bit
         group = group24 if dim == 2 else group11520
-        idx, signs, _ = group.cosets
+        idx, signs, cols = group.cosets
         mats = ideal_mats(group)
-        exact = np.rint(mats)
-        assert np.array_equal(exact[idx], exact[idx[:, :1]] @ exact[idx[:1]])
-        assert np.array_equal(exact[idx[0]], signs.T[:, :, None] * np.eye(dim ** 2))
-        assert np.max(np.abs(mats[idx] - mats[idx[:, :1]] @ mats[idx[:1]])) < 1e-14
+        d_p = signs.T[:, :, None] * np.eye(dim ** 2)
+        assert np.array_equal(mats[idx[0]], d_p)
+        assert np.array_equal(mats[idx], cols.transpose(2, 1, 0)[:, None] @ d_p)
 
     def test_built_on_first_use(self, group24, tmp_path):
         path = tmp_path / "g2.npz"
@@ -277,7 +275,7 @@ class TestElementOrder:
 
 
 class TestExactDataOnly:
-    """The group holds exact integer arrays and its ideal generators, not a float stack per element."""
+    """The group holds exact integer arrays only, not a float stack per element."""
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("source", ["generated", "loaded"])
@@ -292,7 +290,7 @@ class TestExactDataOnly:
         assert held < min(4e6, len(group) * dim ** 4 * 8)
 
     def test_cosets_allocate_less_than_half_a_float_stack(self):
-        # the columns compose the 720 members' own pulses; a replay of all 11520 peaks near 40 MB
+        # the columns scatter the 720 members' rows; a replay of all 11520 peaks near 40 MB
         group = generate_clifford_group(4)
         tracemalloc.start()
         try:
@@ -308,8 +306,11 @@ class TestReplay:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_mats_equal_per_element_products(self, group24, group11520, dim):
+        # the ideal pulses carry rounding: their replay is within 4e-15 of the exact stack
         group = group24 if dim == 2 else group11520
-        assert np.array_equal(ideal_mats(group), loop_replay(group, group.generators))
+        replayed = group.replay(generator_mats(dim))
+        assert np.array_equal(replayed, loop_replay(group, generator_mats(dim)))
+        assert np.max(np.abs(replayed - group.transfer_mats())) <= 4e-15
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize(

@@ -379,6 +379,11 @@ class TestGaugeCovariance:
     V is a moderate rotation, exp(i 0.2 sum_l n_l P_l) with n standard normal: a
     Haar-random gauge leaves the perturbative regime (at d=2 about half raise
     ImproperRotationError; at d=4 the ascent stalls near fidelity 1/4).
+
+    The achieved fidelity is not gauge invariant, only the curve is: on the
+    z-tilt 0.1 set, seeds 3 and 17 give 0.770 and 0.964 against 0.9987 at d=2,
+    and 0.403 and 0.490 against 0.958 at d=4 (CZ 0.1), while the curves agree
+    to about 3e-14 and 5e-10.
     """
 
     DEPTHS = range(0, 33)

@@ -26,6 +26,7 @@ from rblab.noise import (
     channel_from_spec,
     dephasing,
     depolarizing,
+    generator_mats,
     pulse,
     relabeling_channel,
     rotation,
@@ -211,15 +212,17 @@ class TestNoiseModels:
         assert np.array_equal(noisy.mats, ideal_mats(group24))
 
     def test_zero_strength_over_rotation_reproduces_ideal_group(self, group24):
-        # replay walks the same products as the closure, so equality is exact
+        # the replay of zero-offset pulses is the replay of the ideal ones, bit for bit,
+        # and carries their rounding: within 4e-15 of the exact ideal stack
         noisy = build_noisy_gateset(NoiseModel.over_rotation(0.0), group24)
-        assert np.array_equal(noisy.mats, ideal_mats(group24))
+        assert np.array_equal(noisy.mats, group24.replay(generator_mats(2)))
+        assert np.max(np.abs(noisy.mats - ideal_mats(group24))) <= 4e-15
 
     def test_z_tilt_matches_explicit_composition(self, group24):
         # oracle: compose the tilt channel with the ideal generator directly
         noisy = build_noisy_gateset(NoiseModel.z_tilt(0.1), group24)
         tilt = unitary_to_superop(pulse(SIGMA_Z, 0.1))
-        gx = SuperOp(2, group24.generators[list(GENERATORS[2]).index("x")])
+        gx = SuperOp(2, generator_mats(2)[list(GENERATORS[2]).index("x")])
         idx = find(group24, gx.mat)
         expected = tilt @ gx
         assert np.max(np.abs(noisy.mats[idx] - expected.mat)) < 1e-12
@@ -367,9 +370,14 @@ class TestNoisyGateSet:
         group, noisy = self.ztilt(request, group_fixture)
         with pytest.raises(ValueError, match="read-only"):
             noisy.mats[1, 1, 1] = 0.0
+        # the exact ideal stack and a replayed one are both read-only
         ideal = build_noisy_gateset(NoiseModel("ideal"), group)
         assert not ideal.mats.flags.writeable
-        assert np.array_equal(ideal.mats, group.replay(group.generators))
+        assert np.array_equal(ideal.mats, ideal_mats(group))
+        replayed = build_noisy_gateset(NoiseModel.over_rotation(0.0), group)
+        assert not replayed.mats.flags.writeable
+        assert np.array_equal(replayed.mats, group.replay(generator_mats(group.dim)))
+        assert np.max(np.abs(replayed.mats - ideal.mats)) <= 4e-15
 
     def test_view_is_copied(self, request, group_fixture):
         # a view of a writable base is copied, so writing the base cannot reach the stack

@@ -9,7 +9,9 @@
 # written into the repository), runs this tree's tools/cli_outputs.sh against
 # both sources into OUTDIR/base and OUTDIR/work, prints `wc -l src/rblab/*.py`
 # for both and ends with `diff -r OUTDIR/base OUTDIR/work`, group caches,
-# stdout, stderr and exit codes included.  Exits non-zero if they differ.
+# stdout, stderr and exit codes included.  If they differ, it then runs
+# `tools/gate_numdiff.py OUTDIR/base OUTDIR/work` to say whether each
+# difference is in numbers only, and how large, and exits 1.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 BASE OUTDIR" >&2
@@ -33,5 +35,10 @@ echo "src/rblab at $1:"
 echo "src/rblab in the working tree:"
 (cd "$root" && wc -l src/rblab/*.py)
 echo "diff -r $out/base $out/work:"
-diff -r "$out/base" "$out/work"
-echo "no differences"
+if diff -r "$out/base" "$out/work"; then
+    echo "no differences"
+    exit 0
+fi
+echo "python3 tools/gate_numdiff.py $out/base $out/work:"
+python3 "$root/tools/gate_numdiff.py" "$out/base" "$out/work" || true
+exit 1
