@@ -32,6 +32,7 @@ CLOSURE_DIGEST = {
 }
 _KEY_ROWS = {2: [1, 3], 4: [4, 12, 1, 3]}  # the X and Z of each qubit in pauli_basis(dim)
 _KEY_SPACE = {dim: (2 * dim ** 2 + 1) ** len(at) for dim, at in _KEY_ROWS.items()}
+_REPLAY_BLOCK = 128  # elements per chunk of `replay`: its gathered operands stay cache-sized (2 x 262 kB at d=4)
 
 
 def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,16 +146,17 @@ class CliffordGroup:
     def replay(self, gens: np.ndarray) -> np.ndarray:
         """Every element's transfer matrix rebuilt from noisy generator matrices in label order.
 
-        Element k is `gens[vias[k]] @ element[parent]`, one batched matmul
-        per breadth-first level, which rounds exactly like per-element products.
+        Element k is `gens[vias[k]] @ element[parent]`, one batched matmul per
+        chunk of `_REPLAY_BLOCK` elements whose parents are built, in breadth-first
+        order, which rounds exactly like per-element products.
         """
         n = self.dim ** 2
         out = np.empty((len(self), n, n))
         out[0] = np.eye(n)
         start = 1
         while start < len(self):
-            # the level ends where the first child of its own elements begins
-            stop = int(np.searchsorted(self.parents, start))
+            # the level ends where the first child of the chunk's own elements begins
+            stop = min(start + _REPLAY_BLOCK, int(np.searchsorted(self.parents, start)))
             np.matmul(gens[self.vias[start:stop]], out[self.parents[start:stop]], out=out[start:stop])
             start = stop
         return out

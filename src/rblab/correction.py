@@ -3,10 +3,10 @@
 The coherent part of the order-4 right error is what separates the decay
 parameter from the gate-set circuit fidelity at a fixed target frame.  For a
 single qubit the polar decomposition of the 3x3 Bloch block isolates that
-rotation analytically; in general it is recovered by steepest ascent on the
-unitary group, re-centred at the current unitary on every step and driven by
-a closed-form commutator gradient.  Composing the targets with the recovered
-unitary restores the plain p^m decay law up to second order in the infidelity.
+rotation analytically; in general it is recovered by an ascent on the unitary
+group that ends in Newton steps, from a gradient and Hessian in closed form.
+Composing the targets with the recovered unitary restores the plain p^m decay
+law up to second order in the infidelity.
 """
 
 from __future__ import annotations
@@ -106,9 +106,10 @@ class CorrectionResult:
     """A correction unitary, its fidelity and the right-error block it corrects.
 
     `rotation` is the rotation factor R of the one-qubit polar split B = D R,
-    which the unitary undoes; it is None on the SU(d) ascent.  `start_index` is
-    always 0, the identity start of the one ascent; perfbench's traced runs
-    record it.
+    which the unitary undoes; it is None on the SU(d) ascent.  `converged`
+    means a strict local maximum, pinned to rounding (on the ascent, a negative
+    definite Hessian).  `start_index` is always 0, the identity start of the
+    one ascent; perfbench's traced runs record it.
     """
 
     unitary: np.ndarray
@@ -168,56 +169,76 @@ def polar_correct(right_error_block: np.ndarray) -> CorrectionResult:
 
 
 class _CorrectedFidelity:
-    """Average fidelity of (right error) o U and its left-trivialised gradient.
+    """Average fidelity of (right error) o U, with its gradient and Hessian.
 
-    With the Bloch block B padded by a zero identity row and column, and
-    Q_j = sum_k B_kj P_k over the unnormalized Paulis, A_j = U Q_j U' gives
-    f(U) = 1/d + (d-1)/(d^2 n) Re sum_j tr(P_j A_j), which equals the
-    fidelity read off the transfer matrix of U without building it.  Along
-    exp(i t P_l) U the derivative at t = 0 is Re i tr(P_l C) times the same
-    factor, with the commutator sum C = sum_j [A_j, P_j].
+    With Q_j = sum_k B_kj P_k over the unnormalized traceless Paulis, the
+    block in U's frame is M, A_j = U Q_j U' = sum_k M_kj P_k, and
+    f(U) = 1/d + (d-1)/(d n) tr(M), the fidelity read off the transfer matrix
+    of U without building it.  Along exp(i sum_l t_l P_l) U, M moves as
+    exp(sum_l t_l G_l) M, where the structure constants
+    (G_l)_kj = tr(P_k i[P_l, P_j]) / d generate the rotation of the Paulis.
+    So at t = 0 the gradient is g_l = (d-1)/(d n) tr(G_l M) and the Hessian
+    H_lm = (d-1)/(2 d n) tr((G_l G_m + G_m G_l) M).
     """
 
     def __init__(self, block: np.ndarray, dim: int):
-        n = dim ** 2 - 1
-        padded = np.zeros((n + 1, n + 1))
-        padded[1:, 1:] = block
         self.dim = dim
-        self.paulis = pauli_basis(dim)
-        self.gens = self.paulis[1:]  # the traceless generators of SU(dim)
-        self.q = np.tensordot(padded.T, self.paulis, axes=1)
-        self.scale = (dim - 1.0) / (dim ** 2 * n)
+        self.gens = pauli_basis(dim)[1:]  # the traceless generators of SU(dim)
+        self.q = np.tensordot(block.T, self.gens, axes=1)
+        self.scale = (dim - 1.0) / (dim * (dim ** 2 - 1))
+        comm = self.gens[:, None] @ self.gens - self.gens @ self.gens[:, None]
+        self.adjoint = -np.einsum("kab,ljba->lkj", self.gens, comm).imag / dim
+
+    def _frame(self, u: np.ndarray) -> np.ndarray:
+        a = u @ self.q @ u.conj().T
+        return np.einsum("kab,jba->kj", self.gens, a).real / self.dim
 
     def evaluate(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         """f at U and its gradient g_l = d/dt f(exp(i t P_l) U) at t = 0."""
-        a = u @ self.q @ u.conj().T
-        overlap = float(np.einsum("jab,jba->", self.paulis, a).real)
-        value = 1.0 / self.dim + self.scale * overlap
-        c = np.sum(a @ self.paulis - self.paulis @ a, axis=0)
-        grad = -self.scale * np.einsum("lab,ba->l", self.gens, c).imag
-        return value, grad
+        m = self._frame(u)
+        grad = self.scale * np.einsum("lab,ba->l", self.adjoint, m)
+        return 1.0 / self.dim + self.scale * float(np.trace(m)), grad
+
+    def hessian(self, u: np.ndarray) -> np.ndarray:
+        """H_lm = d^2/dt_l dt_m f(exp(i sum_l t_l P_l) U) at t = 0."""
+        h = np.tensordot(self.adjoint, self.adjoint @ self._frame(u), axes=([1, 2], [2, 1]))
+        return 0.5 * self.scale * (h + h.T)
 
 
 _LEARNING_RATE = 0.5
 _GRAD_TOL = 1e-9
+_VALUE_SLACK = 1e-12  # a Newton step may lower the fidelity by rounding, never by more
 _MAX_ITERATIONS = 500
 
 
 def _ascend(objective: _CorrectedFidelity, u: np.ndarray) -> tuple[float, np.ndarray, bool, int]:
-    """Steepest ascent from U, re-centred at the current U on every step.
+    """Ascent from U, re-centred at the current U on every step.
 
-    Each accepted step is U <- exp(i lr G) U with G = sum_l g_l P_l, the step
-    length halved from `_LEARNING_RATE` until the fidelity rises.  Returns the
-    fidelity, U, whether the gradient norm fell below `_GRAD_TOL` (or no
-    ascent was left at float resolution) and the iteration count.
+    Where the Hessian H of f along exp(i sum_l t_l P_l) U is negative definite,
+    the step is Newton's, t = -H^-1 g, kept when it halves |g| without
+    lowering f beyond rounding.  Elsewhere, or when it is not kept, the step is
+    U <- exp(i lr G) U with G = sum_l g_l P_l, the step length halved from
+    `_LEARNING_RATE` until the fidelity rises.  Returns the fidelity, U,
+    whether U is a strict local maximum (H negative definite with |g| below
+    `_GRAD_TOL`, after which one more Newton step takes |g| to rounding) and
+    the iteration count.
     """
     value, grad = objective.evaluate(u)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        if np.linalg.norm(grad) < _GRAD_TOL:
-            converged = True
-            break
+        hess = objective.hessian(u)
+        if np.linalg.eigvalsh(hess)[-1] < -_GRAD_TOL:  # negative definite
+            converged = np.linalg.norm(grad) < _GRAD_TOL  # next to a strict maximum: the last step
+            step = np.linalg.solve(hess, -grad)
+            candidate = pulse(np.tensordot(step, objective.gens, axes=1), 2.0) @ u
+            candidate_value, candidate_grad = objective.evaluate(candidate)
+            if np.linalg.norm(candidate_grad) < 0.5 * np.linalg.norm(grad) and candidate_value > value - _VALUE_SLACK:
+                u, value, grad = candidate, candidate_value, candidate_grad
+                if not converged:
+                    continue
+            if converged:
+                break
         lr = _LEARNING_RATE
         while lr > 1e-12:
             candidate = pulse(np.tensordot(lr * grad, objective.gens, axes=1), 2.0) @ u
@@ -227,20 +248,19 @@ def _ascend(objective: _CorrectedFidelity, u: np.ndarray) -> tuple[float, np.nda
                 break
             lr *= 0.5
         else:
-            converged = True  # no ascent direction left at float resolution
-            break
+            break  # no ascent left at float resolution, and no strict maximum
     return value, u, converged, iterations
 
 
 def optimize_correct(right_error_block: np.ndarray, dim: int) -> CorrectionResult:
     """Unitary maximizing the average fidelity of (right error) o (correction).
 
-    Steepest ascent on the unitary group itself: every step moves U along
-    exp(i t sum_l g_l P_l) U over the d^2 - 1 non-identity Paulis, with g the
-    closed-form commutator gradient at the current U, and a backtracking line
-    search.  It runs once, from the identity: in the high-fidelity regime the
-    maximizer is a small rotation next to it.  Non-convergence is reported
-    through the flag, not raised.
+    The ascent of `_ascend` on the unitary group itself, over the d^2 - 1
+    non-identity Paulis.  It runs once, from the identity: in the
+    high-fidelity regime the maximizer is a small rotation next to it, three
+    Newton steps away.  A stop that is not a strict local maximum (a flat or
+    saddle direction, or 500 iterations) is reported through the flag, not
+    raised.
     """
     block = np.asarray(right_error_block, dtype=float)
     n = dim ** 2 - 1

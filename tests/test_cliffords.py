@@ -290,7 +290,7 @@ class TestExactDataOnly:
         assert held < min(4e6, len(group) * dim ** 4 * 8)
 
     def test_cosets_allocate_less_than_half_a_float_stack(self):
-        # the columns scatter the 720 members' rows; a replay of all 11520 peaks near 40 MB
+        # the columns scatter the 720 members' rows, where a float stack of all 11520 holds 23.6 MB
         group = generate_clifford_group(4)
         tracemalloc.start()
         try:
@@ -299,6 +299,17 @@ class TestExactDataOnly:
         finally:
             tracemalloc.stop()
         assert peak < len(group) * 16 ** 2 * 8 / 2
+
+    def test_replay_allocates_little_beyond_its_stack(self, group11520):
+        # each chunk gathers about 0.5 MB of operands; whole levels at once would add about 12 MB
+        gens = generator_mats(4)
+        tracemalloc.start()
+        try:
+            out = group11520.replay(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 1e6
 
 
 class TestReplay:
