@@ -61,7 +61,8 @@ EXIT_NUMERICAL = 3
 
 
 class CorrectionNotConvergedError(RegimeError):
-    """The SU(d) ascent stopped at its iteration cap, so the command refuses its unitary."""
+    """The SU(d) ascent stopped short of a strict local maximum, at its iteration cap or
+    where no step raises the fidelity, so the command refuses its unitary."""
 
 
 # every top-level config key some command reads

@@ -3,8 +3,8 @@
 The coherent part of the order-4 right error is what separates the decay
 parameter from the gate-set circuit fidelity at a fixed target frame.  For a
 single qubit the polar decomposition of the 3x3 Bloch block isolates that
-rotation analytically; in general it is recovered by an ascent on the unitary
-group that ends in Newton steps, from a gradient and Hessian in closed form.
+rotation analytically; in general it is recovered by a saddle-free Newton
+ascent on the unitary group, from a gradient and Hessian in closed form.
 Composing the targets with the recovered unitary restores the plain p^m decay
 law up to second order in the infidelity.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,87 +169,75 @@ def polar_correct(right_error_block: np.ndarray) -> CorrectionResult:
     )
 
 
-class _CorrectedFidelity:
+@lru_cache(maxsize=None)
+def _structure_constants(dim: int) -> np.ndarray:
+    """(G_l)_kj = tr(P_k i[P_l, P_j]) / d at [l, k, j], read-only: G_l rotates the Paulis
+    under exp(i t P_l).  The entries are small integers over d, so they are exact."""
+    gens = pauli_basis(dim)[1:]
+    n = len(gens)
+    pairs = gens.reshape(n * dim, dim) @ gens.transpose(1, 0, 2).reshape(dim, n * dim)  # one GEMM
+    prods = pairs.reshape(n, dim, n, dim)  # [l, a, j, c] = (P_l P_j)_ac
+    comm = prods - prods.transpose(2, 1, 0, 3)  # [l, a, j, c] = [P_l, P_j]_ac
+    consts = -np.einsum("kca,lajc->lkj", gens, comm).imag / dim
+    consts.setflags(write=False)
+    return consts
+
+
+def _corrected_fidelity(q: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Average fidelity of (right error) o U, with its gradient and Hessian.
 
-    With Q_j = sum_k B_kj P_k over the unnormalized traceless Paulis, the
+    With Q_j = sum_k B_kj P_k over the unnormalized traceless Paulis (`q`), the
     block in U's frame is M, A_j = U Q_j U' = sum_k M_kj P_k, and
     f(U) = 1/d + (d-1)/(d n) tr(M), the fidelity read off the transfer matrix
     of U without building it.  Along exp(i sum_l t_l P_l) U, M moves as
-    exp(sum_l t_l G_l) M, where the structure constants
-    (G_l)_kj = tr(P_k i[P_l, P_j]) / d generate the rotation of the Paulis.
-    So at t = 0 the gradient is g_l = (d-1)/(d n) tr(G_l M) and the Hessian
+    exp(sum_l t_l G_l) M with the structure constants G_l.  So at t = 0 the
+    gradient is g_l = (d-1)/(d n) tr(G_l M) and the Hessian
     H_lm = (d-1)/(2 d n) tr((G_l G_m + G_m G_l) M).
     """
-
-    def __init__(self, block: np.ndarray, dim: int):
-        self.dim = dim
-        self.gens = pauli_basis(dim)[1:]  # the traceless generators of SU(dim)
-        self.q = np.tensordot(block.T, self.gens, axes=1)
-        self.scale = (dim - 1.0) / (dim * (dim ** 2 - 1))
-        comm = self.gens[:, None] @ self.gens - self.gens @ self.gens[:, None]
-        self.adjoint = -np.einsum("kab,ljba->lkj", self.gens, comm).imag / dim
-
-    def _frame(self, u: np.ndarray) -> np.ndarray:
-        a = u @ self.q @ u.conj().T
-        return np.einsum("kab,jba->kj", self.gens, a).real / self.dim
-
-    def evaluate(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """f at U and its gradient g_l = d/dt f(exp(i t P_l) U) at t = 0."""
-        m = self._frame(u)
-        grad = self.scale * np.einsum("lab,ba->l", self.adjoint, m)
-        return 1.0 / self.dim + self.scale * float(np.trace(m)), grad
-
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        """H_lm = d^2/dt_l dt_m f(exp(i sum_l t_l P_l) U) at t = 0."""
-        h = np.tensordot(self.adjoint, self.adjoint @ self._frame(u), axes=([1, 2], [2, 1]))
-        return 0.5 * self.scale * (h + h.T)
+    dim = len(u)
+    consts = _structure_constants(dim)
+    scale = (dim - 1.0) / (dim * (dim ** 2 - 1))
+    m = np.einsum("kab,jba->kj", pauli_basis(dim)[1:], u @ q @ u.conj().T).real / dim
+    grad = scale * np.einsum("lab,ba->l", consts, m)
+    h = np.tensordot(consts, consts @ m, axes=([1, 2], [2, 1]))
+    return 1.0 / dim + scale * float(np.trace(m)), grad, 0.5 * scale * (h + h.T)
 
 
-_LEARNING_RATE = 0.5
+_CURVATURE_FLOOR = 0.01
 _GRAD_TOL = 1e-9
-_VALUE_SLACK = 1e-12  # a Newton step may lower the fidelity by rounding, never by more
+_VALUE_SLACK = 1e-12  # a step may lower the fidelity by rounding, never by more
 _MAX_ITERATIONS = 500
 
 
-def _ascend(objective: _CorrectedFidelity, u: np.ndarray) -> tuple[float, np.ndarray, bool, int]:
-    """Ascent from U, re-centred at the current U on every step.
+def _ascend(q: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray, bool, int]:
+    """Saddle-free Newton ascent from U, re-centred at the current U on every step.
 
-    Where the Hessian H of f along exp(i sum_l t_l P_l) U is negative definite,
-    the step is Newton's, t = -H^-1 g, kept when it halves |g| without
-    lowering f beyond rounding.  Elsewhere, or when it is not kept, the step is
-    U <- exp(i lr G) U with G = sum_l g_l P_l, the step length halved from
-    `_LEARNING_RATE` until the fidelity rises.  Returns the fidelity, U,
-    whether U is a strict local maximum (H negative definite with |g| below
-    `_GRAD_TOL`, after which one more Newton step takes |g| to rounding) and
-    the iteration count.
+    With H = V diag(w) V' the Hessian of f along exp(i sum_l t_l P_l) U, the
+    step is t = V diag(1 / max(|w|, `_CURVATURE_FLOOR`)) V' g: Newton's where
+    H is negative definite, uphill along directions of positive or flat
+    curvature.  It is halved until f rises, or until |g| halves without f
+    falling by more than `_VALUE_SLACK`.  Returns the fidelity, U, whether U
+    is a strict local maximum (H negative definite with |g| below `_GRAD_TOL`,
+    after which one more step takes |g| to rounding) and the iteration count.
     """
-    value, grad = objective.evaluate(u)
-    converged = False
-    iterations = 0
+    gens = pauli_basis(len(u))[1:]
+    value, grad, hess = _corrected_fidelity(q, u)
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        hess = objective.hessian(u)
-        if np.linalg.eigvalsh(hess)[-1] < -_GRAD_TOL:  # negative definite
-            converged = np.linalg.norm(grad) < _GRAD_TOL  # next to a strict maximum: the last step
-            step = np.linalg.solve(hess, -grad)
-            candidate = pulse(np.tensordot(step, objective.gens, axes=1), 2.0) @ u
-            candidate_value, candidate_grad = objective.evaluate(candidate)
-            if np.linalg.norm(candidate_grad) < 0.5 * np.linalg.norm(grad) and candidate_value > value - _VALUE_SLACK:
-                u, value, grad = candidate, candidate_value, candidate_grad
-                if not converged:
-                    continue
-            if converged:
+        w, v = np.linalg.eigh(hess)
+        converged = w[-1] < -_GRAD_TOL and np.linalg.norm(grad) < _GRAD_TOL  # next to a strict maximum: the last step
+        step = v @ ((v.T @ grad) / np.maximum(np.abs(w), _CURVATURE_FLOOR))
+        for _ in range(40):  # halvings down to about 1e-12 of the full step
+            candidate = pulse(np.tensordot(step, gens, axes=1), 2.0) @ u
+            new_value, new_grad, new_hess = _corrected_fidelity(q, candidate)
+            halves = np.linalg.norm(new_grad) < 0.5 * np.linalg.norm(grad)
+            if new_value > value or (halves and new_value > value - _VALUE_SLACK):
+                u, value, grad, hess = candidate, new_value, new_grad, new_hess
                 break
-        lr = _LEARNING_RATE
-        while lr > 1e-12:
-            candidate = pulse(np.tensordot(lr * grad, objective.gens, axes=1), 2.0) @ u
-            candidate_value, candidate_grad = objective.evaluate(candidate)
-            if candidate_value > value:
-                u, value, grad = candidate, candidate_value, candidate_grad
-                break
-            lr *= 0.5
+            step = 0.5 * step
         else:
-            break  # no ascent left at float resolution, and no strict maximum
+            break  # no step raises f at float resolution
+        if converged:
+            break
     return value, u, converged, iterations
 
 
@@ -266,9 +255,8 @@ def optimize_correct(right_error_block: np.ndarray, dim: int) -> CorrectionResul
     n = dim ** 2 - 1
     if block.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} Bloch block, got shape {block.shape}")
-    value, unitary, converged, iterations = _ascend(
-        _CorrectedFidelity(block, dim), np.eye(dim, dtype=complex)
-    )
+    q = np.tensordot(block.T, pauli_basis(dim)[1:], axes=1)
+    value, unitary, converged, iterations = _ascend(q, np.eye(dim, dtype=complex))
     return CorrectionResult(
         unitary=unitary,
         fidelity=value,

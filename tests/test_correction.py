@@ -18,9 +18,10 @@ from rblab.correction import (
     CorrectionResult,
     ImproperRotationError,
     SingularBlockError,
-    _CorrectedFidelity,
     _ascend,
+    _corrected_fidelity,
     _rotation_vector,
+    _structure_constants,
     correct_from_noisy_set,
     correct_spectrum,
     incoherence_defect,
@@ -301,6 +302,19 @@ def exact_derivative_point(dim, kind, rng):
     return block, exp_i(theta), exp_i
 
 
+class TestStructureConstants:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_equal_the_commutator_definition(self, dim):
+        gens = pauli_basis(dim)[1:]
+        expected = np.array([
+            [[-np.trace(pk @ (pl @ pj - pj @ pl)).imag / dim for pj in gens] for pk in gens] for pl in gens
+        ])
+        consts = _structure_constants(dim)
+        assert np.array_equal(consts, expected)
+        assert not consts.flags.writeable
+        assert _structure_constants(dim) is consts  # built once per dimension
+
+
 class TestExactGradient:
     """The closed-form objective, gradient and Hessian against the transfer-matrix route."""
 
@@ -309,7 +323,7 @@ class TestExactGradient:
     def test_matches_central_differences(self, dim, kind, rng):
         block, u, exp_i = exact_derivative_point(dim, kind, rng)
         n = dim ** 2 - 1
-        value, grad = _CorrectedFidelity(block, dim).evaluate(u)
+        value, grad, _ = _corrected_fidelity(np.tensordot(block.T, pauli_basis(dim)[1:], axes=1), u)
         assert value == pytest.approx(transfer_matrix_fidelity(block, dim, u), abs=1e-13)
         step = 1e-5
         numeric = np.array([
@@ -323,7 +337,7 @@ class TestExactGradient:
     @pytest.mark.parametrize("kind", ["zero", "single_axis", "random", "large"])
     def test_hessian_matches_central_second_differences(self, dim, kind, rng):
         block, u, exp_i = exact_derivative_point(dim, kind, rng)
-        hess = _CorrectedFidelity(block, dim).hessian(u)
+        _, _, hess = _corrected_fidelity(np.tensordot(block.T, pauli_basis(dim)[1:], axes=1), u)
         assert np.array_equal(hess, hess.T)
 
         def f(t):
@@ -359,11 +373,11 @@ class TestAscentFromTheIdentity:
     @pytest.mark.parametrize("seed", [0, 19])
     def test_identity_start_matches_every_random_start(self, d4_right_blocks, name, seed):
         block = d4_right_blocks[name]
-        objective = _CorrectedFidelity(block, 4)
+        q = np.tensordot(block.T, pauli_basis(4)[1:], axes=1)
         result = optimize_correct(block, 4)
         assert result.converged and result.start_index == 0
         for start in random_ascent_starts(4, seed):
-            value, u, converged, iterations = _ascend(objective, start)
+            value, u, converged, iterations = _ascend(q, start)
             assert converged and iterations <= 50
             assert abs(value - result.fidelity) <= 1e-12
             direct = transfer_matrix_fidelity(block, 4, u)
@@ -426,10 +440,11 @@ class TestGaugeCovariance:
 
     The achieved fidelity is not gauge invariant, only the curve is: on the
     z-tilt 0.1 set, seeds 3 and 17 give 0.770 and 0.964 against 0.9987 at d=2,
-    and 0.403 and 0.490 against 0.958 at d=4 (CZ 0.1), after 15 and 10 ascent
-    iterations (3 in the original frame), while the curves agree to about 3e-14
-    and 4e-11.  Over-rotation 0.1 gaps reach 1.3e-7 at d=2 (seeds 0-39) and
-    9.2e-10 at d=4, below the bounds of 1e-6 and 1e-8.
+    and 0.403 and 0.490 against 0.958 at d=4 (CZ 0.1), after 5 saddle-free
+    Newton iterations each (3 in the original frame; over-rotation 0.1 takes 8
+    and 5), while the curves agree to about 3e-14 and 4e-11.  Over-rotation 0.1
+    gaps reach 1.3e-7 at d=2 (seeds 0-39) and 9.2e-10 at d=4, below the bounds
+    of 1e-6 and 1e-8.
     """
 
     DEPTHS = range(0, 33)
@@ -450,6 +465,7 @@ class TestGaugeCovariance:
         base, result = cls.corrected_curve(group, noisy)
         gauged, moved_result = cls.corrected_curve(group, moved)
         assert result.converged and moved_result.converged
+        assert moved_result.iterations <= 9  # the polar split at d=2 takes none
         return float(np.max(np.abs(gauged - base)))
 
     @pytest.mark.parametrize(
