@@ -219,6 +219,7 @@ def _ascend(q: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray, bool, int]
     falling by more than `_VALUE_SLACK`.  Returns the fidelity, U, whether U
     is a strict local maximum (H negative definite with |g| below `_GRAD_TOL`,
     after which one more step takes |g| to rounding) and the iteration count.
+    A zero step, where g is exactly zero, ends the ascent at once.
     """
     gens = pauli_basis(len(u))[1:]
     value, grad, hess = _corrected_fidelity(q, u)
@@ -226,6 +227,8 @@ def _ascend(q: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray, bool, int]
         w, v = np.linalg.eigh(hess)
         converged = w[-1] < -_GRAD_TOL and np.linalg.norm(grad) < _GRAD_TOL  # next to a strict maximum: the last step
         step = v @ ((v.T @ grad) / np.maximum(np.abs(w), _CURVATURE_FLOOR))
+        if not step.any():
+            break
         for _ in range(40):  # halvings down to about 1e-12 of the full step
             candidate = pulse(np.tensordot(step, gens, axes=1), 2.0) @ u
             new_value, new_grad, new_hess = _corrected_fidelity(q, candidate)

@@ -208,13 +208,23 @@ def relabeling_channel() -> SuperOp:
 # ---------------------------------------------------------------------------
 
 
-# the parameters each channel kind reads
+def _require_dim(dim: int, wanted: int, what: str) -> None:
+    if dim != wanted:
+        raise ConfigError(f"{what} requires dimension {wanted}, got {dim}")
+
+
+def _kron(spec, dim: int) -> SuperOp:
+    first, second = (channel_from_spec(spec[key], 2).mat for key in ("first", "second"))
+    return SuperOp(4, np.kron(first, second))  # the Pauli basis's lexicographic order
+
+
+# channel kind -> (the parameters it reads, the dimension it needs or None, its builder(spec, dim))
 _CHANNELS = {
-    "depolarizing": ("q",),
-    "dephasing": ("q", "axis"),
-    "amplitude_damping": ("gamma",),
-    "rotation": ("axis", "angle"),
-    "kron": ("first", "second"),
+    "depolarizing": (("q",), None, lambda s, d: depolarizing(finite("q", s["q"]), d)),
+    "dephasing": (("q", "axis"), 2, lambda s, d: dephasing(finite("q", s["q"]), s.get("axis", "z"))),
+    "amplitude_damping": (("gamma",), 2, lambda s, d: amplitude_damping(finite("gamma", s["gamma"]))),
+    "rotation": (("axis", "angle"), 2, lambda s, d: rotation(s.get("axis", "z"), finite("angle", s["angle"]))),
+    "kron": (("first", "second"), 4, _kron),
 }
 
 
@@ -235,23 +245,12 @@ def channel_from_spec(spec, dim: int) -> SuperOp:
     kind = spec.get("channel")
     if not isinstance(kind, str) or kind not in _CHANNELS:
         raise ConfigError(f"unknown channel kind {kind!r}")
-    check_keys(spec, ("channel", *_CHANNELS[kind]), kind)
+    params, wanted, build = _CHANNELS[kind]
+    check_keys(spec, ("channel", *params), kind)
     try:
-        if kind == "depolarizing":
-            return depolarizing(finite("q", spec["q"]), dim)
-        if kind == "dephasing":
-            _require_dim(dim, 2, kind)
-            return dephasing(finite("q", spec["q"]), spec.get("axis", "z"))
-        if kind == "amplitude_damping":
-            _require_dim(dim, 2, kind)
-            return amplitude_damping(finite("gamma", spec["gamma"]))
-        if kind == "rotation":
-            _require_dim(dim, 2, kind)
-            return rotation(spec.get("axis", "z"), finite("angle", spec["angle"]))
-        if kind == "kron":
-            _require_dim(dim, 4, kind)
-            first, second = (channel_from_spec(spec[key], 2).mat for key in ("first", "second"))
-            return SuperOp(4, np.kron(first, second))  # the Pauli basis's lexicographic order
+        if wanted is not None:
+            _require_dim(dim, wanted, kind)
+        return build(spec, dim)
     except KeyError as exc:
         raise ConfigError(f"channel spec {kind!r} is missing key {exc.args[0]!r}") from None
     except ConfigError:
@@ -336,11 +335,6 @@ class NoiseModel:
         # fail fast on malformed parameters
         _resolve_errors(model, dim)
         return model
-
-
-def _require_dim(dim: int, wanted: int, what: str) -> None:
-    if dim != wanted:
-        raise ConfigError(f"{what} requires dimension {wanted}, got {dim}")
 
 
 def field_channel(field: str, value, dim: int) -> SuperOp:

@@ -15,7 +15,9 @@ import numpy as np
 from rblab.channels import (
     SuperOp,
     pauli_basis,
+    traceless_projector,
     unitary_to_superop,
+    unvec,
     vec,
 )
 from rblab.cliffords import CliffordGroup, compose_rows, compose_sequences
@@ -209,6 +211,15 @@ def deflated(spectrum: TwirlSpectrum) -> np.ndarray:
     vr = vec(spectrum.left_error_op)
     vl = vec(spectrum.right_error_op.T)
     return spectrum.twirl.mat - spectrum.p * np.outer(vr, vl) / float(vl @ vr)
+
+
+def right_error_op_at(spectrum, m):
+    """Depth-m right-error operator (converges to right_error_op as m grows)."""
+    pi = traceless_projector(spectrum.dim)
+    v = vec(pi)
+    for _ in range(m):
+        v = spectrum.twirl.mat.T @ v
+    return unvec(v).T / spectrum.p ** m
 
 
 def exact_rb_means(

@@ -24,8 +24,7 @@ from rblab.twirl import (
     fidelity_curve_exact,
     order_m_error_blocks,
 )
-from reference import enumerated_products, random_unitary
-from test_twirl import right_error_op_at
+from reference import enumerated_products, random_unitary, right_error_op_at
 
 COMPOSITE_FACTORS = [
     {"channel": "dephasing", "axis": "z", "q": 0.999},

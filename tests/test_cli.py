@@ -102,6 +102,12 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert "dimension-2" in capsys.readouterr().err
 
+    def test_one_qubit_frame_at_dimension_4(self, tmp_path, capsys):
+        # the model is read before the group is built, so no d=4 group is needed
+        cfg = write_config(tmp_path, {"dim": 4, "model": {"kind": "conjugation", "axis": "x", "angle": 0.3}})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "conjugation by axis/angle requires dimension 2, got 4" in capsys.readouterr().err
+
     def test_degenerate_spectrum_exit_code(self, tmp_path, capsys, cache):
         # a tilt far outside the perturbative regime has a complex dominant pair
         cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 1.5}})

@@ -8,6 +8,7 @@ from scipy.linalg import polar as scipy_polar
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
+import rblab.correction
 from rblab.channels import (
     SuperOp,
     pauli_basis,
@@ -407,6 +408,26 @@ class TestStrictMaximum:
         result = optimize_correct(np.diag([1.0, -1.0, 1.0]), 2)
         assert not result.converged and result.iterations == 1  # no step raises f: it stops at once
         assert result.fidelity == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_degenerate_maximum_stops_unconverged(self, seed):
+        # a rounding-level antisymmetric part gives a non-zero gradient, so the line
+        # search runs; a flat step accepted there walks on for up to 155 iterations
+        a = np.random.default_rng(seed).standard_normal((3, 3))
+        result = optimize_correct(np.diag([1.0, -1.0, 1.0]) + 1e-16 * (a - a.T), 2)
+        assert not result.converged and result.iterations <= 4
+        assert result.fidelity == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    def test_zero_gradient_ends_after_one_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(q, u):
+            calls.append(1)
+            return _corrected_fidelity(q, u)
+
+        monkeypatch.setattr(rblab.correction, "_corrected_fidelity", counted)
+        result = optimize_correct(np.eye(15), 4)
+        assert result.converged and result.iterations == 1 and len(calls) == 1
 
 
 class TestKnownFrameD4:

@@ -137,6 +137,9 @@ class TestFactories:
         assert np.max(np.abs(diff)) < 1e-15
 
 
+DEPOLARIZING = {"channel": "depolarizing", "q": 0.9}
+
+
 class TestChannelSpecs:
     def test_chain_composes_right_to_left(self):
         chain = channel_from_spec(
@@ -167,6 +170,28 @@ class TestChannelSpecs:
         with pytest.raises(ConfigError, match="missing key"):
             channel_from_spec({"channel": "depolarizing"}, 2)
 
+    @pytest.mark.parametrize(
+        "spec, dim, message",
+        [
+            ({"channel": "dephasing", "q": 0.9}, 4, "dephasing requires dimension 2, got 4"),
+            ({"channel": "amplitude_damping", "gamma": 0.1}, 4, "amplitude_damping requires dimension 2, got 4"),
+            ({"channel": "rotation", "angle": 0.3}, 4, "rotation requires dimension 2, got 4"),
+            ({"channel": "kron", "first": DEPOLARIZING, "second": DEPOLARIZING}, 2, "kron requires dimension 4, got 2"),
+        ],
+        ids=["dephasing", "amplitude_damping", "rotation", "kron"],
+    )
+    def test_kind_of_the_wrong_dimension_is_named(self, spec, dim, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            channel_from_spec(spec, dim)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"channel": "rotation", "angle": 0.3}, {"channel": "dephasing", "q": 0.9}],
+        ids=["rotation", "dephasing"],
+    )
+    def test_axis_defaults_to_z(self, spec):
+        assert np.array_equal(channel_from_spec(spec, 2).mat, channel_from_spec({**spec, "axis": "z"}, 2).mat)
+
 
 class TestNoiseModels:
     def test_unknown_kind_rejected(self):
@@ -183,6 +208,25 @@ class TestNoiseModels:
                 {"kind": "composite", "side": "above", "factors": [{"channel": "depolarizing", "q": 0.9}]},
                 2,
             )
+
+    @pytest.mark.parametrize(
+        "cfg, what",
+        [
+            ({"kind": "relabeling"}, "relabeling"),
+            ({"kind": "conjugation", "axis": "x", "angle": 0.3}, "conjugation by axis/angle"),
+        ],
+        ids=["relabeling", "conjugation"],
+    )
+    def test_one_qubit_frame_needs_dimension_2(self, cfg, what):
+        with pytest.raises(ConfigError, match=f"^{what} requires dimension 2, got 4$"):
+            NoiseModel.from_config(cfg, 4)
+
+    def test_composite_side_left_is_left(self, group24):
+        chain = [{"channel": "amplitude_damping", "gamma": 0.1}, {"channel": "rotation", "axis": "x", "angle": 0.2}]
+        composite = build_noisy_gateset(NoiseModel.composite(chain, side="left"), group24)
+        assert np.array_equal(composite.mats, build_noisy_gateset(NoiseModel.left(chain), group24).mats)
+        right = build_noisy_gateset(NoiseModel.right(chain), group24)
+        assert not np.allclose(composite.mats, right.mats)  # the side matters for this chain
 
     @pytest.mark.parametrize(
         "frame", [depolarizing(0.9), amplitude_damping(0.3)], ids=["depolarizing", "amplitude_damping"]

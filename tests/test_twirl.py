@@ -12,7 +12,6 @@ from rblab.channels import (
     hs_inner,
     traceless_projector,
     unitary_to_superop,
-    unvec,
     vec,
 )
 from rblab.correction import correct_spectrum
@@ -43,6 +42,7 @@ from reference import (
     infidelity,
     random_unitary,
     reference_build_twirl,
+    right_error_op_at,
 )
 
 
@@ -81,15 +81,6 @@ def residual_vectors(spectrum, basis_u):
     if np.sqrt(1 - b ** 2) > 1e-12:
         v = v / np.sqrt(1 - b ** 2)
     return a, w, b, v
-
-
-def right_error_op_at(spectrum, m):
-    """Depth-m right-error operator (converges to right_error_op as m grows)."""
-    pi = traceless_projector(spectrum.dim)
-    v = vec(pi)
-    for _ in range(m):
-        v = spectrum.twirl.mat.T @ v
-    return unvec(v).T / spectrum.p ** m
 
 
 def make_sandwich(group, left, right):

@@ -13,9 +13,9 @@ d=2.  It then checks:
   standard errors.
 
 It prints one line per check and exits 1 naming every miss, 0 when all hold.
-The convolution step looks up 11520^2 products and takes about 25 s (23.9 to
-27.4 s over four runs) on a shared 2-vCPU machine, which is why it is not part
-of tier-1.
+The convolution step looks up 11520^2 products and takes about 45 s (43.0 to
+49.4 s over four runs) on a shared 2-vCPU machine, which is why it is not
+part of tier-1.
 """
 
 from __future__ import annotations
