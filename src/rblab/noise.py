@@ -214,7 +214,7 @@ def _require_dim(dim: int, wanted: int, what: str) -> None:
 
 
 def _kron(spec, dim: int) -> SuperOp:
-    first, second = (channel_from_spec(spec[key], 2).mat for key in ("first", "second"))
+    first, second = (field_channel(key, spec[key], 2).mat for key in ("first", "second"))
     return SuperOp(4, np.kron(first, second))  # the Pauli basis's lexicographic order
 
 
@@ -274,7 +274,6 @@ _KINDS = {
     "sandwich": ("left", "right"),
     "conjugation": ("unitary", "axis", "angle"),
     "relabeling": (),
-    "composite": ("factors", "side"),
 }
 
 
@@ -321,7 +320,10 @@ class NoiseModel:
 
     @staticmethod
     def composite(factors, side: str = "right") -> "NoiseModel":
-        return NoiseModel("composite", {"factors": list(factors), "side": side})
+        """The chain `factors` as a `left` or `right` error (the spelling `perfbench/` still calls)."""
+        if side not in ("left", "right"):
+            raise ConfigError(f"side: expected 'left' or 'right', got {side!r}")
+        return NoiseModel(side, {"error": list(factors)})
 
     @staticmethod
     def from_config(cfg: Mapping, dim: int) -> "NoiseModel":
@@ -400,11 +402,6 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
     if model.kind == "relabeling":
         _require_dim(dim, 2, "relabeling")
         return {"u": relabeling_channel()}
-    if model.kind == "composite":
-        side = p.get("side", "right")
-        if side not in ("left", "right"):
-            raise ConfigError(f"model.side: expected 'left' or 'right', got {side!r}")
-        return {side: channel("factors")}
     return {}  # ideal
 
 

@@ -257,6 +257,35 @@ def exact_rb_means(
     return np.array(means)
 
 
+def rb_convolution_operator(group: CliffordGroup, noisy_set: NoisyGateSet) -> np.ndarray:
+    """The step of `exact_rb_means` as one (N d^2, N d^2) matrix M.
+
+    On functions `a: G -> R^{d^2}`, stacked element by element, block (h, k)
+    is `noisy(h k^-1) / N`, so `a_m = M a_{m-1}` and the depth-m mean
+    survival is `L . M^(m-1) a_1`, with `a_1[h] = noisy(h) rho / N` and
+    `L[h] = mu . noisy(h^-1)`.  96 x 96 at d=2.
+    """
+    n_el, n = len(group), group.dim ** 2
+    rows = compose_rows(group.table[:, None], group.table[group.inverse_table][None])  # h k^-1
+    blocks = noisy_set.mats[group.indices(rows.reshape(-1, n)).reshape(n_el, n_el)] / n_el
+    return blocks.transpose(0, 2, 1, 3).reshape(n_el * n, n_el * n)
+
+
+def rb_mean_expansion(
+    group: CliffordGroup, noisy_set: NoisyGateSet, rho: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues `mu_i` of M and weights `c_i` with mean_m = sum_i c_i mu_i^(m-1), no fit.
+
+    From one eigendecomposition M = V diag(mu_i) V^-1: c = (L V) * (V^-1 a_1).
+    """
+    n_el = len(group)
+    noisy = noisy_set.mats
+    first = (noisy @ rho / n_el).reshape(-1)  # a_1
+    closing = (mu @ noisy[group.inverse_table]).reshape(-1)  # L
+    values, vectors = np.linalg.eig(rb_convolution_operator(group, noisy_set))
+    return values, (closing @ vectors) * np.linalg.solve(vectors, first)
+
+
 def traceless_fidelity(e: SuperOp, g: SuperOp) -> float:
     """Fidelity of e to g restricted to the traceless hyperplane."""
     if e.dim != g.dim:

@@ -307,7 +307,7 @@ def test_criterion_09_order_four_sufficiency():
         "sandwich": NoiseModel.sandwich(
             depolarizing(0.999), rotation("y", 0.05)
         ),
-        "composite": NoiseModel.composite(COMPOSITE_FACTORS, side="right"),
+        "composite": NoiseModel.right(COMPOSITE_FACTORS),
     }
     gaps = {}
     for name, model in models.items():
@@ -350,7 +350,7 @@ def test_criterion_10_composite_incoherence():
     ]
     margins = []
     for factors in chains:
-        noisy = build_noisy_gateset(NoiseModel.composite(factors, side="right"), group)
+        noisy = build_noisy_gateset(NoiseModel.right(factors), group)
         right_blk, _ = order_m_error_blocks(build_twirl(group, noisy), 4)
         corrected = polar_correct(right_blk).corrected_block
         r = 1.0 - (0.5 + 0.5 * np.trace(corrected) / 3)

@@ -108,6 +108,12 @@ class TestConfigErrors:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "conjugation by axis/angle requires dimension 2, got 4" in capsys.readouterr().err
 
+    def test_bad_kron_half_is_named(self, tmp_path, capsys):
+        kron = {"channel": "kron", "first": GOOD_CHANNEL, "second": {"channel": "depolarizing", "qq": 0.9}}
+        cfg = write_config(tmp_path, {"dim": 4, "model": {"kind": "right", "error": kron}})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: model.error: second: qq: not a parameter of depolarizing\n"
+
     def test_degenerate_spectrum_exit_code(self, tmp_path, capsys, cache):
         # a tilt far outside the perturbative regime has a complex dominant pair
         cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 1.5}})
@@ -184,7 +190,7 @@ class TestConfigErrors:
             ({"model": {"kind": "right", "error": BAD_CHANNEL}}, "model.error"),
             ({"model": {"kind": "sandwich", "left": BAD_CHANNEL, "right": GOOD_CHANNEL}}, "model.left"),
             ({"model": {"kind": "sandwich", "left": GOOD_CHANNEL, "right": BAD_CHANNEL}}, "model.right"),
-            ({"model": {"kind": "composite", "factors": [GOOD_CHANNEL, BAD_CHANNEL]}}, "model.factors"),
+            ({"model": {"kind": "right", "error": [GOOD_CHANNEL, BAD_CHANNEL]}}, "model.error"),
             ({"spam": {"prep": BAD_CHANNEL}}, "spam.prep"),
             ({"spam": {"meas": BAD_CHANNEL}}, "spam.meas"),
             # these exited 1 with a traceback before
@@ -227,7 +233,7 @@ class TestConfigErrors:
              "model.error: gamma: expected a finite"),
             ({"model": {"kind": "left", "error": {"channel": "dephasing", "axs": "x", "q": 0.99}}},
              "model.error: axs: not a parameter of dephasing"),
-            ({"model": {"kind": "composite", "factors": 3}}, "model.factors: "),
+            ({"model": {"kind": "right", "error": 3}}, "model.error: "),
             ({"spam": {"measure": GOOD_CHANNEL}}, "spam.measure: not a parameter of spam"),
             ({"spam": False}, "spam: expected an object"),
             ({"spam": {"meas": False}}, "spam.meas: channel spec must be"),
@@ -248,6 +254,8 @@ class TestConfigErrors:
             # a list is unhashable: it must not reach the axis lookup as a Python TypeError
             ({"model": {"kind": "left", "error": {"channel": "dephasing", "q": 0.99, "axis": [0, 0, 1]}}},
              "model.error: channel spec 'dephasing' with q=0.99, axis=[0, 0, 1]: unknown dephasing axis"),
+            # the former composite kind is a chain under `left` or `right` now
+            ({"model": {"kind": "composite", "factors": [GOOD_CHANNEL]}}, "unknown noise model kind 'composite'"),
         ],
     )
     def test_bad_number_or_key_exits_2_and_names_it(self, tmp_path, capsys, cache, payload, message):
@@ -644,13 +652,12 @@ def fuzz_models(number):
         st.sampled_from([{"kind": "ideal"}, {"kind": "relabeling"}]),
         st.fixed_dictionaries({"kind": st.just("over_rotation"), "epsilon": small}, optional={"cz_epsilon": small}),
         st.fixed_dictionaries({"kind": st.just("z_tilt"), "theta_z": small}, optional={"cz_epsilon": small}),
-        st.fixed_dictionaries({"kind": st.sampled_from(["left", "right"]), "error": channel}),
+        st.fixed_dictionaries({
+            "kind": st.sampled_from(["left", "right"]),
+            "error": channel | st.lists(channel, min_size=1, max_size=2),
+        }),
         st.fixed_dictionaries({"kind": st.just("sandwich"), "left": channel, "right": channel}),
         st.fixed_dictionaries({"kind": st.just("conjugation"), "axis": st.sampled_from("xyz"), "angle": small}),
-        st.fixed_dictionaries(
-            {"kind": st.just("composite"), "factors": st.lists(channel, min_size=1, max_size=2)},
-            optional={"side": st.sampled_from(["left", "right"])},
-        ),
     )
     return models, channel
 

@@ -599,7 +599,7 @@ class TestCompositeConjecture:
         ],
     )
     def test_corrected_right_error_is_incoherent(self, group24, factors):
-        noisy = build_noisy_gateset(NoiseModel.composite(factors, side="right"), group24)
+        noisy = build_noisy_gateset(NoiseModel.right(factors), group24)
         right_blk, _ = order_m_error_blocks(build_twirl(group24, noisy), 4)
         corrected = polar_correct(right_blk).corrected_block
         r = 1.0 - block_fidelity(corrected)

@@ -192,6 +192,30 @@ class TestChannelSpecs:
     def test_axis_defaults_to_z(self, spec):
         assert np.array_equal(channel_from_spec(spec, 2).mat, channel_from_spec({**spec, "axis": "z"}, 2).mat)
 
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (DEPOLARIZING, {"channel": "depolarizing", "q": 2},
+             "second: channel spec 'depolarizing' with q=2: depolarizing parameter 2.0 outside [0, 1]"),
+            (DEPOLARIZING, {"channel": "depolarizing", "qq": 0.9}, "second: qq: not a parameter of depolarizing"),
+            ({"channel": "dephasing", "q": 0.9, "axis": "w"}, DEPOLARIZING,
+             "first: channel spec 'dephasing' with q=0.9, axis='w': unknown dephasing axis 'w'"),
+        ],
+        ids=["bad_value", "unknown_key", "bad_axis"],
+    )
+    def test_bad_kron_half_is_named(self, first, second, message):
+        kron = {"channel": "kron", "first": first, "second": second}
+        with pytest.raises(ConfigError) as info:
+            NoiseModel.from_config({"kind": "right", "error": kron}, 4)
+        assert str(info.value) == f"model.error: {message}"
+
+    def test_kron_half_missing_or_a_superop(self):
+        with pytest.raises(ConfigError, match="^channel spec 'kron' is missing key 'second'$"):
+            channel_from_spec({"channel": "kron", "first": DEPOLARIZING}, 4)
+        # a half is read as any channel field is, so a one-qubit SuperOp is accepted
+        spec = {"channel": "kron", "first": depolarizing(0.9), "second": DEPOLARIZING}
+        assert np.array_equal(channel_from_spec(spec, 4).mat, np.kron(depolarizing(0.9).mat, depolarizing(0.9).mat))
+
 
 class TestNoiseModels:
     def test_unknown_kind_rejected(self):
@@ -204,10 +228,7 @@ class TestNoiseModels:
         with pytest.raises(ConfigError, match="unitary"):
             NoiseModel.from_config({"kind": "conjugation"}, 2)
         with pytest.raises(ConfigError, match="side"):
-            NoiseModel.from_config(
-                {"kind": "composite", "side": "above", "factors": [{"channel": "depolarizing", "q": 0.9}]},
-                2,
-            )
+            NoiseModel.composite([DEPOLARIZING], side="above")
 
     @pytest.mark.parametrize(
         "cfg, what",
@@ -223,6 +244,8 @@ class TestNoiseModels:
 
     def test_composite_side_left_is_left(self, group24):
         chain = [{"channel": "amplitude_damping", "gamma": 0.1}, {"channel": "rotation", "axis": "x", "angle": 0.2}]
+        for side in ("left", "right"):
+            assert NoiseModel.composite(chain, side=side) == NoiseModel(side, {"error": chain})
         composite = build_noisy_gateset(NoiseModel.composite(chain, side="left"), group24)
         assert np.array_equal(composite.mats, build_noisy_gateset(NoiseModel.left(chain), group24).mats)
         right = build_noisy_gateset(NoiseModel.right(chain), group24)
@@ -340,7 +363,7 @@ class TestNoiseModels:
             {"channel": "dephasing", "q": 0.999, "axis": "z"},
             {"channel": "rotation", "axis": "x", "angle": 0.02},
         ]
-        noisy = build_noisy_gateset(NoiseModel.composite(factors, side="right"), group24)
+        noisy = build_noisy_gateset(NoiseModel.right(factors), group24)
         err = channel_from_spec(factors, 2)
         assert np.allclose(noisy.mats, ideal_mats(group24) @ err.mat, atol=1e-14)
 

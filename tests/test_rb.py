@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
-from rblab.channels import traceless_projector
+from rblab.channels import traceless_projector, unitary_to_superop
 from rblab.cliffords import generate_clifford_group
 from rblab.noise import ConfigError, NoiseModel, NoisyGateSet, build_noisy_gateset, depolarizing
 from rblab.rb import (
@@ -23,7 +23,17 @@ from rblab.rb import (
     run_rb,
 )
 from rblab.twirl import build_twirl, dominant_spectrum
-from reference import enumerated_products, exact_rb_means, find, ideal_mats, reference_fit_profile, sequence_draws
+from reference import (
+    enumerated_products,
+    exact_rb_means,
+    exp_i_pauli_sum,
+    find,
+    ideal_mats,
+    rb_convolution_operator,
+    rb_mean_expansion,
+    reference_fit_profile,
+    sequence_draws,
+)
 
 
 class TestSpamVectors:
@@ -354,6 +364,59 @@ class TestExactMeans:
         survivals = run_rb(group11520, noisy, config).survivals[:, 0]
         stderr = survivals.std(ddof=1) / np.sqrt(survivals.size)
         assert abs(survivals.mean() - exact) <= 4 * stderr
+
+
+def per_element_noise(group, seed):
+    """Gate-dependent noise: each element its own small rotation, then its own Pauli contraction."""
+    rng = np.random.default_rng(seed)
+    mats = [
+        ideal
+        @ unitary_to_superop(exp_i_pauli_sum(2, rng.normal(scale=0.05, size=3))).mat
+        @ np.diag([1.0, *(1.0 - rng.uniform(0.0, 2e-3, size=3))])
+        for ideal in ideal_mats(group)
+    ]
+    return NoisyGateSet(2, np.stack(mats))
+
+
+class TestConvolutionSpectrum:
+    """p_RB = p with no fit and no sampling: the spectrum of the RB convolution operator M.
+
+    `relabeling_d2` has p = 1 to 2e-15, which merges with the trivial
+    eigenvalue, so it has its own case.
+    """
+
+    @pytest.fixture(params=[n for n in SHIPPED_D2 if n != "relabeling_d2"] + [f"seed{s}" for s in range(6)])
+    def noisy(self, request, group24):
+        name = request.param
+        if name.startswith("seed"):
+            return per_element_noise(group24, int(name.removeprefix("seed")))
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        return build_noisy_gateset(NoiseModel.from_config(cfg["model"], 2), group24)
+
+    def test_p_is_a_triple_eigenvalue_and_dominant(self, group24, noisy):
+        p = dominant_spectrum(build_twirl(group24, noisy)).p
+        values = np.linalg.eigvals(rb_convolution_operator(group24, noisy))
+        by_distance = values[np.argsort(np.abs(values - p))]
+        assert np.all(np.abs(by_distance[:3] - p) <= 1e-12)
+        assert abs(by_distance[3] - p) > 1e-12
+        rest = by_distance[3:]
+        trivial = np.abs(rest - 1.0) <= 1e-12
+        assert trivial.sum() == 1
+        assert np.all(np.abs(rest[~trivial]) < abs(p))
+
+    @pytest.mark.parametrize("spam", SPAM_CASES)
+    def test_eigen_expansion_is_the_convolution(self, group24, noisy, spam):
+        rho, mu = RBConfig(**SPAM_CASES[spam]).resolve(2)
+        depths = np.arange(1, 40)
+        values, weights = rb_mean_expansion(group24, noisy, rho, mu)
+        series = (weights * values ** (depths[:, None] - 1)).sum(axis=1)
+        assert np.max(np.abs(series - exact_rb_means(group24, noisy, depths, rho, mu))) <= 1e-12
+
+    def test_relabeling_has_rank_4_and_eigenvalue_1_four_times(self, group24):
+        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
+        m = rb_convolution_operator(group24, noisy)
+        assert np.linalg.matrix_rank(m) == 4
+        assert np.sum(np.abs(np.linalg.eigvals(m) - 1.0) <= 1e-12) == 4
 
 
 def reference_run_rb(group, noisy_set, config):

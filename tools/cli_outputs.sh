@@ -9,8 +9,8 @@
 # Starts with gen-group --dim 2 and --dim 4, which build the group caches in
 # OUTDIR/cache/ that every later run loads.  Then runs every configs/*.json
 # with spectrum, curve, correct and rb, then fig-delta, fig-pbloch and
-# fig-basis at --dim 2 and at --dim 4 (fig-basis --dim 4, about 4 s, is the
-# slowest run), all with --seed 7.  Last, rb on configs/ztilt_d2.json with the
+# fig-basis at --dim 2 and at --dim 4 (fig-basis --dim 4, about 1 s on a
+# shared 2-vCPU machine, is the slowest run), all with --seed 7.  Last, rb on configs/ztilt_d2.json with the
 # seed 2^64 + 5, whose three uint32 words all feed the sequence draw: 37 runs.
 # Each run gets OUTDIR/<name>/ holding its output files and stdout.txt,
 # stderr.txt and exit_code.txt.  The runs start in OUTDIR and pass --out and
