@@ -283,13 +283,12 @@ def check_fit_depths(depths) -> None:
 
 _P_BOUNDS = (0.0, 1.02)
 _GRID_POINTS = 1025  # coarse p grid over _P_BOUNDS, spacing about 1e-3
-_P_TOL = 1e-12  # width of the final bracket on p
+_STEPS = 38  # bisections of a 2e-3 grid bracket, down to about 7e-15
 _FLAT_TOL = 1e-12  # means within this range of each other carry no decay
 # A minimum this close to a bound sits on it.  Near p = 0 the profile is flat
 # to rounding (only the shortest depth still sees p^m), so the search stops
 # short of 0 instead of on it.
 _BOUND_TOL = 1e-6
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _fit_profile(depths: np.ndarray, y: np.ndarray):
@@ -297,10 +296,12 @@ def _fit_profile(depths: np.ndarray, y: np.ndarray):
 
     For a fixed p the model y = A p^m + B is linear in (A, B), so both follow
     in closed form; at p = 0 or 1 (all p^m equal) A is not identifiable and
-    is set to 0.  A coarse grid picks each row's bracket; golden-section
-    search, which evaluates only RSS(p), shrinks it to _P_TOL.  Returns A, B,
-    p and a mask of rows whose minimum sits on a bound, that is whose
-    least-squares p lies outside _P_BOUNDS.
+    is set to 0.  A coarse grid picks each row's bracket, and _STEPS
+    bisections on the sign of dRSS/dp shrink it to about 7e-15.  The sign
+    needs no comparison of RSS values, which are resolved only to rounding,
+    so p is pinned by the data.  Returns A, B, p and a mask of rows whose
+    minimum sits on a bound, that is whose least-squares p lies outside
+    _P_BOUNDS.
     """
     lo_p, hi_p = _P_BOUNDS
     count, zero = depths.size, np.flatnonzero(depths == 0)
@@ -321,10 +322,18 @@ def _fit_profile(depths: np.ndarray, y: np.ndarray):
         sxy = (xc * yc).sum(axis=-1)
         return np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx > 0), xc, mean
 
-    def rss(p: np.ndarray) -> np.ndarray:
+    def falls(p: np.ndarray) -> np.ndarray:
+        """Whether RSS(p) falls at each row's p, from the sign of dRSS/dp.
+
+        By the envelope theorem dRSS/dp = -2 A sum(res dx), with dx = m p^(m-1).
+        """
         a, xc, _ = slope(p)
         res = yc - a[:, None] * xc
-        return (res * res).sum(axis=-1)
+        dx = depths * p[:, None] ** (depths - 1)
+        # The residuals sum to zero only up to the rounding of the mean of y
+        # (about 1e-16), and that offset times sum(dx) would tip the sign near
+        # the minimum: centring dx takes it out.
+        return a * (res * (dx - dx.mean(axis=-1, keepdims=True))).sum(axis=-1) > 0
 
     grid = np.linspace(lo_p, hi_p, _GRID_POINTS)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,24 +347,11 @@ def _fit_profile(depths: np.ndarray, y: np.ndarray):
 
         lo = grid[np.maximum(k - 1, 0)]
         hi = grid[np.minimum(k + 1, grid.size - 1)]
-        c = hi - _INV_PHI * (hi - lo)
-        d = lo + _INV_PHI * (hi - lo)
-        steps = int(np.ceil(np.log(_P_TOL / (2 * (grid[1] - grid[0]))) / np.log(_INV_PHI)))
-        fc, fd = rss(c), rss(d)
-        for _ in range(steps):
-            left = fc < fd  # the minimum lies in [lo, d]
-            hi = np.where(left, d, hi)
-            lo = np.where(left, lo, c)
-            step = _INV_PHI * (hi - lo)
-            new = np.where(left, hi - step, lo + step)
-            fnew = rss(new)
-            c, fc, d, fd = (
-                np.where(left, new, d),
-                np.where(left, fnew, fd),
-                np.where(left, c, new),
-                np.where(left, fc, fnew),
-            )
-        p = np.where(fc < fd, c, d)
+        for _ in range(_STEPS):
+            mid = 0.5 * (lo + hi)
+            right = falls(mid)  # the minimum lies in [mid, hi]
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        p = 0.5 * (lo + hi)
         a, _, mean = slope(p)
     b = y.mean(axis=-1) - a * (1.0 + mean)
     at_bound = (p < lo_p + _BOUND_TOL) | (p > hi_p - _BOUND_TOL)
@@ -388,9 +384,9 @@ def fit_decay(
     For each p in [0, 1.02] the best A and B are closed-form, so the fit is
     a 1-D minimisation of RSS(p), done for the point estimate and every
     bootstrap resample (sequences resampled within each depth) in one batch:
-    a 1025-point grid brackets each row's minimum, and a golden-section
-    search that evaluates only RSS(p) narrows it to 1e-12; A and B are solved
-    once, at the final p.
+    a 1025-point grid brackets each row's minimum, and bisection on the sign
+    of dRSS/dp narrows it to about 7e-15; A and B are solved once, at the
+    final p.
     Means flat to 1e-12 identify no decay and give p = 1, A = 0.  A minimum
     on a bound of [0, 1.02] flags the result instead of raising.  `dim` is
     kept for callers; the fit does not use it.

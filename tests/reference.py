@@ -80,11 +80,15 @@ def sequence_draws(seed: int, m: int, sequences: int, n: int) -> np.ndarray:
     ).reshape(sequences, m)
 
 
-# The decay fit as it stood before its golden-section loop was trimmed to the
-# residual sum, kept verbatim as a bit-exact oracle for rb._fit_profile.
+# Two decay fits for rb._fit_profile.  reference_fit_profile takes the same
+# step rule, bisection on the sign of dRSS/dp, written on the helpers below, so
+# the library must match it bit for bit.  golden_fit_profile is a golden-section
+# search, which compares RSS values only: an independent minimiser that the
+# bisection must match or beat on RSS.
 _P_BOUNDS = (0.0, 1.02)
 _GRID_POINTS = 1025  # coarse p grid over _P_BOUNDS, spacing about 1e-3
-_P_TOL = 1e-12  # width of the final bracket on p
+_STEPS = 38  # bisections of a 2e-3 grid bracket, down to about 7e-15
+_P_TOL = 1e-12  # width of the golden-section search's final bracket on p
 _FLAT_TOL = 1e-12  # means within this range of each other carry no decay
 # A minimum this close to a bound sits on it.  Near p = 0 the profile is flat
 # to rounding (only the shortest depth still sees p^m), so the search stops
@@ -120,15 +124,20 @@ def _rss(depths: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (_profile(depths, y, p)[2] ** 2).sum(axis=-1)
 
 
-def reference_fit_profile(depths: np.ndarray, y: np.ndarray):
-    """Minimise the profile RSS(p) over _P_BOUNDS for every row of y at once.
+def _descent(depths: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """-dRSS/dp / 2 = A sum_m res_m m p^(m-1) at each row's p (the envelope theorem).
 
-    A coarse grid picks each row's bracket; golden-section search shrinks it
-    to _P_TOL.  Returns A, B, p and a mask of rows whose minimum sits on a
-    bound, that is whose least-squares p lies outside _P_BOUNDS.
+    The derivative of p^m is centred over the depths: the residuals sum to zero
+    only up to the rounding of the mean of y, which would otherwise bias the sign.
     """
-    lo_p, hi_p = _P_BOUNDS
-    grid = np.linspace(lo_p, hi_p, _GRID_POINTS)
+    a, _, res = _profile(depths, y, p)
+    dx = depths * p[..., None] ** (depths - 1)
+    return a * (res * (dx - dx.mean(axis=-1, keepdims=True))).sum(axis=-1)
+
+
+def _grid_bracket(depths: np.ndarray, y: np.ndarray):
+    """Each row's best point of the coarse p grid and its two neighbours."""
+    grid = np.linspace(*_P_BOUNDS, _GRID_POINTS)
     xc = _powers_minus_one(grid, depths)
     xc -= xc.mean(axis=-1, keepdims=True)
     yc = y - y.mean(axis=-1, keepdims=True)
@@ -138,13 +147,48 @@ def reference_fit_profile(depths: np.ndarray, y: np.ndarray):
     np.divide(explained, sxx, out=explained, where=sxx > 0)
     explained[:, sxx <= 0] = 0.0
     k = explained.argmax(axis=-1)  # lowest RSS = Syy - Sxy^2 / Sxx
+    return grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
 
-    lo = grid[np.maximum(k - 1, 0)]
-    hi = grid[np.minimum(k + 1, grid.size - 1)]
+
+def _fit_at(depths: np.ndarray, y: np.ndarray, p: np.ndarray):
+    """A, B, p and the bound mask at the searched p, with flat rows set to p = 1, A = 0."""
+    lo_p, hi_p = _P_BOUNDS
+    at_bound = (p < lo_p + _BOUND_TOL) | (p > hi_p - _BOUND_TOL)
+    a, b, _ = _profile(depths, y, p)
+    flat = np.ptp(y, axis=-1) <= _FLAT_TOL
+    return (
+        np.where(flat, 0.0, a),
+        np.where(flat, y.mean(axis=-1), b),
+        np.where(flat, 1.0, p),
+        at_bound & ~flat,
+    )
+
+
+def reference_fit_profile(depths: np.ndarray, y: np.ndarray):
+    """Minimise the profile RSS(p) over _P_BOUNDS for every row of y at once.
+
+    A coarse grid picks each row's bracket; _STEPS bisections keep the half
+    towards which RSS falls at the midpoint.  Returns A, B, p and a mask of
+    rows whose minimum sits on a bound, that is whose least-squares p lies
+    outside _P_BOUNDS.
+    """
+    lo, hi = _grid_bracket(depths, y)
+    for _ in range(_STEPS):
+        mid = 0.5 * (lo + hi)
+        falls = _descent(depths, y, mid) > 0
+        lo = np.where(falls, mid, lo)
+        hi = np.where(falls, hi, mid)
+    return _fit_at(depths, y, 0.5 * (lo + hi))
+
+
+def golden_fit_profile(depths: np.ndarray, y: np.ndarray):
+    """The same fit by golden-section search on RSS(p) to a bracket _P_TOL wide."""
+    lo, hi = _grid_bracket(depths, y)
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = _rss(depths, y, c), _rss(depths, y, d)
-    steps = int(np.ceil(np.log(_P_TOL / (2 * (grid[1] - grid[0]))) / np.log(_INV_PHI)))
+    spacing = (_P_BOUNDS[1] - _P_BOUNDS[0]) / (_GRID_POINTS - 1)
+    steps = int(np.ceil(np.log(_P_TOL / (2 * spacing)) / np.log(_INV_PHI)))
     for _ in range(steps):
         left = fc < fd  # the minimum lies in [lo, d]
         hi = np.where(left, d, hi)
@@ -157,16 +201,7 @@ def reference_fit_profile(depths: np.ndarray, y: np.ndarray):
             np.where(left, c, new),
             np.where(left, fc, fnew),
         )
-    p = np.where(fc < fd, c, d)
-    at_bound = (p < lo_p + _BOUND_TOL) | (p > hi_p - _BOUND_TOL)
-    a, b, _ = _profile(depths, y, p)
-    flat = np.ptp(y, axis=-1) <= _FLAT_TOL
-    return (
-        np.where(flat, 0.0, a),
-        np.where(flat, y.mean(axis=-1), b),
-        np.where(flat, 1.0, p),
-        at_bound & ~flat,
-    )
+    return _fit_at(depths, y, np.where(fc < fd, c, d))
 
 
 def reference_build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> TwirlSuperop:

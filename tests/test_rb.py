@@ -28,6 +28,7 @@ from reference import (
     exact_rb_means,
     exp_i_pauli_sum,
     find,
+    golden_fit_profile,
     ideal_mats,
     rb_convolution_operator,
     rb_mean_expansion,
@@ -182,12 +183,14 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_D2 = sorted(path.stem for path in CONFIG_DIR.glob("*_d2.json"))
 
 
-def shipped_table(group, name):
-    """The survival table `rblab rb --config configs/<name>.json` fits."""
+def shipped_table(group, name, seed=None):
+    """The survival table `rblab rb --config configs/<name>.json` fits, at its own seed or `seed`."""
     cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 2), group)
     rb_cfg = RBConfig(
-        depths=tuple(cfg["depths"]), sequences=cfg.get("sequences", 200), seed=cfg["seed"]
+        depths=tuple(cfg["depths"]),
+        sequences=cfg.get("sequences", 200),
+        seed=cfg["seed"] if seed is None else seed,
     )
     return run_rb(group, noisy, rb_cfg)
 
@@ -246,8 +249,7 @@ class TestFitAgainstIndependentRoutes:
         depths, means = table.depths, table.means
         ours = rss(depths, means, fit.a, fit.b, fit.p)
         a_cf, b_cf, p_cf = curve_fit_reference(depths, means)
-        # the floor is the RSS that p's 1e-12 bracket allows on noise-free tables,
-        # where both routes sit at rounding level
+        # the floor covers noise-free tables, where both routes sit at rounding level
         floor = 1e-20
         if 0.0 <= p_cf <= 1.02:
             assert ours <= rss(depths, means, a_cf, b_cf, p_cf) * (1 + 1e-9) + floor
@@ -289,6 +291,17 @@ class TestFitAgainstIndependentRoutes:
                 resampled[0, di] = table.survivals[rng.integers(0, n_seq, size=n_seq), di].mean()
             alone = fit_decay(SurvivalTable(table.depths, resampled, seed=0), bootstrap=0)
             assert p_boot == pytest.approx(alone.p, abs=1e-9)
+
+    @pytest.mark.parametrize("name", [n for n in SHIPPED_D2 if n != "relabeling_d2"])
+    def test_rounding_of_the_means_moves_p_by_rounding(self, group24, name):
+        # a golden-section search on RSS values, which are resolved only to
+        # rounding, moved p by up to 2.6e-10 under the same perturbations
+        table = shipped_table(group24, name, seed=7)
+        rng = np.random.default_rng(7)
+        y = table.means + rng.uniform(-4e-14, 4e-14, size=(20, table.means.size))
+        _, _, p, at_bound = _fit_profile(table.depths, y)
+        assert not at_bound.any()
+        assert np.ptp(p) <= 1e-11
 
 
 def sequence_survival(group, noisy_set, idx, rho, mu):
@@ -560,7 +573,7 @@ class TestBatchedSampler:
 
 
 class TestFitOracle:
-    """`_fit_profile` against the verbatim fit before its loop was trimmed: the same bits."""
+    """`_fit_profile` against the reference's bisection (the same bits) and golden-section search."""
 
     CURVES = {
         "decay": lambda p, depths: 0.5 * p ** depths + 0.5,
@@ -568,8 +581,7 @@ class TestFitOracle:
         "rising": lambda p, depths: 0.6 + 0.01 * 1.05 ** depths,  # pinned at 1.02
         "alternating": lambda p, depths: 0.5 + 0.3 * (-0.6) ** depths,  # pinned at 0
     }
-
-    @given(
+    MEANS = dict(
         rows=st.sampled_from([1, 201]),
         kind=st.sampled_from(sorted(CURVES)),
         zero_depth=st.booleans(),
@@ -577,12 +589,11 @@ class TestFitOracle:
         noise=st.sampled_from([1e-6, 1e-3, 3e-2]),
         seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
     )
+
+    @given(**MEANS)
     @settings(max_examples=60, deadline=None)
     def test_bit_exact_against_reference(self, rows, kind, zero_depth, p, noise, seed):
-        depths = np.array([0, 1, 2, 4, 8, 16, 32] if zero_depth else [1, 2, 4, 8, 16, 32, 64])
-        curve = self.CURVES[kind](p, depths)
-        y = curve + np.random.default_rng(seed).normal(scale=noise, size=(rows, depths.size))
-        y[0] = curve  # row 0 noise-free: flat, or on a bound, for those kinds
+        depths, y = self.means(rows, kind, zero_depth, p, noise, seed)
         got, want = _fit_profile(depths, y), reference_fit_profile(depths, y)
         for name, ours, theirs in zip(("A", "B", "p", "at_bound"), got, want):
             assert np.array_equal(ours, theirs), name
@@ -590,6 +601,30 @@ class TestFitOracle:
             assert want[3][0]
         if kind == "flat":
             assert want[2][0] == 1.0 and want[0][0] == 0.0
+
+    @given(**MEANS)
+    @settings(max_examples=60, deadline=None)
+    def test_no_worse_than_golden_section(self, rows, kind, zero_depth, p, noise, seed):
+        depths, y = self.means(rows, kind, zero_depth, p, noise, seed)
+        ours, golden = _fit_profile(depths, y), golden_fit_profile(depths, y)
+        assert np.array_equal(ours[3], golden[3])
+
+        def rss_at(fit):
+            a, b, p, _ = fit
+            return ((y - (a[:, None] * p[:, None] ** depths + b[:, None])) ** 2).sum(axis=-1)
+
+        # the floor is rounding: on the noise-free row 0 both fits leave
+        # residuals of about 1e-15 and an RSS below 1e-29
+        kept = ~ours[3]
+        assert np.all(rss_at(ours)[kept] <= rss_at(golden)[kept] * (1 + 1e-9) + 1e-28)
+
+    def means(self, rows, kind, zero_depth, p, noise, seed):
+        """Depths and `rows` noisy copies of one curve; row 0 is noise-free: flat, or on a bound."""
+        depths = np.array([0, 1, 2, 4, 8, 16, 32] if zero_depth else [1, 2, 4, 8, 16, 32, 64])
+        curve = self.CURVES[kind](p, depths)
+        y = curve + np.random.default_rng(seed).normal(scale=noise, size=(rows, depths.size))
+        y[0] = curve
+        return depths, y
 
 
 class TestFitEdgeCases:
