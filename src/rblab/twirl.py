@@ -9,6 +9,7 @@ yields the exact traceless-hyperplane fidelity of depth-m circuits.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +51,17 @@ class TwirlSuperop:
     mat: np.ndarray
 
 
-_COSET_BLOCK = 48  # cosets gathered at once: about 1.5 MB of noisy rows at d=4, 15 blocks
+_COSET_BLOCK = 48  # cosets gathered at once: about 0.8 MB of half-rows per thread at d=4, 15 blocks
 
 
 def build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> TwirlSuperop:
     """Arithmetic mean of kron(G Pi_tr, G_noisy) over the index-aligned stacks, coset by coset.
 
     As `G_{cp} = G_c D_p` (`CliffordGroup.cosets`), moment (j, k) is `(1/N) sum_c G_c[j, k] W[k, c]`
-    with `W[k, c] = sum_p D_p[k, k] B_{cp}`, one +-1 GEMM and one matmul over k per block of cosets.
+    with `W[k, c] = sum_p D_p[k, k] B_{cp}`, one small +-1 GEMM per coset and one matmul over k per
+    block of cosets.  Each noisy entry (lm) is summed on its own, so at d=4 a second thread sums
+    entries n^2/2 and up while the caller sums the rest; every BLAS call stays below OpenBLAS's own
+    threading threshold, and the twirl is bit for bit the one-thread build.
     """
     if len(noisy_set) != len(group):
         raise ValueError(
@@ -68,10 +72,33 @@ def build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> TwirlSuperop:
     ks = slice(1, n)  # Pi_tr zeroes column k = 0 of every G
     noisy = noisy_set.mats.reshape(len(group), n * n)
     moments = np.zeros((n, n, n * n))  # axes k, j, (lm)
-    for lo in range(0, len(idx), _COSET_BLOCK):
-        blk = slice(lo, lo + _COSET_BLOCK)
-        w = signs[ks] @ noisy.take(idx[blk].T.ravel(), axis=0).reshape(n, -1)  # axes k, (c lm)
-        moments[ks] += cols[ks, :, blk] @ w.reshape(len(w), -1, n * n)
+
+    def columns(lm: slice) -> None:
+        for lo in range(0, len(idx), _COSET_BLOCK):
+            blk = slice(lo, lo + _COSET_BLOCK)
+            x = noisy[idx[blk], lm]  # axes c, p, lm
+            w = (signs[ks] @ x).transpose(1, 0, 2)  # axes k, c, lm
+            moments[ks, :, lm] += cols[ks, :, blk] @ w
+
+    if len(idx) <= _COSET_BLOCK:  # d=2: one block, no thread
+        columns(slice(0, n * n))
+    else:
+        half, failed = n * n // 2, []
+
+        def helper() -> None:
+            try:
+                columns(slice(half, n * n))
+            except BaseException as exc:  # re-raised on the caller after the join
+                failed.append(exc)
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            columns(slice(0, half))
+        finally:
+            thread.join()
+        if failed:
+            raise failed[0]
     t = (moments / len(group)).reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
     return TwirlSuperop(group.dim, t)
 
