@@ -224,6 +224,7 @@ _CHANNELS = {
     "dephasing": (("q", "axis"), 2, lambda s, d: dephasing(finite("q", s["q"]), s.get("axis", "z"))),
     "amplitude_damping": (("gamma",), 2, lambda s, d: amplitude_damping(finite("gamma", s["gamma"]))),
     "rotation": (("axis", "angle"), 2, lambda s, d: rotation(s.get("axis", "z"), finite("angle", s["angle"]))),
+    "relabeling": ((), 2, lambda s, d: relabeling_channel()),
     "kron": (("first", "second"), 4, _kron),
 }
 
@@ -264,7 +265,7 @@ def channel_from_spec(spec, dim: int) -> SuperOp:
 # Noise models
 # ---------------------------------------------------------------------------
 
-# the parameters each model kind may set, all read by _resolve_errors
+# the parameters each model kind may set, each a number or a channel field read by _resolve_errors
 _KINDS = {
     "ideal": (),
     "over_rotation": ("epsilon", "cz_epsilon"),
@@ -272,8 +273,7 @@ _KINDS = {
     "left": ("error",),
     "right": ("error",),
     "sandwich": ("left", "right"),
-    "conjugation": ("unitary", "axis", "angle"),
-    "relabeling": (),
+    "conjugation": ("unitary",),
 }
 
 
@@ -316,6 +316,7 @@ class NoiseModel:
 
     @staticmethod
     def conjugation(u) -> "NoiseModel":
+        """The frame `U G U'` of a unitary channel `u`: a spec or a `SuperOp` (`unitary_to_superop(m)` of a matrix)."""
         return NoiseModel("conjugation", {"unitary": u})
 
     @staticmethod
@@ -354,9 +355,10 @@ def field_channel(field: str, value, dim: int) -> SuperOp:
 def _resolve_errors(model: NoiseModel, dim: int) -> dict:
     """The one reading of a model's parameters, each checked and named on error.
 
-    Returns the noisy generators "gens" of an over-rotation or z-tilt, the
-    frame "u" of a conjugation or relabeling, and the fixed "left"/"right"
-    channels composed around every ideal gate.
+    Every parameter is a number or a channel field.  Returns the noisy
+    generators "gens" of an over-rotation or z-tilt, the frame "u" of a
+    conjugation (its channel, checked to be unitary), and the fixed
+    "left"/"right" channels composed around every ideal gate.
     """
     p = model.params
 
@@ -382,26 +384,12 @@ def _resolve_errors(model: NoiseModel, dim: int) -> dict:
     if model.kind == "sandwich":
         return {"left": channel("left"), "right": channel("right")}
     if model.kind == "conjugation":
-        if "unitary" in p:
-            frame = channel("unitary") if isinstance(p["unitary"], SuperOp) else None
-            try:
-                if frame is not None:  # a conjugation's transfer matrix is orthogonal
-                    check_unitary(frame.mat)
-                    return {"u": frame}
-                u = np.asarray(p["unitary"])
-                if u.shape != (dim, dim):
-                    raise ValueError(f"expected a {dim}x{dim} unitary matrix")
-                return {"u": unitary_to_superop(u)}
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"model.unitary: {exc}") from None
-        if "axis" in p and "angle" in p:
-            _require_dim(dim, 2, "conjugation by axis/angle")
-            spec = {"channel": "rotation", "axis": p["axis"], "angle": p["angle"]}
-            return {"u": field_channel("model", spec, dim)}
-        raise ConfigError("model.unitary: missing for conjugation (or give axis+angle)")
-    if model.kind == "relabeling":
-        _require_dim(dim, 2, "relabeling")
-        return {"u": relabeling_channel()}
+        frame = channel("unitary")
+        try:  # a conjugation's transfer matrix is orthogonal
+            check_unitary(frame.mat)
+        except ValueError as exc:
+            raise ConfigError(f"model.unitary: {exc}") from None
+        return {"u": frame}
     return {}  # ideal
 
 
@@ -437,7 +425,7 @@ def build_noisy_gateset(model: NoiseModel, group: "CliffordGroup") -> NoisyGateS
     """Noisy transfer matrices, index-aligned with the ideal group, as one stack."""
     fixed = _resolve_errors(model, group.dim)
     mats = group.replay(fixed["gens"]) if "gens" in fixed else group.transfer_mats()
-    if "u" in fixed:  # conjugation and relabeling
+    if "u" in fixed:  # the conjugation frame
         mats = fixed["u"].mat @ mats @ fixed["u"].mat.T
     if "right" in fixed:
         mats = mats @ fixed["right"].mat

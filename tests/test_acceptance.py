@@ -66,7 +66,7 @@ def test_criterion_01_gate_independent_law():
 def test_criterion_02_relabeling_example():
     start = time.perf_counter()
     group = generate_clifford_group(2)
-    noisy, spectrum = spectrum_of(group, NoiseModel("relabeling"))
+    noisy, spectrum = spectrum_of(group, NoiseModel.conjugation({"channel": "relabeling"}))
     p_err = abs(spectrum.p - 1.0)
     curve = fidelity_curve_exact(spectrum, np.eye(2), range(1, 65))
     ftr_max = float(np.max(np.abs(curve.traceless_fidelity)))
@@ -89,7 +89,7 @@ def test_criterion_03_conjugation_example():
     p_errs, ftr_u_errs, ftr_i = [], [], []
     for _ in range(10):
         u = random_unitary(2, rng)
-        noisy, spectrum = spectrum_of(group, NoiseModel.conjugation(u))
+        noisy, spectrum = spectrum_of(group, NoiseModel.conjugation(unitary_to_superop(u)))
         p_errs.append(abs(spectrum.p - 1.0))
         ftr_u_errs.append(
             abs(fidelity_curve_exact(spectrum, u, [1, 5]).traceless_fidelity - 1.0).max()

@@ -52,6 +52,7 @@ GOOD_CHANNEL = {"channel": "depolarizing", "q": 0.99}
 NAN = float("nan")
 INF = float("inf")
 NAN_ROTATION = {"channel": "rotation", "axis": "x", "angle": NAN}
+RELABELING = {"kind": "conjugation", "unitary": {"channel": "relabeling"}}
 
 
 HUGE = "<5000 digits>"  # json.dumps cannot write a 5000-digit integer, so it is swapped in as text
@@ -104,9 +105,10 @@ class TestConfigErrors:
 
     def test_one_qubit_frame_at_dimension_4(self, tmp_path, capsys):
         # the model is read before the group is built, so no d=4 group is needed
-        cfg = write_config(tmp_path, {"dim": 4, "model": {"kind": "conjugation", "axis": "x", "angle": 0.3}})
+        frame = {"channel": "rotation", "axis": "x", "angle": 0.3}
+        cfg = write_config(tmp_path, {"dim": 4, "model": {"kind": "conjugation", "unitary": frame}})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert "conjugation by axis/angle requires dimension 2, got 4" in capsys.readouterr().err
+        assert "model.unitary: rotation requires dimension 2, got 4" in capsys.readouterr().err
 
     def test_bad_kron_half_is_named(self, tmp_path, capsys):
         kron = {"channel": "kron", "first": GOOD_CHANNEL, "second": {"channel": "depolarizing", "qq": 0.9}}
@@ -123,7 +125,7 @@ class TestConfigErrors:
 
     def test_singular_right_error_exit_code(self, tmp_path, capsys, cache):
         # a relabeled gate-set has a singular order-4 right-error block
-        cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "relabeling"}})
+        cfg = write_config(tmp_path, {"dim": 2, "model": RELABELING})
         code = main(["correct", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -165,7 +167,7 @@ class TestConfigErrors:
         [
             ("curve", {"depths": [-1, 2]}, "depths"),
             # the name is checked before the relabeling model's singular block is corrected
-            ("curve", {"model": {"kind": "relabeling"}, "basis": "bogus"}, "basis"),
+            ("curve", {"model": RELABELING, "basis": "bogus"}, "basis"),
             ("rb", {"depths": [0, 1]}, "depths"),
             ("rb", {"sequences": 0}, "sequences"),
             ("fig-basis", {"theta_grid": [0, 0.1, -1]}, "theta_grid"),
@@ -200,7 +202,8 @@ class TestConfigErrors:
             ({"model": {"kind": "conjugation", "unitary": [[1, 1], [0, 1]]}}, "model.unitary"),
             ({"model": {"kind": "conjugation", "unitary": [[1, 0], [0]]}}, "model.unitary"),
             ({"model": {"kind": "conjugation", "unitary": [[1, "a"], [0, 1]]}}, "model.unitary"),
-            ({"model": {"kind": "conjugation", "axis": "w", "angle": 0.1}}, "model"),
+            ({"model": {"kind": "conjugation", "unitary": {"channel": "rotation", "axis": "w", "angle": 0.1}}},
+             "model.unitary"),
         ],
     )
     def test_bad_channel_exits_2_and_names_its_field(self, tmp_path, capsys, cache, payload, field):
@@ -223,7 +226,7 @@ class TestConfigErrors:
             ({"model": {"kind": "z_tilt", "theta_z": 0.1, "cz_epsilon": NAN}}, "model.cz_epsilon: "),
             ({"model": {"kind": "over_rotation", "epsilon": 0.1, "cz_eps": 0.3}},
              "model.cz_eps: not a parameter of over_rotation"),
-            ({"model": {"kind": "conjugation", "axis": "x", "angle": NAN}}, "model: angle: expected a finite"),
+            ({"model": {"kind": "conjugation", "unitary": NAN_ROTATION}}, "model.unitary: angle: expected a finite"),
             ({"model": {"kind": "conjugation", "unitary": [[NAN, 0], [0, 1]]}}, "model.unitary: "),
             ({"model": {"kind": "left", "error": NAN_ROTATION}}, "model.error: angle: expected a finite"),
             ({"spam": {"meas": NAN_ROTATION}}, "spam.meas: angle: expected a finite"),
@@ -243,19 +246,28 @@ class TestConfigErrors:
             ({"model": {"kind": "left", "error": {"channel": "rotation", "axis": [True, False, False],
                                                   "angle": 0.1}}},
              "model.error: axis[0]: expected a finite number"),
-            ({"model": {"kind": "conjugation", "axis": [0, "1", 0], "angle": 0.1}},
-             "model: axis[1]: expected a finite number"),
+            ({"model": {"kind": "conjugation", "unitary": {"channel": "rotation", "axis": [0, "1", 0], "angle": 0.1}}},
+             "model.unitary: axis[1]: expected a finite number"),
             # a norm that overflows to infinity would normalise the axis to zero: the identity
             ({"model": {"kind": "left", "error": {"channel": "rotation", "axis": [1e308, 1e308, 0],
                                                   "angle": 0.1}}},
              "model.error: axis: expected a finite, non-zero norm"),
-            ({"model": {"kind": "conjugation", "axis": [1e308, 1e308, 0], "angle": 0.1}},
-             "model: axis: expected a finite, non-zero norm"),
+            ({"model": {"kind": "conjugation", "unitary": {"channel": "rotation", "axis": [1e308, 1e308, 0],
+                                                           "angle": 0.1}}},
+             "model.unitary: axis: expected a finite, non-zero norm"),
             # a list is unhashable: it must not reach the axis lookup as a Python TypeError
             ({"model": {"kind": "left", "error": {"channel": "dephasing", "q": 0.99, "axis": [0, 0, 1]}}},
              "model.error: channel spec 'dephasing' with q=0.99, axis=[0, 0, 1]: unknown dephasing axis"),
             # the former composite kind is a chain under `left` or `right` now
             ({"model": {"kind": "composite", "factors": [GOOD_CHANNEL]}}, "unknown noise model kind 'composite'"),
+            # a frame has one spelling: a channel under `unitary`; a second spelling is not ignored
+            ({"model": {"kind": "conjugation", "unitary": [[0, 1], [1, 0]], "axis": "x"}},
+             "model.axis: not a parameter of conjugation"),
+            # the former relabeling kind is the channel of that name under `unitary` now
+            ({"model": {"kind": "relabeling"}}, "unknown noise model kind 'relabeling'"),
+            # a JSON matrix is no channel spec
+            ({"model": {"kind": "conjugation", "unitary": [[0, 1], [1, 0]]}},
+             "model.unitary: channel spec must be a mapping or list, got int"),
         ],
     )
     def test_bad_number_or_key_exits_2_and_names_it(self, tmp_path, capsys, cache, payload, message):
@@ -477,7 +489,7 @@ class TestRB:
             tmp_path,
             {
                 "dim": 2,
-                "model": {"kind": "relabeling"},
+                "model": RELABELING,
                 "depths": [1, 2, 4, 8],
                 "sequences": 10,
                 "seed": 5,
@@ -638,18 +650,20 @@ BAD_NUMBERS = st.sampled_from([NAN, INF, -INF, True, "0.1", None, [0.1], 2 ** 70
 def fuzz_models(number):
     """Model specs of the README schema, their numbers drawn by `number(lo, hi)`."""
     unit, small = number(0.0, 1.0), number(-0.3, 0.3)
+    rotation = st.fixed_dictionaries({
+        "channel": st.just("rotation"),
+        "axis": st.sampled_from("xyz") | st.lists(number(-1.0, 1.0), min_size=3, max_size=3),
+        "angle": number(-3.2, 3.2),
+    })
     channel = st.one_of(
         st.fixed_dictionaries({"channel": st.just("depolarizing"), "q": unit}),
         st.fixed_dictionaries({"channel": st.just("dephasing"), "q": unit}, optional={"axis": st.sampled_from("xyz")}),
         st.fixed_dictionaries({"channel": st.just("amplitude_damping"), "gamma": unit}),
-        st.fixed_dictionaries({
-            "channel": st.just("rotation"),
-            "axis": st.sampled_from("xyz") | st.lists(number(-1.0, 1.0), min_size=3, max_size=3),
-            "angle": number(-3.2, 3.2),
-        }),
+        rotation,
     )
+    frame = rotation | st.lists(rotation, min_size=2, max_size=2) | st.just({"channel": "relabeling"})
     models = st.one_of(
-        st.sampled_from([{"kind": "ideal"}, {"kind": "relabeling"}]),
+        st.just({"kind": "ideal"}),
         st.fixed_dictionaries({"kind": st.just("over_rotation"), "epsilon": small}, optional={"cz_epsilon": small}),
         st.fixed_dictionaries({"kind": st.just("z_tilt"), "theta_z": small}, optional={"cz_epsilon": small}),
         st.fixed_dictionaries({
@@ -657,7 +671,7 @@ def fuzz_models(number):
             "error": channel | st.lists(channel, min_size=1, max_size=2),
         }),
         st.fixed_dictionaries({"kind": st.just("sandwich"), "left": channel, "right": channel}),
-        st.fixed_dictionaries({"kind": st.just("conjugation"), "axis": st.sampled_from("xyz"), "angle": small}),
+        st.fixed_dictionaries({"kind": st.just("conjugation"), "unitary": frame}),
     )
     return models, channel
 
@@ -732,7 +746,7 @@ class TestExitContract:
     @example(command="rb", cfg={"model": MODEL, "depths": [2 ** 31, 2 ** 31, 1], "sequences": 1})
     @example(command="spectrum", cfg={"model": MODEL, "seed": HUGE})
     @example(command="fig-delta", cfg={"max_depth": 2 ** 70})
-    @example(command="curve", cfg={"model": {"kind": "relabeling"}, "depths": [1, 2]})  # the nan rows
+    @example(command="curve", cfg={"model": RELABELING, "depths": [1, 2]})  # the nan rows
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_every_config_exits_0_2_or_3(self, tmp_path_factory, command, cfg):
         """Every command on any config exits 0, 2 or 3 and writes only finite numbers, bar the nan rows."""

@@ -348,7 +348,7 @@ class TestReplay:
         us = unitary_to_superop(u).mat
         left = depolarizing(0.97, dim).mat
         right = unitary_to_superop(random_unitary(dim, rng)).mat
-        conj = build_noisy_gateset(NoiseModel.conjugation(u), group)
+        conj = build_noisy_gateset(NoiseModel.conjugation(unitary_to_superop(u)), group)
         model = NoiseModel.sandwich(depolarizing(0.97, dim), SuperOp(dim, right))
         sandwich = build_noisy_gateset(model, group)
         for mat, c, s in zip(ideal_mats(group), conj, sandwich):

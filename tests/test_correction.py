@@ -437,7 +437,7 @@ class TestKnownFrameD4:
     def test_correction_recovers_the_conjugating_unitary(self, group11520, theta):
         coeffs = np.random.default_rng(20261018).normal(size=15)
         v = exp_i_pauli_sum(4, theta * coeffs / np.linalg.norm(coeffs))
-        noisy = build_noisy_gateset(NoiseModel.conjugation(v), group11520)
+        noisy = build_noisy_gateset(NoiseModel.conjugation(unitary_to_superop(v)), group11520)
         twirl = build_twirl(group11520, noisy)
         spectrum = dominant_spectrum(twirl)
         result = correct_spectrum(spectrum)
@@ -529,7 +529,7 @@ class TestIncoherenceDefect:
 class TestVerifyDecayLaw:
     def test_conjugation_with_exact_basis(self, group24, rng):
         basis = random_unitary(2, rng)
-        noisy = build_noisy_gateset(NoiseModel.conjugation(basis), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation(unitary_to_superop(basis)), group24)
         report = verify_decay_law(group24, noisy, basis, range(1, 33))
         assert report.max_residual < 1e-10
         assert report.passed

@@ -177,8 +177,9 @@ class TestChannelSpecs:
             ({"channel": "amplitude_damping", "gamma": 0.1}, 4, "amplitude_damping requires dimension 2, got 4"),
             ({"channel": "rotation", "angle": 0.3}, 4, "rotation requires dimension 2, got 4"),
             ({"channel": "kron", "first": DEPOLARIZING, "second": DEPOLARIZING}, 2, "kron requires dimension 4, got 2"),
+            ({"channel": "relabeling"}, 4, "relabeling requires dimension 2, got 4"),
         ],
-        ids=["dephasing", "amplitude_damping", "rotation", "kron"],
+        ids=["dephasing", "amplitude_damping", "rotation", "kron", "relabeling"],
     )
     def test_kind_of_the_wrong_dimension_is_named(self, spec, dim, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -233,8 +234,9 @@ class TestNoiseModels:
     @pytest.mark.parametrize(
         "cfg, what",
         [
-            ({"kind": "relabeling"}, "relabeling"),
-            ({"kind": "conjugation", "axis": "x", "angle": 0.3}, "conjugation by axis/angle"),
+            ({"kind": "conjugation", "unitary": {"channel": "relabeling"}}, "model.unitary: relabeling"),
+            ({"kind": "conjugation", "unitary": {"channel": "rotation", "axis": "x", "angle": 0.3}},
+             "model.unitary: rotation"),
         ],
         ids=["relabeling", "conjugation"],
     )
@@ -255,12 +257,29 @@ class TestNoiseModels:
         "frame", [depolarizing(0.9), amplitude_damping(0.3)], ids=["depolarizing", "amplitude_damping"]
     )
     def test_non_orthogonal_conjugation_frame_rejected(self, group24, frame):
-        # a SuperOp frame gets the unitarity check a matrix frame gets; a rotation still passes
+        # a frame's channel must be unitary, whichever way it is given; a rotation passes
         with pytest.raises(ConfigError, match="model.unitary: matrix is not unitary"):
             build_noisy_gateset(NoiseModel.conjugation(frame), group24)
         u = rotation("x", 0.3)
         noisy = build_noisy_gateset(NoiseModel.conjugation(u), group24)
         assert np.array_equal(noisy.mats[5], u.mat @ ideal_mats(group24)[5] @ u.mat.T)
+
+    @pytest.mark.parametrize(
+        "dim, spec, u",
+        [
+            (2, [{"channel": "rotation", "axis": "x", "angle": 0.3}, {"channel": "rotation", "axis": "y", "angle": 0.4}],
+             rotation("y", 0.4) @ rotation("x", 0.3)),
+            (4, {"channel": "kron", "first": {"channel": "rotation", "axis": "x", "angle": 0.3},
+                 "second": {"channel": "rotation", "axis": [1, 1, 0], "angle": -0.2}},
+             SuperOp(4, np.kron(rotation("x", 0.3).mat, rotation([1, 1, 0], -0.2).mat))),
+        ],
+        ids=["chain_d2", "kron_d4"],
+    )
+    def test_frame_from_a_spec(self, request, dim, spec, u):
+        # a frame is read as any channel field is: a chain or a kron of rotations is a unitary frame
+        group = request.getfixturevalue("group24" if dim == 2 else "group11520")
+        noisy = build_noisy_gateset(NoiseModel.from_config({"kind": "conjugation", "unitary": spec}, dim), group)
+        assert np.array_equal(noisy.mats, u.mat @ ideal_mats(group) @ u.mat.T)
 
     def test_null_cz_epsilon_means_absent(self, group11520):
         # left out or null, the CZ offset is 0 for z_tilt and epsilon for over_rotation
@@ -342,11 +361,11 @@ class TestNoiseModels:
 
     def test_relabeling_is_exact_conjugation(self, group24):
         s = relabeling_channel()
-        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation({"channel": "relabeling"}), group24)
         assert np.array_equal(noisy.mats, s.mat @ ideal_mats(group24) @ s.mat.T)
 
     def test_relabeling_motion_reversal_is_exact_identity(self, group24, rng):
-        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation(relabeling_channel()), group24)
         for _ in range(20):
             idx = rng.integers(0, 24, size=6)
             ideal = np.eye(4)
@@ -383,7 +402,7 @@ class TestNoiseModels:
 
         u = random_unitary(2, rng)
         us = unitary_to_superop(u)
-        noisy = build_noisy_gateset(NoiseModel.conjugation(u), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation(us), group24)
         rho = default_state(2)
         mu = default_state(2)
         rho_rot = us.mat.T @ rho

@@ -52,7 +52,7 @@ class TestRunRB:
         assert np.max(np.abs(table.survivals - 1.0)) < 1e-12
 
     def test_relabeling_survival_is_one(self, group24):
-        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation({"channel": "relabeling"}), group24)
         table = run_rb(
             group24, noisy, RBConfig(depths=(1, 2, 4, 8, 16, 32, 64), sequences=30, seed=5)
         )
@@ -143,7 +143,7 @@ class TestFitDecay:
         assert abs(fit.p - 0.97) <= 3 * sigma
 
     def test_relabeling_fit_finds_unit_decay(self, group24):
-        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation({"channel": "relabeling"}), group24)
         table = run_rb(
             group24, noisy, RBConfig(depths=(1, 2, 4, 8, 16, 32, 64), sequences=30, seed=5)
         )
@@ -426,7 +426,7 @@ class TestConvolutionSpectrum:
         assert np.max(np.abs(series - exact_rb_means(group24, noisy, depths, rho, mu))) <= 1e-12
 
     def test_relabeling_has_rank_4_and_eigenvalue_1_four_times(self, group24):
-        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation({"channel": "relabeling"}), group24)
         m = rb_convolution_operator(group24, noisy)
         assert np.linalg.matrix_rank(m) == 4
         assert np.sum(np.abs(np.linalg.eigvals(m) - 1.0) <= 1e-12) == 4

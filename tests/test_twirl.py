@@ -201,7 +201,7 @@ class TestBuildTwirl:
         assert spectrum.p == pytest.approx(q, abs=1e-10)
 
     def test_relabeling_has_unit_decay(self, group24):
-        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation({"channel": "relabeling"}), group24)
         spectrum = dominant_spectrum(build_twirl(group24, noisy))
         assert spectrum.p == pytest.approx(1.0, abs=1e-10)
 
@@ -346,12 +346,12 @@ class TestFidelityCurveExact:
 
     def test_conjugation_model_at_matched_basis(self, group24, rng):
         u = random_unitary(2, rng)
-        noisy = build_noisy_gateset(NoiseModel.conjugation(u), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation(unitary_to_superop(u)), group24)
         curve = fidelity_curve_exact(dominant_spectrum(build_twirl(group24, noisy)), u, range(1, 17))
         assert np.max(np.abs(curve.traceless_fidelity - 1.0)) < 1e-10
 
     def test_relabeling_identity_basis_is_flat_zero(self, group24):
-        noisy = build_noisy_gateset(NoiseModel("relabeling"), group24)
+        noisy = build_noisy_gateset(NoiseModel.conjugation({"channel": "relabeling"}), group24)
         curve = fidelity_curve_exact(dominant_spectrum(build_twirl(group24, noisy)), np.eye(2), range(1, 65))
         assert np.max(np.abs(curve.traceless_fidelity)) < 1e-10
         assert np.all(np.isnan(curve.ratio_deviation))
@@ -506,7 +506,7 @@ class TestBauerFike:
             "z_tilt": NoiseModel.z_tilt(0.1),
             "over_rotation": NoiseModel.over_rotation(0.1),
             "left_depolarizing": NoiseModel.left(depolarizing(0.995)),
-            "relabeling": NoiseModel("relabeling"),
+            "relabeling": NoiseModel.conjugation({"channel": "relabeling"}),
         }
         for name, model in models.items():
             noisy = build_noisy_gateset(model, group24)
