@@ -432,6 +432,18 @@ class TestSpectrumAndCurve:
         assert float(cols["p"][0]) == pytest.approx(0.99, abs=1e-10)
         assert "seed" in meta
 
+    def test_spectrum_of_a_relabeled_sandwich_d4(self, tmp_path):
+        # both qubits relabeled X -> Y -> Z: vec(Pi_tr) has no overlap with the dominant mode
+        frame = {"channel": "kron", "first": {"channel": "relabeling"}, "second": {"channel": "relabeling"}}
+        cfg = write_config(
+            tmp_path,
+            {"dim": 4, "model": {"kind": "sandwich", "left": frame, "right": [GOOD_CHANNEL, frame, frame]}},
+        )
+        cache = str(tmp_path / "g4.npz")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache]) == 0
+        _, cols = read_csv(tmp_path / "spectrum.csv")
+        assert float(cols["p"][0]) == pytest.approx(0.99, abs=1e-12)
+
     def test_curve_columns(self, tmp_path, cache):
         cfg = write_config(
             tmp_path,

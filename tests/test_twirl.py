@@ -24,6 +24,7 @@ from rblab.noise import (
     NoisyGateSet,
     build_noisy_gateset,
     depolarizing,
+    relabeling_channel,
     rotation,
 )
 from rblab.twirl import (
@@ -88,6 +89,14 @@ def residual_vectors(spectrum, basis_u):
 
 def make_sandwich(group, left, right):
     return NoisyGateSet(2, np.stack([left.mat @ mat @ right.mat for mat in ideal_mats(group)]))
+
+
+def relabeled(noisy):
+    """The set `S G S^T`, with S the Pauli relabeling X -> Y -> Z of every qubit."""
+    s = relabeling_channel().mat
+    if noisy.dim == 4:
+        s = np.kron(s, s)
+    return NoisyGateSet(noisy.dim, s @ noisy.mats @ s.T)
 
 
 class _InlineThread:
@@ -261,16 +270,51 @@ class TestDominantSpectrum:
             power_iteration(mat, start=np.array([1.0, 1.0, 1.0, 1.0]))
 
     def test_dense_start_disagreeing_with_power_iteration_reported(self, group24, ztilt_noisy, monkeypatch):
-        # a dense eigenvalue 1e-6 off the power-iteration p fails the 1e-8 agreement check
-        dense_starts = rblab.twirl._dense_starts
-
-        def off_by_1e6(mat):
-            lam, right, left = dense_starts(mat)
-            return lam + 1e-6, right, left
-
-        monkeypatch.setattr(rblab.twirl, "_dense_starts", off_by_1e6)
+        # a d=2 dense eigenvalue 1e-6 off the power-iteration p fails the 1e-8 agreement check
+        dense_eigenvalue = rblab.twirl._dense_eigenvalue
+        monkeypatch.setattr(rblab.twirl, "_dense_eigenvalue", lambda mat: dense_eigenvalue(mat) + 1e-6)
         with pytest.raises(DegenerateSpectrumError, match="disagree"):
             dominant_spectrum(build_twirl(group24, ztilt_noisy))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_relabeled_ideal_set_has_unit_decay(self, group24, group11520, dim):
+        # at d=4 vec(Pi_tr) has no overlap with this frame's dominant mode, as |tr U|^2 = 1
+        group = group24 if dim == 2 else group11520
+        noisy = relabeled(build_noisy_gateset(NoiseModel("ideal"), group))
+        assert dominant_spectrum(build_twirl(group, noisy)).p == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_relabeled_right_depolarizing_set_keeps_its_decay(self, group24, group11520, dim):
+        group = group24 if dim == 2 else group11520
+        noisy = relabeled(build_noisy_gateset(NoiseModel.right(depolarizing(0.99, dim)), group))
+        assert dominant_spectrum(build_twirl(group, noisy)).p == pytest.approx(0.99, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "dim, model, frame_seed",
+        [
+            (2, NoiseModel.over_rotation(0.2), None),
+            (2, NoiseModel.over_rotation(0.3), None),
+            (4, NoiseModel.z_tilt(0.1, cz_epsilon=0.1), None),  # configs/ztilt_d4.json
+            (4, NoiseModel.over_rotation(0.2, cz_epsilon=0.1), 3),
+        ],
+        ids=["over_rotation_0.2_d2", "over_rotation_0.3_d2", "ztilt_d4", "over_rotation_0.2_d4_frame3"],
+    )
+    def test_p_is_the_dense_dominant_eigenvalue(self, group24, group11520, dim, model, frame_seed):
+        """p is within 1e-14 of the dominant `np.linalg.eigvals` value.
+
+        Measured: 4.4e-16, 8.9e-16, 4.4e-16 and 5.6e-16, in the order of the cases.
+        A 1e-12 Rayleigh-quotient stop leaves the d=2 cases 5.9e-14 and 1.7e-13
+        off, and a d=4 start from vec(Pi_tr) leaves the last one 2.1e-14 off.
+        """
+        group = group24 if dim == 2 else group11520
+        noisy = build_noisy_gateset(model, group)
+        if frame_seed is not None:
+            s = unitary_to_superop(random_unitary(dim, np.random.default_rng(frame_seed))).mat
+            noisy = NoisyGateSet(dim, s @ noisy.mats @ s.T)
+        t = build_twirl(group, noisy)
+        evals = np.linalg.eigvals(t.mat)
+        dominant = evals[np.argmax(np.abs(evals))].real
+        assert abs(dominant_spectrum(t).p - dominant) <= 1e-14
 
     def test_unit_frobenius_normalization(self, ztilt_spectrum):
         assert np.linalg.norm(ztilt_spectrum.right_error_op) == pytest.approx(1.0, abs=1e-12)
