@@ -20,7 +20,7 @@ Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
 the same manifest.  Exit codes: 0 success, 2 configuration error, 3 numerical
 regime error, which is every `twirl.RegimeError` (e.g. a degenerate dominant
-eigenvalue, a singular or improper order-4 block, a correction whose ascent
+eigenvalue, a singular right-error block, a correction whose ascent
 did not converge, or a fig-pbloch curve with F - 1/d <= 0 in its fit window).
 """
 
@@ -271,7 +271,8 @@ def cmd_correct(s: _Setup) -> int:
     if result.rotation is not None:
         meta["rotation_angle"] = repr(result.rotation_angle)
         meta["rotation_axis"] = json.dumps([round(x, 12) for x in result.rotation_axis])
-    meta["achieved_fidelity"] = repr(result.fidelity)
+    fidelity = float(s.curve("corrected", [1]).fidelity[0])  # the gate-set circuit fidelity F_U(1)
+    meta["circuit_fidelity_1"] = repr(fidelity)
     meta["incoherence_defect"] = repr(incoherence_defect(result.corrected_block))
 
     curve = s.curve("corrected", s.cfg.get("depths", range(1, 33)))
@@ -288,7 +289,7 @@ def cmd_correct(s: _Setup) -> int:
         ],
     )
     print(
-        f"correction found: achieved fidelity {result.fidelity!r}, "
+        f"correction found: circuit fidelity F_U(1) {fidelity!r}, "
         f"max decay-law residual {resid.max():.3e}"
     )
     return 0

@@ -1,7 +1,7 @@
 """Finding the unitary that reconciles a noisy gate-set's frame with its targets.
 
-The coherent part of the order-4 right error is what separates the decay
-parameter from the gate-set circuit fidelity at a fixed target frame.  For a
+The coherent part of the asymptotic right error operator is what separates the
+decay parameter from the gate-set circuit fidelity at a fixed target frame.  For a
 single qubit the polar decomposition of the 3x3 Bloch block isolates that
 rotation analytically; in general it is recovered by a saddle-free Newton
 ascent on the unitary group, from a gradient and Hessian in closed form.
@@ -26,7 +26,7 @@ from .channels import (
 )
 from .cliffords import CliffordGroup
 from .noise import NoisyGateSet, pulse
-from .twirl import RegimeError, TwirlSpectrum, order_m_error_blocks
+from .twirl import RegimeError, TwirlSpectrum
 
 
 class ImproperRotationError(RegimeError):
@@ -270,10 +270,19 @@ def optimize_correct(right_error_block: np.ndarray, dim: int) -> CorrectionResul
 
 
 def correct_spectrum(spectrum: TwirlSpectrum) -> CorrectionResult:
-    """Correction of the order-4 right-error block of a twirl spectrum: the polar
-    split of `polar_correct` for one qubit, the SU(d) ascent of `optimize_correct`
-    otherwise."""
-    block, _ = order_m_error_blocks(spectrum.twirl, 4)
+    """Correction of the asymptotic right error operator of a twirl spectrum: the
+    polar split of `polar_correct` for one qubit, the SU(d) ascent of
+    `optimize_correct` otherwise.
+
+    The unit-Frobenius operator's traceless block is scaled by sqrt(d^2 - 1), the
+    Frobenius norm of an orthogonal block, so an ideal set's block is the identity.
+    An eigenvector's sign is free and d^2 - 1 is odd, so the block takes the sign
+    of positive determinant, the one a rotation can undo: the sign that orients
+    the operator towards Pi_tr is the other one in frames that turn it far enough.
+    """
+    block = math.sqrt(spectrum.dim ** 2 - 1) * spectrum.right_error_op[1:, 1:]
+    if np.linalg.det(block) < 0:
+        block = -block
     return polar_correct(block) if spectrum.dim == 2 else optimize_correct(block, spectrum.dim)
 
 
@@ -291,7 +300,7 @@ def incoherence_defect(block: np.ndarray) -> float:
 def correct_from_noisy_set(
     group: CliffordGroup, noisy_set: NoisyGateSet, spectrum: TwirlSpectrum
 ) -> np.ndarray:
-    """Correction unitary from the order-4 right error of a noisy gate-set.
+    """Correction unitary from the asymptotic right error operator of a noisy gate-set.
 
     Reads only `spectrum`, the twirl spectrum of `noisy_set` over `group`; those
     two stay in the signature because callers pass them.  See `correct_spectrum`.

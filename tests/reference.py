@@ -28,7 +28,6 @@ from rblab.twirl import (
     build_twirl,
     dominant_spectrum,
     fidelity_curve_exact,
-    order_m_error_blocks,
 )
 
 
@@ -255,6 +254,27 @@ def right_error_op_at(spectrum, m):
     for _ in range(m):
         v = spectrum.twirl.mat.T @ v
     return unvec(v).T / spectrum.p ** m
+
+
+def order_m_error_blocks(twirl: TwirlSuperop, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch blocks of the depth-m right and left error operators.
+
+    The right block is the traceless block of the projected average of
+    (ideal sequence inverse) o (noisy sequence) over all depth-m sequences,
+    obtained here by m-fold application of the twirl rather than enumeration.
+    The correction reads the m -> infinity limit, `TwirlSpectrum.right_error_op`.
+    """
+    if m < 1:
+        raise ValueError("order must be at least 1")
+    v = vec(traceless_projector(twirl.dim))
+    vr = v.copy()
+    vl = v.copy()
+    for _ in range(m):
+        vr = twirl.mat.T @ vr
+        vl = twirl.mat @ vl
+    right = unvec(vr).T
+    left = unvec(vl)
+    return right[1:, 1:], left[1:, 1:]
 
 
 def exact_rb_means(

@@ -22,9 +22,8 @@ from rblab.twirl import (
     build_twirl,
     dominant_spectrum,
     fidelity_curve_exact,
-    order_m_error_blocks,
 )
-from reference import enumerated_products, random_unitary, right_error_op_at
+from reference import enumerated_products, order_m_error_blocks, random_unitary, right_error_op_at
 
 COMPOSITE_FACTORS = [
     {"channel": "dephasing", "axis": "z", "q": 0.999},

@@ -16,7 +16,7 @@ from rblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from rblab.cliffords import generate_clifford_group, load_group
 from rblab.correction import ImproperRotationError, correct_spectrum, incoherence_defect
 from rblab.noise import NoiseModel, build_noisy_gateset
-from rblab.twirl import build_twirl, dominant_spectrum
+from rblab.twirl import build_twirl, dominant_spectrum, fidelity_curve_exact
 from reference import ideal_mats
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -124,8 +124,9 @@ class TestConfigErrors:
         assert "numerical regime" in capsys.readouterr().err
 
     def test_singular_right_error_exit_code(self, tmp_path, capsys, cache):
-        # a relabeled gate-set has a singular order-4 right-error block
-        cfg = write_config(tmp_path, {"dim": 2, "model": RELABELING})
+        # a full z-dephasing (p = 1/3) leaves a rank-one asymptotic right-error block
+        error = {"channel": "dephasing", "axis": "z", "q": 0}
+        cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "right", "error": error}})
         code = main(["correct", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -152,14 +153,14 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command, extra", [("correct", {}), ("curve", {"basis": "corrected"})])
     def test_non_converged_correction_exit_code(self, tmp_path, capsys, command, extra):
-        # the SU(4) ascent stops at its 500-iteration cap at block fidelity 0.25
-        model = {"kind": "over_rotation", "epsilon": 1.1}
+        # the SU(4) ascent stops short of a strict maximum after 41 iterations at block fidelity 0.4997
+        model = {"kind": "over_rotation", "epsilon": 1.3}
         cfg = write_config(tmp_path, {"dim": 4, "model": model, **extra})
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert "numerical regime" in err and "did not converge in 500 iterations" in err
-        assert "achieved fidelity 0.25" in err
+        assert "numerical regime" in err and "did not converge in 41 iterations" in err
+        assert "achieved fidelity 0.4997" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -469,10 +470,10 @@ class TestCorrect:
         cfg = CONFIG_DIR / "ztilt_d2.json"
         assert main(["correct", "--config", str(cfg), "--out", str(tmp_path), "--group-cache", cache]) == 0
         meta, _ = read_csv(tmp_path / "correct.csv")
-        result = library_correction(cfg, load_group(cache))
+        spectrum, result = library_correction(cfg, load_group(cache))
         assert meta["rotation_angle"] == repr(result.rotation_angle)
         assert meta["rotation_axis"] == json.dumps([round(x, 12) for x in result.rotation_axis])
-        assert meta["achieved_fidelity"] == repr(result.fidelity)
+        assert meta["circuit_fidelity_1"] == repr(circuit_fidelity_1(spectrum, result))
         assert meta["incoherence_defect"] == repr(incoherence_defect(result.corrected_block))
         assert float(meta["incoherence_defect"]) == incoherence_defect(result.corrected_block)
         assert "converged" not in meta
@@ -483,16 +484,30 @@ class TestCorrect:
         cfg = CONFIG_DIR / "ztilt_d4.json"
         assert main(["correct", "--config", str(cfg), "--out", str(tmp_path), "--group-cache", str(cache)]) == 0
         meta, _ = read_csv(tmp_path / "correct.csv")
-        result = library_correction(cfg, load_group(cache))
-        assert meta["achieved_fidelity"] == repr(result.fidelity)
+        spectrum, result = library_correction(cfg, load_group(cache))
+        assert meta["circuit_fidelity_1"] == repr(circuit_fidelity_1(spectrum, result))
+        assert 1.0 - float(meta["circuit_fidelity_1"]) == pytest.approx(1.0769786287e-2, abs=1e-12)
         assert float(meta["incoherence_defect"]) == incoherence_defect(result.corrected_block)
         assert "rotation_angle" not in meta and "converged" not in meta
+
+    def test_relabeling_is_corrected(self, tmp_path, cache):
+        # the paper's basis mismatch: the asymptotic right error operator is the relabeling itself
+        cfg = CONFIG_DIR / "relabeling_d2.json"
+        assert main(["correct", "--config", str(cfg), "--out", str(tmp_path), "--group-cache", cache]) == 0
+        meta, cols = read_csv(tmp_path / "correct.csv")
+        assert max(float(x) for x in cols["abs_residual"]) <= 1e-12
+        assert 1.0 - float(meta["circuit_fidelity_1"]) <= 1e-12
 
 
 def library_correction(config_path, group):
     cfg = json.loads(config_path.read_text())
     noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], group.dim), group)
-    return correct_spectrum(dominant_spectrum(build_twirl(group, noisy)))
+    spectrum = dominant_spectrum(build_twirl(group, noisy))
+    return spectrum, correct_spectrum(spectrum)
+
+
+def circuit_fidelity_1(spectrum, result):
+    return float(fidelity_curve_exact(spectrum, result.unitary, [1]).fidelity[0])
 
 
 class TestRB:

@@ -34,7 +34,6 @@ from rblab.twirl import (
     dominant_spectrum,
     fidelity_curve_exact,
     nondominant_radius,
-    order_m_error_blocks,
     power_iteration,
 )
 from reference import (
@@ -44,6 +43,7 @@ from reference import (
     fidelity_curve_mc,
     ideal_mats,
     infidelity,
+    order_m_error_blocks,
     random_unitary,
     reference_build_twirl,
     right_error_op_at,
