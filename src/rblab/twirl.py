@@ -9,6 +9,7 @@ yields the exact traceless-hyperplane fidelity of depth-m circuits.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -108,17 +109,19 @@ _POWER_MAXITER = 100_000
 
 def power_iteration(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair by power iteration, to a 1e-14 Rayleigh-quotient step."""
-    w = np.asarray(start, dtype=float)
+    w = np.ascontiguousarray(start, dtype=float)  # a strided start would take ddot's strided path
     lam = np.inf
     for _ in range(_POWER_MAXITER):
-        norm = np.linalg.norm(w)
+        # .dot: the BLAS routine of @, without the matmul ufunc's dispatch; sqrt(x.dot(x)) is np.linalg.norm
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             raise DegenerateSpectrumError("power iteration collapsed to the null space")
         v = w / norm
-        w = mat @ v  # one matvec per step: the Rayleigh quotient, residual and next step share it
-        lam_new = float(v @ w)
+        w = mat.dot(v)  # one matvec per step: the Rayleigh quotient, residual and next step share it
+        lam_new = float(v.dot(w))
         if abs(lam_new - lam) <= 1e-14 * max(1.0, abs(lam_new)):
-            if np.linalg.norm(w - lam_new * v) <= 1e-11 * max(1.0, abs(lam_new)):
+            r = w - lam_new * v
+            if math.sqrt(r.dot(r)) <= 1e-11 * max(1.0, abs(lam_new)):
                 return lam_new, v
         lam = lam_new
     raise DegenerateSpectrumError(
@@ -148,8 +151,9 @@ def _heaviest_column(mat: np.ndarray) -> np.ndarray:
 
 
 def _fix_eigenop(op: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Orient by positive overlap with Pi_tr, normalize to unit Frobenius."""
-    if hs_inner(pi, op) < 0:
+    """Orient by positive overlap with Pi_tr (or, at zero overlap, by a positive largest entry), normalize."""
+    overlap = hs_inner(pi, op)
+    if overlap < 0 or (overlap == 0 and op.flat[np.argmax(np.abs(op))] < 0):
         op = -op
     return op / np.linalg.norm(op)
 
@@ -160,7 +164,9 @@ class TwirlSpectrum:
 
     `right_error_op` / `left_error_op` are the unit-Frobenius asymptotic error
     operators (left / right dominant eigenvectors of the twirl reshaped to
-    matrices, oriented so their overlap with Pi_tr is positive).
+    matrices, oriented so their overlap with Pi_tr is positive; where that
+    overlap is exactly zero, as under a relabeling, so that their entry of
+    largest magnitude, the first in C order on ties, is positive).
     """
 
     dim: int
@@ -265,8 +271,8 @@ def fidelity_curve_exact(spectrum: TwirlSpectrum, basis_u: np.ndarray, depths) -
     v = u_vec.copy()
     ftr_all[0] = u_vec @ v
     for m in range(1, max_m + 2):
-        v = t @ v
-        ftr_all[m] = u_vec @ v
+        v = t.dot(v)  # .dot: the BLAS routine of @, without the matmul ufunc's dispatch
+        ftr_all[m] = u_vec.dot(v)
 
     ftr = ftr_all[depths]
     c = spectrum.decay_amplitude(us)

@@ -23,6 +23,8 @@ from rblab.channels import (
 from rblab.cliffords import CliffordGroup, compose_rows, compose_sequences
 from rblab.noise import NoisyGateSet, generator_mats
 from rblab.twirl import (
+    _POWER_MAXITER,
+    DegenerateSpectrumError,
     TwirlSpectrum,
     TwirlSuperop,
     build_twirl,
@@ -216,6 +218,38 @@ def reference_build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> Twir
     moments.reshape(n, n, n * n)[:, 0] = 0.0
     t = moments.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return TwirlSuperop(group.dim, t)
+
+
+def matmul_power_iteration(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
+    """`twirl.power_iteration` stepped through `@` and `np.linalg.norm`, the route before `.dot`."""
+    w = np.asarray(start, dtype=float)
+    lam = np.inf
+    for _ in range(_POWER_MAXITER):
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            raise DegenerateSpectrumError("power iteration collapsed to the null space")
+        v = w / norm
+        w = mat @ v
+        lam_new = float(v @ w)
+        if abs(lam_new - lam) <= 1e-14 * max(1.0, abs(lam_new)):
+            if np.linalg.norm(w - lam_new * v) <= 1e-11 * max(1.0, abs(lam_new)):
+                return lam_new, v
+        lam = lam_new
+    raise DegenerateSpectrumError("power iteration did not converge")
+
+
+def matmul_traceless_curve(spectrum: TwirlSpectrum, basis_u: np.ndarray, max_m: int) -> np.ndarray:
+    """f_tr(m) = u^T T^m u for m = 0..max_m, the loop of `fidelity_curve_exact` stepped through `@`."""
+    t = spectrum.twirl.mat
+    pi = traceless_projector(spectrum.dim)
+    u_vec = vec(unitary_to_superop(basis_u).mat @ pi) / np.sqrt(spectrum.dim ** 2 - 1)
+    ftr = np.empty(max_m + 1)
+    v = u_vec.copy()
+    ftr[0] = u_vec @ v
+    for m in range(1, max_m + 1):
+        v = t @ v
+        ftr[m] = u_vec @ v
+    return ftr
 
 
 def find(group: CliffordGroup, mat: np.ndarray):

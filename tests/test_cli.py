@@ -116,6 +116,27 @@ class TestConfigErrors:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: model.error: second: qq: not a parameter of depolarizing\n"
 
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("spectrum", [1, 2], "{path}: top level must be a JSON object"),
+            ("fig-basis", {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 0.1}, "theta_grid": 5},
+             "theta_grid: expected [start, stop, num], got 5"),
+            ("spectrum", {"dim": 2, "model": {"kind": "left", "error": {"channel": "rotation", "axis": True,
+                                                                          "angle": 0.1}}},
+             "model.error: channel spec 'rotation' with axis=True, angle=0.1: "
+             "axis must be a named axis or a list of three numbers"),
+            ("spectrum", {"dim": 2, "model": {"kind": "left", "error": []}}, "model.error: empty channel chain"),
+            ("spectrum", {"dim": 2, "model": 5}, "model: expected a mapping with a 'kind' key"),
+            ("spectrum", {"dim": 2, "model": {"theta_z": 0.1}}, "model.kind: missing"),
+        ],
+        ids=["top_level_list", "theta_grid_number", "axis_true", "empty_chain", "model_number", "model_without_kind"],
+    )
+    def test_shape_errors_exit_2_with_message(self, tmp_path, capsys, cache, command, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--group-cache", cache]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message.format(path=cfg)}\n"
+
     def test_degenerate_spectrum_exit_code(self, tmp_path, capsys, cache):
         # a tilt far outside the perturbative regime has a complex dominant pair
         cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 1.5}})

@@ -1,6 +1,7 @@
 import threading
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from rblab.channels import (
     unitary_to_superop,
     vec,
 )
+from rblab.cli import load_config
 from rblab.correction import correct_spectrum
 from rblab.noise import (
     ConfigError,
@@ -30,6 +32,8 @@ from rblab.noise import (
 from rblab.twirl import (
     DegenerateSpectrumError,
     FitWindowError,
+    TwirlSuperop,
+    _fix_eigenop,
     build_twirl,
     dominant_spectrum,
     fidelity_curve_exact,
@@ -43,11 +47,15 @@ from reference import (
     fidelity_curve_mc,
     ideal_mats,
     infidelity,
+    matmul_power_iteration,
+    matmul_traceless_curve,
     order_m_error_blocks,
     random_unitary,
     reference_build_twirl,
     right_error_op_at,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @dataclass(frozen=True)
@@ -269,6 +277,50 @@ class TestDominantSpectrum:
         with pytest.raises(DegenerateSpectrumError):
             power_iteration(mat, start=np.array([1.0, 1.0, 1.0, 1.0]))
 
+    def test_collapse_to_the_null_space_reported(self):
+        # a nilpotent matrix maps e0 to zero on the first step
+        with pytest.raises(DegenerateSpectrumError, match="collapsed to the null space"):
+            power_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]), start=np.array([1.0, 0.0]))
+
+    def test_dominant_eigenvalue_above_one_reported(self):
+        # isolated and real, so only the bound on p can refuse it
+        t = TwirlSuperop(2, np.diag([1.5] + [0.1] * 15))
+        with pytest.raises(DegenerateSpectrumError, match="exceeds 1"):
+            dominant_spectrum(t)
+
+    def test_left_residual_at_the_right_eigenvalue_reported(self):
+        """The left vector's residual is sqrt(r^2 + (p - p_left)^2), as r is orthogonal to it.
+
+        A d=4 twirl-shaped matrix with no dense guard: the heaviest column is an
+        exact right eigenvector of a = b + 0.999e-10 (block A), and the heaviest
+        row is y + eps z, with y and z orthogonal left eigenvectors of b and -b
+        (block N^T).  The left walk stops at once on p_left = b with r = 2 b eps =
+        5e-12, so both its own stop and the 1e-10 agreement of p and p_left hold,
+        while the residual at p is 1.00025e-10.
+        """
+        b, eps, k = 0.5, 5e-12, 1.0
+        a = b + 0.999e-10
+        y = np.ones(8) / np.sqrt(8)
+        z = np.tile([1.0, -1.0], 4) / np.sqrt(8)
+        n = np.zeros((9, 9))
+        n[:8, :8] = b * np.outer(y, y) - b * np.outer(z, z)
+        n[:8, 8] = k * (y + eps * z)
+        mat = np.zeros((256, 256))
+        mat[:9, :9] = n.T
+        mat[9:12, 9] = [a, k / np.sqrt(2), k / np.sqrt(2)]
+        with pytest.raises(DegenerateSpectrumError, match="left eigenvector residual"):
+            dominant_spectrum(TwirlSuperop(4, mat))
+
+    def test_zero_overlap_orientation_is_sign_free(self, group24):
+        # configs/relabeling_d2.json: both operators are orthogonal to Pi_tr
+        cfg = load_config(str(CONFIG_DIR / "relabeling_d2.json"))
+        noisy = build_noisy_gateset(NoiseModel.from_config(cfg["model"], 2), group24)
+        spectrum = dominant_spectrum(build_twirl(group24, noisy))
+        pi = traceless_projector(2)
+        for op in (spectrum.right_error_op, spectrum.left_error_op):
+            assert hs_inner(pi, op) == 0.0
+            assert np.array_equal(_fix_eigenop(-op, pi), _fix_eigenop(op, pi))
+
     def test_dense_start_disagreeing_with_power_iteration_reported(self, group24, ztilt_noisy, monkeypatch):
         # a d=2 dense eigenvalue 1e-6 off the power-iteration p fails the 1e-8 agreement check
         dense_eigenvalue = rblab.twirl._dense_eigenvalue
@@ -319,6 +371,47 @@ class TestDominantSpectrum:
     def test_unit_frobenius_normalization(self, ztilt_spectrum):
         assert np.linalg.norm(ztilt_spectrum.right_error_op) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(ztilt_spectrum.left_error_op) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDotWalksMatchMatmul:
+    """The walks step through `ndarray.dot`; `tests/reference.py` keeps the `@` loops.
+
+    Every shipped config at its own dim, the relabeled d=4 ideal set, and a
+    z-tilt of 0.104.  The right walk starts from the heaviest column, a strided
+    view; `np.linalg.norm` read a contiguous copy of it, and the walk must too:
+    from the view itself ddot takes its strided path, which moves the z-tilt's
+    left error operator in its last bit.
+    """
+
+    EXTRA = {
+        "relabeled_ideal_d4": ("group11520", lambda group: relabeled(build_noisy_gateset(NoiseModel("ideal"), group))),
+        "z_tilt_0.104_d2": ("group24", lambda group: build_noisy_gateset(NoiseModel.z_tilt(0.104), group)),
+    }
+
+    @pytest.fixture(params=sorted(p.stem for p in CONFIG_DIR.glob("*.json")) + list(EXTRA))
+    def twirl(self, request):
+        if request.param in self.EXTRA:
+            fixture, noisy = self.EXTRA[request.param]
+            group = request.getfixturevalue(fixture)
+            return build_twirl(group, noisy(group))
+        cfg = load_config(str(CONFIG_DIR / f"{request.param}.json"))
+        dim = cfg.get("dim", 2)
+        group = request.getfixturevalue("group24" if dim == 2 else "group11520")
+        return build_twirl(group, build_noisy_gateset(NoiseModel.from_config(cfg["model"], dim), group))
+
+    def test_spectrum_bit_for_bit(self, twirl, monkeypatch):
+        spectrum = dominant_spectrum(twirl)
+        monkeypatch.setattr(rblab.twirl, "power_iteration", matmul_power_iteration)
+        oracle = dominant_spectrum(twirl)
+        assert spectrum.p == oracle.p
+        assert np.array_equal(spectrum.right_error_op, oracle.right_error_op)
+        assert np.array_equal(spectrum.left_error_op, oracle.left_error_op)
+
+    def test_curves_bit_for_bit(self, twirl):
+        spectrum = dominant_spectrum(twirl)
+        for basis in (np.eye(twirl.dim, dtype=complex), random_unitary(twirl.dim, np.random.default_rng(41))):
+            curve = fidelity_curve_exact(spectrum, basis, range(65))
+            assert np.array_equal(curve.traceless_fidelity, matmul_traceless_curve(spectrum, basis, 64))
 
 
 class TestGaugeInvariance:

@@ -21,8 +21,10 @@ of its deciding run, and drops the entries of mutants no longer listed;
 nothing else is written into the repository.  The map was seeded with each
 mutant's first failing test outside the hypothesis tests, in file order;
 only where none fails does it name a hypothesis test (`"hypothesis": true`).
-The 87 mutants took 2 to 5 minutes in all on a shared 2-vCPU machine with the
-map (65 took about 6 without it), which is why it is not part of tier-1.
+The 92 mutants took about 3 minutes in all on a shared 2-vCPU machine with
+the map; with hypothesis shrinking on, its two hypothesis-killed mutants took
+41 s instead of 5 (65 mutants took about 6 minutes without the map), which is
+why it is not part of tier-1.
 
 Dropped with the code they mutated: "order-m left block from the transpose"
 and "order-m right block without the transpose" mutated
@@ -32,8 +34,8 @@ the order-4 block.
 
 Left out as equivalent:
 
-- `t.T @ v` for `t @ v` in `twirl.fidelity_curve_exact`.  Each f_tr(m) is
-  the scalar u^T T^m u, which equals its own transpose u^T (T^T)^m u, so
+- `t.T.dot(v)` for `t.dot(v)` in `twirl.fidelity_curve_exact`.  Each f_tr(m)
+  is the scalar u^T T^m u, which equals its own transpose u^T (T^T)^m u, so
   the curve is the same up to rounding.
 - `ks = slice(0, n)` plus `moments[:, 0] = 0.0` for `ks = slice(1, n)` in
   `twirl.build_twirl`: zeroing the moments' row j = 0 instead of leaving
@@ -62,9 +64,15 @@ TIMEOUT_S = 600
 KILLS = ROOT / "tools" / "mutant_kills.json"  # mutant name -> the test that killed it last
 
 # a pytest plugin: writes the first failed test (or collection) to $RBLAB_KILL_RECORD,
-# with whether it is a hypothesis test
+# with whether it is a hypothesis test; and loads, before any test module is imported,
+# a hypothesis profile without the shrink phase, since shrinking only minimises an
+# example that has already failed and so never changes a verdict
 RECORDER = """
 import json, os, pytest
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+settings.load_profile("mutants")
 
 def _record(nodeid, hypothesis):
     path = os.environ["RBLAB_KILL_RECORD"]
@@ -497,8 +505,13 @@ MUTANTS = {
     ),
     "error operators oriented against Pi_tr": (
         "src/rblab/twirl.py",
-        "if hs_inner(pi, op) < 0:",
-        "if hs_inner(pi, op) > 0:",
+        "if overlap < 0 or",
+        "if overlap > 0 or",
+    ),
+    "zero-overlap orientation left to the start": (
+        "src/rblab/twirl.py",
+        " or (overlap == 0 and op.flat[np.argmax(np.abs(op))] < 0)",
+        "",
     ),
     "exact curve one power short": (
         "src/rblab/twirl.py",
@@ -521,6 +534,27 @@ MUTANTS = {
         "    p_left, left = power_iteration(t.mat.T, _heaviest_column(t.mat.T))",
         "power_iteration(t.mat, vec(pi))\n"
         "    p_left, left = power_iteration(t.mat.T, vec(pi))",
+    ),
+    "power iteration walks from the strided column": (
+        "src/rblab/twirl.py",
+        "w = np.ascontiguousarray(start, dtype=float)",
+        "w = np.asarray(start, dtype=float)",
+    ),
+    # the walk's guards
+    "null-space guard off": (
+        "src/rblab/twirl.py",
+        "if norm == 0.0:",
+        "if False:",
+    ),
+    "bound on p off": (
+        "src/rblab/twirl.py",
+        "if p > 1.0 + 1e-10:",
+        "if False:",
+    ),
+    "left residual guard off": (
+        "src/rblab/twirl.py",
+        "if np.linalg.norm(t.mat.T @ left - p * left) > 1e-10 * scale:",
+        "if False:",
     ),
     "power iteration stops at a 1e-12 step": (
         "src/rblab/twirl.py",
