@@ -64,7 +64,7 @@ def checked_transfer(mats, dim: int, ndim: int) -> np.ndarray:
         raise ValueError(f"expected shape ({'N, ' * (ndim - 2)}{n}, {n}), got {mats.shape}")
     row = np.zeros(n)
     row[0] = 1.0
-    if np.max(np.abs(mats[..., 0, :] - row)) > STRUCT_TOL:
+    if np.abs(mats[..., 0, :] - row).max() > STRUCT_TOL:
         raise ValueError("first row deviates from trace preservation")
     return mats
 
@@ -92,14 +92,24 @@ class SuperOp:
 
 
 def unitary_to_superop(u: np.ndarray) -> SuperOp:
-    """Transfer matrix of conjugation by u, entries tr(P_j u P_k u')/d."""
+    """Transfer matrix of conjugation by u, entries tr(P_j u P_k u')/d.
+
+    Built once per distinct complex128 unitary, keyed on its shape and bytes,
+    among the last 128 built; a repeat returns the same read-only `SuperOp`.
+    """
     u = np.asarray(u, dtype=complex)
+    return _transfer(u.shape, u.tobytes())
+
+
+@lru_cache(maxsize=128)
+def _transfer(shape: tuple[int, ...], data: bytes) -> SuperOp:
+    u = np.frombuffer(data, dtype=complex).reshape(shape)
     check_unitary(u)
     dim = u.shape[0]
     paulis = pauli_basis(dim)
     conj = u @ paulis @ u.conj().T
     mat = np.einsum("jab,kba->jk", paulis, conj) / dim
-    if np.max(np.abs(mat.imag)) > DERIVED_TOL:
+    if np.abs(mat.imag).max() > DERIVED_TOL:
         raise ValueError("transfer matrix has a non-negligible imaginary part")
     mat = mat.real.copy()
     # conjugation is trace preserving and unital: pin the exact rows/columns
@@ -129,7 +139,7 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
+    return float((a * b).sum())
 
 
 @lru_cache(maxsize=None)

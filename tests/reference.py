@@ -13,7 +13,9 @@ from functools import cache
 import numpy as np
 
 from rblab.channels import (
+    DERIVED_TOL,
     SuperOp,
+    check_unitary,
     pauli_basis,
     traceless_projector,
     unitary_to_superop,
@@ -52,6 +54,27 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def uncached_unitary_to_superop(u: np.ndarray) -> SuperOp:
+    """`unitary_to_superop` as it was before its cache: the same arithmetic on every call.
+
+    The oracle for the cached route's bits, on any memory layout of `u`.
+    """
+    u = np.asarray(u, dtype=complex)
+    check_unitary(u)
+    dim = u.shape[0]
+    paulis = pauli_basis(dim)
+    conj = u @ paulis @ u.conj().T
+    mat = np.einsum("jab,kba->jk", paulis, conj) / dim
+    if np.max(np.abs(mat.imag)) > DERIVED_TOL:
+        raise ValueError("transfer matrix has a non-negligible imaginary part")
+    mat = mat.real.copy()
+    # conjugation is trace preserving and unital: pin the exact rows/columns
+    mat[0, :] = 0.0
+    mat[:, 0] = 0.0
+    mat[0, 0] = 1.0
+    return SuperOp(dim, mat)
 
 
 def exp_i_pauli_sum(dim: int, theta: np.ndarray) -> np.ndarray:

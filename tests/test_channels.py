@@ -15,7 +15,12 @@ from rblab.channels import (
     vec,
 )
 from rblab.noise import depolarizing, pulse, relabeling_channel
-from reference import avg_gate_fidelity, random_unitary, traceless_fidelity
+from reference import (
+    avg_gate_fidelity,
+    random_unitary,
+    traceless_fidelity,
+    uncached_unitary_to_superop,
+)
 
 IDENTITY = SuperOp(2, np.eye(4))
 
@@ -61,6 +66,45 @@ class TestUnitaryToSuperop:
         for dim in (2, 4):
             block = unitary_to_superop(random_unitary(dim, rng)).mat[1:, 1:]
             assert np.max(np.abs(block @ block.T - np.eye(dim ** 2 - 1))) < 1e-10
+
+
+class TestTransferCache:
+    """The cached transfer matrix is the uncached one, bit for bit, per distinct unitary."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_bits_equal_the_uncached_oracle(self, dim, rng):
+        for _ in range(20):
+            u = random_unitary(dim, rng)
+            for view in (u, np.asfortranarray(u), u.T, np.ascontiguousarray(u.T)):
+                expected = uncached_unitary_to_superop(view).mat
+                assert np.array_equal(unitary_to_superop(view).mat, expected)
+
+    def test_float_identity_and_negative_zero(self):
+        for u in (np.eye(2), np.array([[1.0, -0.0], [-0.0, 1.0]]), np.array([[-0.0, 1.0], [1.0, -0.0]])):
+            assert np.array_equal(unitary_to_superop(u).mat, uncached_unitary_to_superop(u).mat)
+
+    def test_same_shape_different_unitaries(self):
+        x = unitary_to_superop(SIGMA_X).mat
+        z = unitary_to_superop(np.diag([1.0, -1.0])).mat
+        assert np.array_equal(x, np.diag([1.0, 1.0, -1.0, -1.0]))
+        assert np.array_equal(z, np.diag([1.0, -1.0, -1.0, 1.0]))
+
+    def test_repeat_is_equal_and_read_only(self, rng):
+        u = random_unitary(2, rng)
+        first, again = unitary_to_superop(u), unitary_to_superop(u.copy())
+        assert np.array_equal(first.mat, again.mat)
+        assert not again.mat.flags.writeable
+        with pytest.raises(ValueError):
+            again.mat[1, 1] = 0.0
+
+    @pytest.mark.parametrize(
+        "u, message",
+        [([[1.0, 0.0], [0.0, 1.0 + 1e-6]], "not unitary"), (np.ones((2, 3)), "expected a square matrix")],
+    )
+    def test_failing_check_raises_on_every_call(self, u, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                unitary_to_superop(u)
 
 
 class TestVec:
@@ -129,6 +173,12 @@ class TestFidelity:
         assert avg_gate_fidelity(u @ v, u @ v) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestPauliBasis:
+    def test_unsupported_dimension(self):
+        with pytest.raises(ValueError, match="unsupported dimension 3"):
+            pauli_basis(3)
+
+
 class TestSuperOp:
     def test_trace_preservation_enforced(self):
         bad = np.eye(4)
@@ -148,6 +198,10 @@ class TestSuperOp:
         expected = np.zeros(4)
         expected[0] = 1.0
         assert np.array_equal(total.mat[0], expected)
+
+    def test_composition_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            IDENTITY @ SuperOp(4, np.eye(16))
 
     def test_immutable(self):
         s = SuperOp(2, np.eye(4))

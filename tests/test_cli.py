@@ -129,8 +129,10 @@ class TestConfigErrors:
             ("spectrum", {"dim": 2, "model": {"kind": "left", "error": []}}, "model.error: empty channel chain"),
             ("spectrum", {"dim": 2, "model": 5}, "model: expected a mapping with a 'kind' key"),
             ("spectrum", {"dim": 2, "model": {"theta_z": 0.1}}, "model.kind: missing"),
+            ("spectrum", {"dim": 3, "model": {"kind": "z_tilt", "theta_z": 0.1}}, "dim: expected 2 or 4, got 3"),
         ],
-        ids=["top_level_list", "theta_grid_number", "axis_true", "empty_chain", "model_number", "model_without_kind"],
+        ids=["top_level_list", "theta_grid_number", "axis_true", "empty_chain", "model_number", "model_without_kind",
+             "dim_three"],
     )
     def test_shape_errors_exit_2_with_message(self, tmp_path, capsys, cache, command, payload, message):
         cfg = write_config(tmp_path, payload)
@@ -583,6 +585,13 @@ class TestFigures:
         assert np.max(np.abs(f_id - 1.0)) < 1e-10
         assert float(meta["intercept_identity"]) == pytest.approx(1.0, abs=1e-9)
         assert float(meta["intercept_corrected"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_fig_pbloch_default_model(self, tmp_path, cache):
+        # without a `model` key, fig-pbloch reads over-rotation 0.1
+        cfg = write_config(tmp_path, {"dim": 2, "max_depth": 10})
+        assert main(["fig-pbloch", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache]) == 0
+        meta, _ = read_csv(tmp_path / "fig_pbloch.csv")
+        assert json.loads(meta["model"]) == {"cz_epsilon": None, "epsilon": 0.1, "kind": "over_rotation"}
 
     def test_fig_pbloch_curve_at_or_below_one_over_d_exits_3(self, tmp_path, capsys, cache):
         # U is a 1.2 rad x rotation, so U^2 turns by 2.4 rad: F_corrected_sq - 1/2 < 0

@@ -84,6 +84,11 @@ class TestLift:
     def test_identity(self):
         assert np.array_equal(lift_rotation(np.eye(3)), np.eye(2))
 
+    def test_non_rotation_fails_its_reproduction_check(self):
+        # not orthogonal: read as a rotation about x, whose block differs from the input
+        with pytest.raises(RuntimeError, match="does not reproduce the rotation block"):
+            lift_rotation(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 2.0, 0.0]]))
+
 
 # angles where the rotation-vector read-off changes branch: zero, both sides
 # of the 1e-3 series switch, a log-spaced sweep, and just short of pi

@@ -231,6 +231,11 @@ class TestNoiseModels:
         with pytest.raises(ConfigError, match="side"):
             NoiseModel.composite([DEPOLARIZING], side="above")
 
+    def test_superop_of_the_wrong_dimension_rejected(self):
+        model = NoiseModel.conjugation(unitary_to_superop(np.eye(4)))
+        with pytest.raises(ConfigError, match="^model.unitary: channel has dimension 4, expected 2$"):
+            _resolve_errors(model, 2)
+
     @pytest.mark.parametrize(
         "cfg, what",
         [

@@ -44,6 +44,10 @@ class TestSpamVectors:
             mu = default_state(dim)
             assert mu @ rho == pytest.approx(1.0, abs=1e-14)
 
+    def test_unsupported_dimension(self):
+        with pytest.raises(ValueError, match="unsupported dimension 3"):
+            default_state(3)
+
 
 class TestRunRB:
     def test_ideal_gates_give_unit_survival(self, group24):

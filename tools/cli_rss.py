@@ -7,15 +7,19 @@ repository root, e.g. "gen-group --dim 4" or "rb --config
 configs/ztilt_d4.json".  BASE is exported with `git archive` into
 OUTDIR/base, as `tools/refactor_gate.sh` does, and the working tree's `src/`
 and `configs/` are copied into OUTDIR/work, so nothing is written into the
-repository.  Each command runs RUNS times per side as `python3 -m rblab.cli`
-in that side's copy, the sides alternating which runs first, BLAS on one
-thread.  It prints the median wall time and the median peak RSS that
-`os.wait4` reports for the child, and the change over the base.  Exits 1 if
-any run exits non-zero.
+repository.  Both copies' `src/` are byte-compiled with `compileall` before
+any timing, as `perfbench/run.py` does, so no run compiles `rblab` from
+source; tables made before this step included that cost (20-25 ms of a
+`python3 -c "import rblab.cli"`).  Each command runs RUNS times per side as
+`python3 -m rblab.cli` in that side's copy, the sides alternating which runs
+first, BLAS on one thread.  It prints the median wall time and the median
+peak RSS that `os.wait4` reports for the child, and the change over the
+base.  Exits 1 if any run exits non-zero.
 """
 
 from __future__ import annotations
 
+import compileall
 import os
 import shlex
 import shutil
@@ -56,6 +60,8 @@ def main() -> None:
     subprocess.run(["tar", "-x", "-C", str(trees["base"])], input=archive.stdout, check=True)
     for part in ("src", "configs"):
         shutil.copytree(ROOT / part, trees["work"] / part, ignore=shutil.ignore_patterns("__pycache__"))
+    for tree in trees.values():
+        compileall.compile_dir(tree / "src", quiet=1)  # the children read bytecode and write none
 
     print(f"base {base} vs working tree, {RUNS} alternating runs per side, medians")
     print(f"{'command':<40} {'base s':>8} {'work s':>8} {'ratio':>6} {'base MB':>8} {'work MB':>8} {'ratio':>6}")

@@ -21,7 +21,7 @@ of its deciding run, and drops the entries of mutants no longer listed;
 nothing else is written into the repository.  The map was seeded with each
 mutant's first failing test outside the hypothesis tests, in file order;
 only where none fails does it name a hypothesis test (`"hypothesis": true`).
-The 92 mutants took about 3 minutes in all on a shared 2-vCPU machine with
+The 93 mutants took about 3 minutes in all on a shared 2-vCPU machine with
 the map; with hypothesis shrinking on, its two hypothesis-killed mutants took
 41 s instead of 5 (65 mutants took about 6 minutes without the map), which is
 why it is not part of tier-1.
@@ -131,6 +131,12 @@ MUTANTS = {
         "src/rblab/channels.py",
         "conj = u @ paulis @ u.conj().T",
         "conj = u.conj().T @ paulis @ u",
+    ),
+    # the first transfer matrix built for each shape, returned for every later unitary of it
+    "transfer-matrix cache keyed on shape alone": (
+        "src/rblab/channels.py",
+        "return _transfer(u.shape, u.tobytes())",
+        "return unitary_to_superop.__dict__.setdefault(u.shape, _transfer(u.shape, u.tobytes()))",
     ),
     "over_rotation cz_epsilon default 0": (
         "src/rblab/noise.py",
@@ -390,8 +396,8 @@ MUTANTS = {
     ),
     "noisy stack trace row unchecked": (
         "src/rblab/channels.py",
-        "np.max(np.abs(mats[..., 0, :] - row))",
-        "np.max(np.abs(mats.reshape(-1, n, n)[0, 0] - row))",
+        "np.abs(mats[..., 0, :] - row).max()",
+        "np.abs(mats.reshape(-1, n, n)[0, 0] - row).max()",
     ),
     # the ideal float matrices are one exact scatter of the table; only noisy generators are replayed
     "scatter drops the signs": (
