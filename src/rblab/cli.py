@@ -6,15 +6,16 @@ first use, so the command only formats library results.  Accepted config
 values, anything else being a configuration error: dim 2 or 4 and seed an
 integer >= 0 (--dim and --seed override them); depths a non-empty list of
 integers below 2^32, >= 0 for curve and correct and, for rb, >= 1 with at
-least 3 distinct values; sequences an integer >= 1 and below 2^32; basis
-identity, corrected or corrected-squared; spam an object with optional prep
-and meas channels; max_depth an integer below 2^32, >= 1 for fig-delta and
->= 10 for fig-pbloch, whose fits span m = 5..10; theta_grid [start, stop,
-num] with finite start and stop and an integer num >= 1 and below 2^32;
-cz_epsilon a finite number.  Numbers are JSON numbers (not strings or
-booleans) and finite, and a list axis has a finite, non-zero norm; a key no
-command reads, at the top level, in spam, in the model or in a channel spec,
-is an error too.
+least 3 distinct values; sequences an integer >= 1 and below 2^32, and for
+rb sequences x sum(depths) at most 10^7 gate applications (rb.MAX_APPLICATIONS,
+about 2 s at d=2); basis identity, corrected or corrected-squared; spam an
+object with optional prep and meas channels; max_depth an integer below 2^32,
+>= 1 for fig-delta and >= 10 for fig-pbloch, whose fits span m = 5..10;
+theta_grid [start, stop, num] with finite start and stop and an integer num
+>= 1 and below 2^32; cz_epsilon a finite number.  Numbers are JSON numbers
+(not strings or booleans) and finite, and a list axis has a finite, non-zero
+norm; a key no command reads, at the top level, in spam, in the model or in a
+channel spec, is an error too.
 
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of

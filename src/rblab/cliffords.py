@@ -170,8 +170,8 @@ def compose_sequences(mats: np.ndarray, idx: np.ndarray, start: np.ndarray) -> n
     product per row, shaped `(len(idx),) + start.shape`.
     """
     out = np.broadcast_to(start, (len(idx),) + start.shape)
-    for j in range(idx.shape[1]):
-        out = mats[idx[:, j]] @ out
+    for col in np.ascontiguousarray(idx.T):  # one index row per step
+        out = mats.take(col, axis=0) @ out
     return out
 
 

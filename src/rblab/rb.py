@@ -35,6 +35,11 @@ def default_state(dim: int) -> np.ndarray:
     raise ValueError(f"unsupported dimension {dim}")
 
 
+# Gate applications per run, sequences x sum(depths): each took about 190 ns and 25 B
+# of peak RSS at d=2 and 580 ns at d=4 (one BLAS thread, shared 2-vCPU x86-64).
+MAX_APPLICATIONS = 10**7
+
+
 @dataclass(frozen=True)
 class RBConfig:
     """Depth grid, sequences per depth, and optional SPAM noise around |0...0>.
@@ -197,6 +202,8 @@ def _bounded_draws(state, inc, m: int, n: int) -> np.ndarray:
         scaled = _pcg_words(state, inc, count) * np.uint64(n)
         accepted = (scaled & _M32) >= threshold
         short = m - int(accepted.sum(axis=1).min())
+    if accepted[:, :m].all():  # no word rejected: each row keeps its first m
+        return (scaled[:, :m] >> 32).astype(np.int64)
     first = np.argsort(~accepted, axis=1, kind="stable")[:, :m]
     return (np.take_along_axis(scaled, first, axis=1) >> 32).astype(np.int64)
 
@@ -242,10 +249,14 @@ def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> S
     sequences of one depth are then composed together, one batched matmul per
     step; their ideal products come from `CliffordGroup.products`, one
     table gather per step; and the survivals are one batched dot with the
-    effect.  `RBConfig` keeps depths and `sequences` in [1, 2^32), seed >= 0.
+    effect.  `RBConfig` keeps depths and `sequences` in [1, 2^32), seed >= 0;
+    a run of more than MAX_APPLICATIONS gate applications raises ConfigError.
     """
     if len(noisy_set) != len(group):
         raise ValueError("noisy set is not index-aligned with the group")
+    work = config.sequences * sum(config.depths)
+    if work > MAX_APPLICATIONS:
+        raise ConfigError(f"sequences x sum(depths): expected at most {MAX_APPLICATIONS} gate applications, got {work}")
     rho, mu = config.resolve(group.dim)
     noisy_mats = noisy_set.mats
 
@@ -253,7 +264,7 @@ def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> S
     table = np.empty((config.sequences, len(config.depths)))
     for di, idx in enumerate(draws):
         vecs = compose_sequences(noisy_mats, idx, rho[:, None])
-        vecs = noisy_mats[group.inverse_table[group.products(idx)]] @ vecs
+        vecs = noisy_mats.take(group.inverse_table.take(group.products(idx)), axis=0) @ vecs
         # mu @ (k, n, 1) rounds like one 1-D dot per sequence; (k, n) @ mu does not
         table[:, di] = (mu @ vecs)[:, 0]
     return SurvivalTable(depths=np.array(config.depths), survivals=table, seed=config.seed)
@@ -304,7 +315,8 @@ def _fit_profile(depths: np.ndarray, y: np.ndarray):
     _P_BOUNDS.
     """
     lo_p, hi_p = _P_BOUNDS
-    count, zero = depths.size, np.flatnonzero(depths == 0)
+    depths = depths.astype(float)  # cast once, with the exponents of dx, not in every step
+    count, zero, lower = depths.size, np.flatnonzero(depths == 0), depths - 1.0
     yc = y - y.mean(axis=-1, keepdims=True)
 
     def centred(p: np.ndarray):
@@ -329,11 +341,11 @@ def _fit_profile(depths: np.ndarray, y: np.ndarray):
         """
         a, xc, _ = slope(p)
         res = yc - a[:, None] * xc
-        dx = depths * p[:, None] ** (depths - 1)
+        dx = depths * p[:, None] ** lower
         # The residuals sum to zero only up to the rounding of the mean of y
         # (about 1e-16), and that offset times sum(dx) would tip the sign near
         # the minimum: centring dx takes it out.
-        return a * (res * (dx - dx.mean(axis=-1, keepdims=True))).sum(axis=-1) > 0
+        return a * (res * (dx - dx.sum(axis=-1, keepdims=True) / count)).sum(axis=-1) > 0
 
     grid = np.linspace(lo_p, hi_p, _GRID_POINTS)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -370,7 +382,7 @@ def _resample_means(survivals: np.ndarray, bootstrap: int, rng: np.random.Genera
     pick = rng.integers(0, n_seq, size=(bootstrap, n_depths, n_seq))
     means = np.empty((bootstrap, n_depths))
     for di, column in enumerate(survivals.T):
-        means[:, di] = column[pick[:, di]].mean(axis=-1)
+        means[:, di] = column.take(pick[:, di]).mean(axis=-1)
     return means
 
 

@@ -104,6 +104,20 @@ def sequence_draws(seed: int, m: int, sequences: int, n: int) -> np.ndarray:
     ).reshape(sequences, m)
 
 
+def reference_resample_means(survivals: np.ndarray, bootstrap: int, rng: np.random.Generator) -> np.ndarray:
+    """The bootstrap's per-depth means, gathered by fancy indexing one depth at a time.
+
+    The same pick array as `rb._resample_means`, which gathers through
+    `ndarray.take` and must match this bit for bit.
+    """
+    n_seq, n_depths = survivals.shape
+    pick = rng.integers(0, n_seq, size=(bootstrap, n_depths, n_seq))
+    means = np.empty((bootstrap, n_depths))
+    for di, column in enumerate(survivals.T):
+        means[:, di] = column[pick[:, di]].mean(axis=-1)
+    return means
+
+
 # Two decay fits for rb._fit_profile.  reference_fit_profile takes the same
 # step rule, bisection on the sign of dRSS/dp, written on the helpers below, so
 # the library must match it bit for bit.  golden_fit_profile is a golden-section

@@ -336,6 +336,23 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "payload, work",
+        [
+            # the first ran out of memory (exit 1), the second ran for more than 20 s
+            ({"sequences": 4 * 10 ** 8}, 4 * 10 ** 8 * 255),
+            ({"depths": [1, 2, 3 * 10 ** 8]}, 200 * (3 + 3 * 10 ** 8)),
+        ],
+    )
+    def test_run_over_the_work_cap_exits_2_and_names_it(self, tmp_path, capsys, cache, payload, work):
+        cfg = write_config(tmp_path, {"model": {"kind": "z_tilt", "theta_z": 0.1}, **payload})
+        out = tmp_path / "out"
+        code = main(["rb", "--config", cfg, "--out", str(out), "--group-cache", cache])
+        assert code == EXIT_CONFIG
+        message = f"sequences x sum(depths): expected at most 10000000 gate applications, got {work}"
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, reason",
         [
             # json raises a plain ValueError for an int of more than 4300 digits

@@ -17,6 +17,7 @@ from rblab.rb import (
     SurvivalTable,
     _fit_profile,
     _pcg_seeds,
+    _resample_means,
     _sequence_indices,
     default_state,
     fit_decay,
@@ -33,6 +34,7 @@ from reference import (
     rb_convolution_operator,
     rb_mean_expansion,
     reference_fit_profile,
+    reference_resample_means,
     sequence_draws,
 )
 
@@ -97,6 +99,14 @@ class TestRunRB:
     def test_mismatched_sets_rejected(self, group24, ztilt_noisy):
         with pytest.raises(ValueError, match="index-aligned"):
             run_rb(group24, NoisyGateSet(2, ztilt_noisy.mats[:-1]), RBConfig())
+
+    def test_work_cap_counts_sequences_times_summed_depths(self, group24, ztilt_noisy, monkeypatch):
+        monkeypatch.setattr("rblab.rb.MAX_APPLICATIONS", 60)
+        table = run_rb(group24, ztilt_noisy, RBConfig(depths=(1, 2, 3), sequences=10))  # 60 applications
+        assert table.survivals.shape == (10, 3)
+        message = r"sequences x sum\(depths\): expected at most 60 gate applications, got 70"
+        with pytest.raises(ConfigError, match=message):
+            run_rb(group24, ztilt_noisy, RBConfig(depths=(1, 2, 4), sequences=10))
 
     def test_no_sequences_rejected(self, group24, ztilt_noisy):
         with pytest.raises(ValueError, match="sequences: expected an integer >= 1, got 0"):
@@ -521,6 +531,19 @@ class TestSequenceDraws:
             assert idx.shape == want.shape == (2, m) and idx.dtype == want.dtype
             assert np.array_equal(idx, want)
 
+    def test_no_rejection_keeps_the_first_words_like_numpy(self):
+        # n = 24 rejects a word with probability 16 / 2^32, so no row drops one
+        # and the draw takes its first m words without sorting
+        assert np.array_equal(_sequence_indices(11, [130], 40, 24)[0], sequence_draws(11, 130, 40, 24))
+
+    def test_rejections_keep_the_accepted_words_in_order_like_numpy(self):
+        # n = 2^31 + 1 rejects about half of all words, so rows drop words and
+        # refill, and the accepted words are kept in order by the stable sort
+        n = 2 ** 31 + 1
+        drawn = _sequence_indices(5, [8, 33], 12, n)
+        for m, idx in zip([8, 33], drawn):
+            assert np.array_equal(idx, sequence_draws(5, m, 12, n))
+
     @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
     @pytest.mark.parametrize("n", [2, 3, 2 ** 32 - 1])
     def test_edge_bounds_and_seed_words(self, seed, n):
@@ -544,6 +567,25 @@ class TestSequenceDraws:
         assert column((1, 9, 30), 1) == alone  # with other depths
         assert column((30, 2, 9), 2) == alone  # reordered
         assert column((9, 4, 9), 0) == alone == column((9, 4, 9), 2)  # twice
+
+
+class TestResampleOracle:
+    """`_resample_means` against the fancy-index gather of the reference, bit for bit."""
+
+    def check(self, survivals, seed):
+        got = _resample_means(survivals, 200, np.random.default_rng(seed))
+        assert np.array_equal(got, reference_resample_means(survivals, 200, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("name", SHIPPED_D2)
+    def test_shipped_tables(self, group24, name):
+        table = shipped_table(group24, name)
+        self.check(table.survivals, table.seed + 0x5EED)
+
+    def test_one_sequence(self):
+        self.check(np.random.default_rng(3).uniform(0.5, 1.0, size=(1, 8)), 3)
+
+    def test_three_depths(self):
+        self.check(np.random.default_rng(4).uniform(0.5, 1.0, size=(37, 3)), 4)
 
 
 class TestBatchedSampler:
