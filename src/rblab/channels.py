@@ -54,7 +54,8 @@ def checked_transfer(mats, dim: int, ndim: int) -> np.ndarray:
     """`mats` as a float array of `ndim` axes, the last two a d^2 x d^2 transfer matrix.
 
     Raises ValueError unless the entries are real and every first row is
-    (1, 0, ..., 0) within STRUCT_TOL, that is every matrix preserves trace.
+    (1, 0, ..., 0) within STRUCT_TOL, that is every matrix preserves trace;
+    a NaN in a first row is a deviation.
     """
     n = dim ** 2
     if np.iscomplexobj(mats):
@@ -64,7 +65,9 @@ def checked_transfer(mats, dim: int, ndim: int) -> np.ndarray:
         raise ValueError(f"expected shape ({'N, ' * (ndim - 2)}{n}, {n}), got {mats.shape}")
     row = np.zeros(n)
     row[0] = 1.0
-    if np.abs(mats[..., 0, :] - row).max() > STRUCT_TOL:
+    diff = mats[..., 0, :] - row
+    dev = np.abs(diff, out=diff).max()  # in place: one temporary the size of the first rows
+    if not dev <= STRUCT_TOL:  # a NaN entry fails too
         raise ValueError("first row deviates from trace preservation")
     return mats
 

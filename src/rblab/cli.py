@@ -9,13 +9,14 @@ integers below 2^32, >= 0 for curve and correct and, for rb, >= 1 with at
 least 3 distinct values; sequences an integer >= 1 and below 2^32, and for
 rb sequences x sum(depths) at most 10^7 gate applications (rb.MAX_APPLICATIONS,
 about 2 s at d=2); basis identity, corrected or corrected-squared; spam an
-object with optional prep and meas channels; max_depth an integer below 2^32,
->= 1 for fig-delta and >= 10 for fig-pbloch, whose fits span m = 5..10;
-theta_grid [start, stop, num] with finite start and stop and an integer num
->= 1 and below 2^32; cz_epsilon a finite number.  Numbers are JSON numbers
-(not strings or booleans) and finite, and a list axis has a finite, non-zero
-norm; a key no command reads, at the top level, in spam, in the model or in a
-channel spec, is an error too.
+object with optional prep and meas channels; max_depth an integer, >= 1 for
+fig-delta and >= 10 for fig-pbloch, whose fits span m = 5..10, and at most
+10^4 rows (MAX_ROWS); theta_grid [start, stop, num] with finite start and stop
+and an integer num >= 1 and at most 300 angles (MAX_ANGLES); cz_epsilon a
+finite number.  Numbers are JSON numbers (not strings or booleans) and
+finite, and a list axis has a finite, non-zero norm; a key no command reads,
+at the top level, in spam, in the model or in a channel spec, is an error
+too.
 
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
@@ -60,6 +61,12 @@ from .twirl import (
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# Output caps of the figure commands, from measured costs (one BLAS thread, shared 2-vCPU x86-64):
+# a max_depth row took about 7 us and 0.5 kB at d=2 and 25 us at d=4, and up to 1.6 ms at d=4 while
+# the curves are subnormal (below 1e-308); a theta_grid angle took 1.3 ms at d=2 and 16-34 ms at d=4.
+MAX_ROWS = 10**4
+MAX_ANGLES = 300
+
 
 class CorrectionNotConvergedError(RegimeError):
     """The SU(d) ascent stopped short of a strict local maximum, at its iteration cap or
@@ -77,6 +84,14 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def capped(name: str, value, minimum: int, cap: int, unit: str) -> int:
+    """`value` as an int if it is an integer >= minimum and below 2^32, and at most `cap` `unit`."""
+    value = integer(name, value, minimum, bounded=True)
+    if value > cap:
+        raise ConfigError(f"{name}: expected at most {cap} {unit}, got {value}")
+    return value
 
 
 def write_csv(path: Path, meta: dict, columns: list[tuple[str, list]]) -> None:
@@ -343,7 +358,7 @@ def cmd_rb(s: _Setup) -> int:
 def cmd_fig_delta(s: _Setup) -> int:
     if "model" not in s.cfg:
         s.model = NoiseModel.z_tilt(0.1, cz_epsilon=0.1 if s.dim == 4 else 0.0)
-    depths = range(1, integer("max_depth", s.cfg.get("max_depth", 30), 1, bounded=True) + 1)
+    depths = range(1, capped("max_depth", s.cfg.get("max_depth", 30), 1, MAX_ROWS, "rows") + 1)
     curve_i = s.curve("identity", depths)
     curve_u = s.curve("corrected", depths)
     infid_1 = 1.0 - curve_i.fidelity[0]
@@ -367,7 +382,7 @@ def cmd_fig_pbloch(s: _Setup) -> int:
     if "model" not in s.cfg:
         s.model = NoiseModel.over_rotation(0.1, cz_epsilon=0.1 if s.dim == 4 else None)
     # the log fits run over m = 5..10, so the curves must reach depth 10
-    depths = range(1, integer("max_depth", s.cfg.get("max_depth", 12), 10, bounded=True) + 1)
+    depths = range(1, capped("max_depth", s.cfg.get("max_depth", 12), 10, MAX_ROWS, "rows") + 1)
     curves = {
         "identity": s.curve("identity", depths),
         "corrected": s.curve("corrected", depths),
@@ -399,7 +414,7 @@ def cmd_fig_basis(s: _Setup) -> int:
     if not (isinstance(grid_cfg, list) and len(grid_cfg) == 3):
         raise ConfigError(f"theta_grid: expected [start, stop, num], got {grid_cfg!r}")
     start, stop = (finite("theta_grid", x) for x in grid_cfg[:2])
-    thetas = np.linspace(start, stop, integer("theta_grid", grid_cfg[2], 1, bounded=True))
+    thetas = np.linspace(start, stop, capped("theta_grid", grid_cfg[2], 1, MAX_ANGLES, "angles"))
     cz_eps = finite("cz_epsilon", s.cfg.get("cz_epsilon", 0.1 if s.dim == 4 else 0.0))
 
     infid_i, infid_u, half_gap = [], [], []

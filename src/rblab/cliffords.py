@@ -157,7 +157,8 @@ class CliffordGroup:
         while start < len(self):
             # the level ends where the first child of the chunk's own elements begins
             stop = min(start + _REPLAY_BLOCK, int(np.searchsorted(self.parents, start)))
-            np.matmul(gens[self.vias[start:stop]], out[self.parents[start:stop]], out=out[start:stop])
+            parents, vias = self.parents[start:stop], self.vias[start:stop]
+            np.matmul(gens.take(vias, axis=0), out.take(parents, axis=0), out=out[start:stop])
             start = stop
         return out
 

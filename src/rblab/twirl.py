@@ -10,7 +10,6 @@ yields the exact traceless-hyperplane fidelity of depth-m circuits.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,8 @@ class TwirlSuperop:
     mat: np.ndarray
 
 
-_COSET_BLOCK = 48  # cosets gathered at once: about 0.8 MB of half-rows per thread at d=4, 15 blocks
+_COSET_BLOCK = 48  # cosets gathered at once: about 0.8 MB of one entry chunk's rows at d=4, 15 blocks
+_ENTRY_BLOCK = 128  # noisy entries (lm) summed at once: one chunk at d=2, two in turn at d=4
 
 
 def build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> TwirlSuperop:
@@ -60,9 +60,9 @@ def build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> TwirlSuperop:
 
     As `G_{cp} = G_c D_p` (`CliffordGroup.cosets`), moment (j, k) is `(1/N) sum_c G_c[j, k] W[k, c]`
     with `W[k, c] = sum_p D_p[k, k] B_{cp}`, one small +-1 GEMM per coset and one matmul over k per
-    block of cosets.  Each noisy entry (lm) is summed on its own, so at d=4 a second thread sums
-    entries n^2/2 and up while the caller sums the rest; every BLAS call stays below OpenBLAS's own
-    threading threshold, and the twirl is bit for bit the one-thread build.
+    block of cosets.  Each noisy entry (lm) is summed on its own, `_ENTRY_BLOCK` entries at a time,
+    so one chunk's gathers stay cache-sized; every BLAS call stays below the size at which OpenBLAS
+    starts threads of its own.
     """
     if len(noisy_set) != len(group):
         raise ValueError(
@@ -73,33 +73,13 @@ def build_twirl(group: CliffordGroup, noisy_set: NoisyGateSet) -> TwirlSuperop:
     ks = slice(1, n)  # Pi_tr zeroes column k = 0 of every G
     noisy = noisy_set.mats.reshape(len(group), n * n)
     moments = np.zeros((n, n, n * n))  # axes k, j, (lm)
-
-    def columns(lm: slice) -> None:
+    for first in range(0, n * n, _ENTRY_BLOCK):
+        lm = slice(first, first + _ENTRY_BLOCK)
         for lo in range(0, len(idx), _COSET_BLOCK):
             blk = slice(lo, lo + _COSET_BLOCK)
             x = noisy[idx[blk], lm]  # axes c, p, lm
             w = (signs[ks] @ x).transpose(1, 0, 2)  # axes k, c, lm
             moments[ks, :, lm] += cols[ks, :, blk] @ w
-
-    if len(idx) <= _COSET_BLOCK:  # d=2: one block, no thread
-        columns(slice(0, n * n))
-    else:
-        half, failed = n * n // 2, []
-
-        def helper() -> None:
-            try:
-                columns(slice(half, n * n))
-            except BaseException as exc:  # re-raised on the caller after the join
-                failed.append(exc)
-
-        thread = threading.Thread(target=helper)
-        thread.start()
-        try:
-            columns(slice(0, half))
-        finally:
-            thread.join()
-        if failed:
-            raise failed[0]
     t = (moments / len(group)).reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
     return TwirlSuperop(group.dim, t)
 

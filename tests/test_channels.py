@@ -186,6 +186,14 @@ class TestSuperOp:
         with pytest.raises(ValueError, match="trace preservation"):
             SuperOp(2, bad)
 
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_rejects_nan_first_row(self, col):
+        # a NaN deviation compares False with the tolerance, so it must fail explicitly
+        bad = np.eye(4)
+        bad[0, col] = np.nan
+        with pytest.raises(ValueError, match="trace preservation"):
+            SuperOp(2, bad)
+
     def test_rejects_complex_entries(self):
         with pytest.raises(ValueError, match="real"):
             SuperOp(2, np.eye(4, dtype=complex))

@@ -325,6 +325,10 @@ class TestConfigErrors:
             ("fig-basis", {"theta_grid": [0.0, 0.1, 2 ** 32]}, "theta_grid: expected an integer below 2^32, got"),
             # the fit's rule runs before the draw, so two depths of 2^31 never start one
             ("rb", {"depths": [2 ** 31, 2 ** 31, 1]}, "depths: expected at least 3 distinct depths"),
+            # over the output caps: each exited 1 with a MemoryError under a 3 GB address space
+            ("fig-delta", {"max_depth": 10 ** 9}, "max_depth: expected at most 10000 rows, got 1000000000"),
+            ("fig-pbloch", {"max_depth": 10 ** 9}, "max_depth: expected at most 10000 rows, got 1000000000"),
+            ("fig-basis", {"theta_grid": [0.0, 0.3, 10 ** 9]}, "theta_grid: expected at most 300 angles, got 1000000000"),
         ],
     )
     def test_out_of_range_request_exits_2_and_names_it(self, tmp_path, capsys, cache, command, payload, message):
@@ -351,6 +355,21 @@ class TestConfigErrors:
         message = f"sequences x sum(depths): expected at most 10000000 gate applications, got {work}"
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, cap, payload",
+        [
+            ("fig-delta", "MAX_ROWS", lambda size: {"max_depth": size}),
+            ("fig-pbloch", "MAX_ROWS", lambda size: {"max_depth": size}),
+            ("fig-basis", "MAX_ANGLES", lambda size: {"theta_grid": [0.0, 0.1, size]}),
+        ],
+        ids=["fig-delta", "fig-pbloch", "fig-basis"],
+    )
+    def test_figure_output_cap_admits_its_own_size(self, tmp_path, cache, monkeypatch, command, cap, payload):
+        monkeypatch.setattr(cli, cap, 11)
+        for size, code in ((11, 0), (12, EXIT_CONFIG)):
+            cfg = write_config(tmp_path, payload(size))
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--group-cache", cache]) == code
 
     @pytest.mark.parametrize(
         "text, reason",

@@ -457,6 +457,13 @@ class TestNoisyGateSet:
             else:
                 assert NoisyGateSet(group.dim, mats)[-1].mat[0, -1] == shift
 
+    def test_nan_first_row_entry_refused(self, request, group_fixture):
+        group, noisy = self.ztilt(request, group_fixture)
+        mats = noisy.mats.copy()
+        mats[-1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="trace preservation"):
+            NoisyGateSet(group.dim, mats)
+
     def test_stack_is_read_only(self, request, group_fixture):
         group, noisy = self.ztilt(request, group_fixture)
         with pytest.raises(ValueError, match="read-only"):

@@ -2,7 +2,6 @@ import threading
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,21 +106,8 @@ def relabeled(noisy):
     return NoisyGateSet(noisy.dim, s @ noisy.mats @ s.T)
 
 
-class _InlineThread:
-    """A stand-in for `threading.Thread` that runs its target on the caller, at `start`."""
-
-    def __init__(self, target):
-        self.target = target
-
-    def start(self):
-        self.target()
-
-    def join(self):
-        pass
-
-
 class _FailingUpperColumns(np.ndarray):
-    """A noisy stack whose upper column half, the one the twirl's helper thread reads, fails to gather."""
+    """A noisy stack whose upper column half, the twirl's second entry chunk at d=4, fails to gather."""
 
     def __getitem__(self, key):
         if isinstance(key, tuple) and isinstance(key[-1], slice) and key[-1].start:
@@ -172,25 +158,29 @@ class TestBuildTwirl:
         assert np.max(np.abs(build_twirl(group11520, noisy).mat - want)) <= 1e-14
 
     @pytest.mark.parametrize("stack", ["over_rotation", "z_tilt", "gaussian"])
-    def test_two_threads_equal_one_bit_for_bit_d4(self, group11520, monkeypatch, stack):
+    def test_entry_chunks_equal_one_chunk_bit_for_bit_d4(self, group11520, monkeypatch, stack):
         if stack == "gaussian":
             mats = np.random.default_rng(37).standard_normal((11520, 16, 16))
             mats[:, 0] = np.eye(16)[0]
             noisy = NoisyGateSet(4, mats)
         else:
             noisy = build_noisy_gateset(getattr(NoiseModel, stack)(0.07, cz_epsilon=0.05), group11520)
-        threaded = build_twirl(group11520, noisy).mat
-        monkeypatch.setattr(rblab.twirl, "threading", SimpleNamespace(Thread=_InlineThread))
-        assert np.array_equal(threaded, build_twirl(group11520, noisy).mat)
+        chunked = build_twirl(group11520, noisy).mat
+        monkeypatch.setattr(rblab.twirl, "_ENTRY_BLOCK", 256)  # every noisy entry in one chunk
+        assert np.array_equal(chunked, build_twirl(group11520, noisy).mat)
 
-    def test_no_thread_at_d2(self, group24, ztilt_noisy, monkeypatch):
-        def refuse(**kwargs):
-            raise AssertionError("a thread started at d=2")
+    @pytest.mark.parametrize("group_fixture", ["group24", "group11520"])
+    def test_no_thread_started(self, request, group_fixture, monkeypatch):
+        group = request.getfixturevalue(group_fixture)
+        noisy = build_noisy_gateset(NoiseModel.z_tilt(0.07, cz_epsilon=0.05 if group.dim == 4 else 0.0), group)
 
-        monkeypatch.setattr(rblab.twirl, "threading", SimpleNamespace(Thread=refuse))
-        build_twirl(group24, ztilt_noisy)
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a thread started at d={group.dim}")
 
-    def test_helper_exception_reaches_caller(self, group11520):
+        monkeypatch.setattr(threading, "Thread", refuse)
+        build_twirl(group, noisy)
+
+    def test_second_chunk_exception_reaches_caller(self, group11520):
         noisy = build_noisy_gateset(NoiseModel("ideal"), group11520)
         object.__setattr__(noisy, "mats", noisy.mats.view(_FailingUpperColumns))
         before = threading.active_count()
@@ -199,8 +189,8 @@ class TestBuildTwirl:
         assert threading.active_count() == before
 
     def test_allocation_peak_d4(self, group11520):
-        # each thread gathers about 0.8 MB of half-rows per block; an in-order map of the blocks
-        # that kept both threads' full-width temporaries would add about 3.5 MB
+        # about 3.1 MB: the moments and the twirl (0.5 MB each) and one entry chunk's block temporaries
+        # (about 1.8 MB); a helper thread that held a second chunk's temporaries at once read 5.2 MB
         noisy = build_noisy_gateset(NoiseModel.z_tilt(0.07, cz_epsilon=0.05), group11520)
         group11520.cosets  # built once per group, outside the build measured here
         tracemalloc.start()
@@ -209,7 +199,7 @@ class TestBuildTwirl:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.0e6
+        assert peak <= 3.5e6
 
     def test_gate_independent_depolarizing_decay(self, group24):
         q = 0.97
