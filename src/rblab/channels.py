@@ -14,10 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Structural invariants (trace rows, unitarity) are held to STRUCT_TOL;
-# quantities derived through floating-point chains are held to DERIVED_TOL.
+# Structural invariants (trace rows, unitarity) are held to STRUCT_TOL.
 STRUCT_TOL = 1e-12
-DERIVED_TOL = 1e-10
 
 SIGMA_I = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,8 +110,7 @@ def _transfer(shape: tuple[int, ...], data: bytes) -> SuperOp:
     paulis = pauli_basis(dim)
     conj = u @ paulis @ u.conj().T
     mat = np.einsum("jab,kba->jk", paulis, conj) / dim
-    if np.abs(mat.imag).max() > DERIVED_TOL:
-        raise ValueError("transfer matrix has a non-negligible imaginary part")
+    # u P_k u' is Hermitian, so each entry is real up to the rounding of a checked unitary
     mat = mat.real.copy()
     # conjugation is trace preserving and unital: pin the exact rows/columns
     mat[0, :] = 0.0

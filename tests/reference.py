@@ -13,7 +13,6 @@ from functools import cache
 import numpy as np
 
 from rblab.channels import (
-    DERIVED_TOL,
     SuperOp,
     check_unitary,
     pauli_basis,
@@ -33,6 +32,9 @@ from rblab.twirl import (
     dominant_spectrum,
     fidelity_curve_exact,
 )
+
+# the imaginary-part bound of `uncached_unitary_to_superop`, for quantities derived through floating-point chains
+DERIVED_TOL = 1e-10
 
 
 @cache

@@ -140,11 +140,12 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {message.format(path=cfg)}\n"
 
     def test_degenerate_spectrum_exit_code(self, tmp_path, capsys, cache):
-        # a tilt far outside the perturbative regime has a complex dominant pair
+        # a tilt far outside the perturbative regime has a complex dominant pair, equal in modulus
         cfg = write_config(tmp_path, {"dim": 2, "model": {"kind": "z_tilt", "theta_z": 1.5}})
         code = main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--group-cache", cache])
         assert code == EXIT_NUMERICAL
-        assert "numerical regime" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical regime" in err and "degenerate" in err
 
     def test_singular_right_error_exit_code(self, tmp_path, capsys, cache):
         # a full z-dephasing (p = 1/3) leaves a rank-one asymptotic right-error block
@@ -740,21 +741,31 @@ BAD_INTEGERS = st.sampled_from(
 BAD_NUMBERS = st.sampled_from([NAN, INF, -INF, True, "0.1", None, [0.1], 2 ** 70, HUGE])
 
 
-def fuzz_models(number):
-    """Model specs of the README schema, their numbers drawn by `number(lo, hi)`."""
+def fuzz_models(number, dim=2):
+    """Model specs of the README schema at `dim`, their numbers drawn by `number(lo, hi)`.
+
+    At d=4 a channel is a `kron` pair of one-qubit channels or a d=4 depolarizing,
+    and a frame is a `kron` pair of one-qubit frames.
+    """
     unit, small = number(0.0, 1.0), number(-0.3, 0.3)
     rotation = st.fixed_dictionaries({
         "channel": st.just("rotation"),
         "axis": st.sampled_from("xyz") | st.lists(number(-1.0, 1.0), min_size=3, max_size=3),
         "angle": number(-3.2, 3.2),
     })
+    depolarizing = st.fixed_dictionaries({"channel": st.just("depolarizing"), "q": unit})
     channel = st.one_of(
-        st.fixed_dictionaries({"channel": st.just("depolarizing"), "q": unit}),
+        depolarizing,
         st.fixed_dictionaries({"channel": st.just("dephasing"), "q": unit}, optional={"axis": st.sampled_from("xyz")}),
         st.fixed_dictionaries({"channel": st.just("amplitude_damping"), "gamma": unit}),
         rotation,
     )
     frame = rotation | st.lists(rotation, min_size=2, max_size=2) | st.just({"channel": "relabeling"})
+    if dim == 4:
+        def kron(half):
+            return st.fixed_dictionaries({"channel": st.just("kron"), "first": half, "second": half})
+
+        channel, frame = kron(channel) | depolarizing, kron(frame)
     models = st.one_of(
         st.just({"kind": "ideal"}),
         st.fixed_dictionaries({"kind": st.just("over_rotation"), "epsilon": small}, optional={"cz_epsilon": small}),
@@ -775,8 +786,9 @@ def some_bad_numbers(lo, hi):
 
 GOOD_MODEL, GOOD_CHANNEL_SPEC = fuzz_models(st.floats)
 BAD_MODEL, BAD_CHANNEL_SPEC = fuzz_models(some_bad_numbers)
+GOOD_MODEL_D4, GOOD_CHANNEL_SPEC_D4 = fuzz_models(st.floats, dim=4)
 SMALL = st.floats(-0.3, 0.3)
-# in-range sizes stay small (the run cost grows with depth x sequences); d=4 runs are left to the d=4 tests
+# in-range sizes stay small: the run cost grows with depth x sequences
 VALID_FIELDS = {
     "dim": st.just(2),
     "seed": st.integers(0, 2 ** 70),
@@ -787,6 +799,18 @@ VALID_FIELDS = {
     "max_depth": st.integers(1, 64),
     "theta_grid": st.tuples(SMALL, SMALL, st.integers(1, 4)).map(list),
     "cz_epsilon": SMALL,
+}
+# d=4 runs draw fewer sequences, and always a theta_grid of at most 2 angles (fig-basis runs 31 by
+# default): an angle took 16-34 ms at d=4, against 1.3 ms at d=2
+REQUIRED_FIELDS_D4 = {
+    "dim": st.just(4),
+    "model": GOOD_MODEL_D4,
+    "theta_grid": st.tuples(SMALL, SMALL, st.integers(1, 2)).map(list),
+}
+VALID_FIELDS_D4 = {
+    **{key: value for key, value in VALID_FIELDS.items() if key not in REQUIRED_FIELDS_D4},
+    "sequences": st.integers(1, 4),
+    "spam": st.fixed_dictionaries({}, optional={"prep": st.none() | GOOD_CHANNEL_SPEC_D4, "meas": GOOD_CHANNEL_SPEC_D4}),
 }
 BROKEN_FIELDS = {
     "dim": BAD_INTEGERS | st.just(3),
@@ -805,9 +829,12 @@ BROKEN_FIELDS = {
 
 
 @st.composite
-def fuzz_configs(draw):
-    """A config of the README schema, and at times one field broken."""
-    cfg = draw(st.fixed_dictionaries({"model": GOOD_MODEL}, optional=VALID_FIELDS))
+def fuzz_configs(draw, dim=2):
+    """A config of the README schema at `dim`, and at times one field broken."""
+    if dim == 4:
+        cfg = draw(st.fixed_dictionaries(REQUIRED_FIELDS_D4, optional=VALID_FIELDS_D4))
+    else:
+        cfg = draw(st.fixed_dictionaries({"model": GOOD_MODEL}, optional=VALID_FIELDS))
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(BROKEN_FIELDS)))
         cfg[key] = draw(BROKEN_FIELDS[key])
@@ -824,6 +851,13 @@ def assert_csv_numbers_finite(out):
                 except ValueError:
                     continue  # a label such as the basis name
                 assert math.isfinite(value) or (name in NAN_COLUMNS and math.isnan(value)), (path.name, name)
+
+
+def assert_exits_0_2_or_3(root, command, cfg):
+    out = root / "out"
+    code = main([command, "--config", write_config(root, cfg), "--out", str(out)])
+    assert code in (0, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert_csv_numbers_finite(out)
 
 
 class TestExitContract:
@@ -843,8 +877,10 @@ class TestExitContract:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_every_config_exits_0_2_or_3(self, tmp_path_factory, command, cfg):
         """Every command on any config exits 0, 2 or 3 and writes only finite numbers, bar the nan rows."""
-        root = tmp_path_factory.mktemp("fuzz")
-        out = root / "out"
-        code = main([command, "--config", write_config(root, cfg), "--out", str(out)])
-        assert code in (0, EXIT_CONFIG, EXIT_NUMERICAL)
-        assert_csv_numbers_finite(out)
+        assert_exits_0_2_or_3(tmp_path_factory.mktemp("fuzz"), command, cfg)
+
+    @given(command=st.sampled_from(COMMANDS), cfg=fuzz_configs(dim=4))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_d4_config_exits_0_2_or_3(self, tmp_path_factory, command, cfg):
+        """The same contract on two-qubit models, whose channels are kron pairs or d=4 depolarizing."""
+        assert_exits_0_2_or_3(tmp_path_factory.mktemp("fuzz"), command, cfg)

@@ -201,8 +201,10 @@ class TestChannelSpecs:
             (DEPOLARIZING, {"channel": "depolarizing", "qq": 0.9}, "second: qq: not a parameter of depolarizing"),
             ({"channel": "dephasing", "q": 0.9, "axis": "w"}, DEPOLARIZING,
              "first: channel spec 'dephasing' with q=0.9, axis='w': unknown dephasing axis 'w'"),
+            ({"channel": "rotation", "axis": "w", "angle": 0.1}, DEPOLARIZING,
+             "first: channel spec 'rotation' with axis='w', angle=0.1: unknown axis 'w'"),
         ],
-        ids=["bad_value", "unknown_key", "bad_axis"],
+        ids=["bad_value", "unknown_key", "bad_axis", "bad_rotation_axis"],
     )
     def test_bad_kron_half_is_named(self, first, second, message):
         kron = {"channel": "kron", "first": first, "second": second}

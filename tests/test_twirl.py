@@ -278,18 +278,24 @@ class TestDominantSpectrum:
         with pytest.raises(DegenerateSpectrumError, match="exceeds 1"):
             dominant_spectrum(t)
 
+    def test_degenerate_dominant_pair_reported(self):
+        # both walks stop at once on 0.9, so only the d=2 dense degeneracy check can refuse it
+        t = TwirlSuperop(2, np.diag([0.9, 0.9] + [0.1] * 14))
+        with pytest.raises(DegenerateSpectrumError, match="degenerate"):
+            dominant_spectrum(t)
+
     def test_left_residual_at_the_right_eigenvalue_reported(self):
         """The left vector's residual is sqrt(r^2 + (p - p_left)^2), as r is orthogonal to it.
 
         A d=4 twirl-shaped matrix with no dense guard: the heaviest column is an
-        exact right eigenvector of a = b + 0.999e-10 (block A), and the heaviest
-        row is y + eps z, with y and z orthogonal left eigenvectors of b and -b
-        (block N^T).  The left walk stops at once on p_left = b with r = 2 b eps =
-        5e-12, so both its own stop and the 1e-10 agreement of p and p_left hold,
-        while the residual at p is 1.00025e-10.
+        exact right eigenvector of a = b + gap (block A), and the heaviest row is
+        y + eps z, with y and z orthogonal left eigenvectors of b and -b (block
+        N^T).  The left walk stops at once on p_left = b with r = 2 b eps = 5e-12.
+        At gap 0.999e-10 p and p_left agree to 1e-10, yet the residual at p is
+        1.00025e-10; at 2e-10 and 1e-8 they disagree, and the same one guard,
+        whose residual is at least the gap, reports it.
         """
         b, eps, k = 0.5, 5e-12, 1.0
-        a = b + 0.999e-10
         y = np.ones(8) / np.sqrt(8)
         z = np.tile([1.0, -1.0], 4) / np.sqrt(8)
         n = np.zeros((9, 9))
@@ -297,9 +303,10 @@ class TestDominantSpectrum:
         n[:8, 8] = k * (y + eps * z)
         mat = np.zeros((256, 256))
         mat[:9, :9] = n.T
-        mat[9:12, 9] = [a, k / np.sqrt(2), k / np.sqrt(2)]
-        with pytest.raises(DegenerateSpectrumError, match="left eigenvector residual"):
-            dominant_spectrum(TwirlSuperop(4, mat))
+        for gap in (0.999e-10, 2e-10, 1e-8):
+            mat[9:12, 9] = [b + gap, k / np.sqrt(2), k / np.sqrt(2)]
+            with pytest.raises(DegenerateSpectrumError, match="left eigenvector residual"):
+                dominant_spectrum(TwirlSuperop(4, mat))
 
     def test_zero_overlap_orientation_is_sign_free(self, group24):
         # configs/relabeling_d2.json: both operators are orthogonal to Pi_tr

@@ -58,14 +58,8 @@ def pytest_sessionfinish(session):
 
 # (file under src/rblab, stripped line text, why no tier-1 test runs it)
 ALLOWED = [
-    ("channels.py", 'raise ValueError("transfer matrix has a non-negligible imaginary part")',
-     "u P_k u' is Hermitian for any u, so tr(P_j u P_k u')/d is real up to rounding"),
     ("cli.py", "sys.exit(main())",
      "the `__main__` guard: tests call `main` in process, the refactor gate runs it"),
-    ("correction.py", 'raise RuntimeError("positive polar factor has a negative eigenvalue")',
-     "W S W' from the SVD has the eigenvalues S >= 0, up to rounding"),
-    ("correction.py", 'raise RuntimeError("polar factors do not reproduce the input block")',
-     "W S W' W V' = W S V' is the SVD of the block, up to rounding"),
     ("noise.py", "from .cliffords import CliffordGroup",
      "under `if TYPE_CHECKING:`, read by type checkers only"),
 ]

@@ -21,11 +21,10 @@ of its deciding run, and drops the entries of mutants no longer listed;
 nothing else is written into the repository.  The map was seeded with each
 mutant's first failing test outside the hypothesis tests, in file order;
 only where none fails does it name a hypothesis test (`"hypothesis": true`).
-The 98 mutants took about 2.7 minutes in all on a shared 2-vCPU machine
-with the map (159 s, with `tools/exact_d4.py` running beside it for the
-first 45 s); with hypothesis shrinking on, its two hypothesis-killed
-mutants took 41 s instead of 5 (65 mutants took about 6 minutes without the
-map), which is why it is not part of tier-1.
+The 100 mutants took about 3 minutes in all on a shared 2-vCPU machine
+with the map (180 s, nothing else running); with hypothesis shrinking on,
+its two hypothesis-killed mutants took 41 s instead of 5 (65 mutants took
+about 6 minutes without the map), which is why it is not part of tier-1.
 
 Dropped with the code they mutated: "order-m left block from the transpose"
 and "order-m right block without the transpose" mutated
@@ -360,6 +359,11 @@ MUTANTS = {
         'NoiseModel(side, {"error"',
         'NoiseModel("right", {"error"',
     ),
+    "unknown axis name unchecked": (
+        "src/rblab/noise.py",
+        "if axis not in named:",
+        "if False:",
+    ),
     "kron half not named": (
         "src/rblab/noise.py",
         "field_channel(key, spec[key], 2)",
@@ -563,8 +567,8 @@ MUTANTS = {
     ),
     "dense-vs-power check off": (
         "src/rblab/twirl.py",
-        "(lam is not None and abs(p - lam) > 1e-8 * scale)",
-        "(lam is not None and False)",
+        "if lam is not None and abs(p - lam) > 1e-8 * scale:",
+        "if lam is not None and False:",
     ),
     "eigenpair started from vec(Pi_tr)": (
         "src/rblab/twirl.py",
@@ -582,6 +586,11 @@ MUTANTS = {
     "null-space guard off": (
         "src/rblab/twirl.py",
         "if norm == 0.0:",
+        "if False:",
+    ),
+    "dense degeneracy check off": (
+        "src/rblab/twirl.py",
+        "if abs(lam) - abs(evals[order[1]]) < 1e-6 * scale:",
         "if False:",
     ),
     "bound on p off": (
