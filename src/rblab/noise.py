@@ -44,7 +44,7 @@ def finite(name: str, value) -> float:
     return float(value)
 
 
-WORD_END = 2**32  # RB seeds each sequence with its depth and number as one uint32 word each
+WORD_END = 2**32  # RB takes each depth as one uint32 word of its seed entropy; sequences share the bound
 
 
 def _integral(value) -> bool:

@@ -3,15 +3,15 @@
 Sequences are sampled uniformly from the group, inverted through the ideal
 composition (a signed-slot table gather per step, then implemented with the
 noisy counterpart), and the survival probability <effect | noisy circuit | state>
-is recorded exactly; the only randomness is the sequence draw.  Sequence k at
-depth m, each depth below 2^32, holds exactly the indices
-`np.random.default_rng([seed, m, k]).integers(0, N, size=m)`, so results do not
-depend on execution order or on the other depths of a run.  Those streams are
-computed by numpy's seeding, PCG64 and bounded-draw algorithms on uint64 arrays:
-every generator of a run is seeded in one pass, then each depth draws its
-indices at once.  The tests compare them with numpy itself, so a numpy release
-that changes the stream fails the suite rather than silently changing the
-survivals.
+is recorded exactly; the only randomness is the sequence draw.  The sequences
+at depth m are the rows of
+`np.random.default_rng([seed, m]).integers(0, N, size=(sequences, m))`, so a
+depth's column does not depend on execution order or on the other depths of
+a run, and a row does not depend on how many sequences follow it.  Each
+depth is below 2^32, one uint32 word and the last word of the seed entropy,
+which keeps distinct (seed, m) pairs on distinct streams.  numpy may change
+this stream between releases (NEP 19); the tests pin literal draws, so such
+a change fails the suite rather than silently changing the survivals.
 """
 
 from __future__ import annotations
@@ -82,175 +82,17 @@ class SurvivalTable:
         return self.survivals.mean(axis=0)
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_M32 = np.uint64(0xFFFFFFFF)
-
-
-def _uint32_words(value: int) -> list[int]:
-    """The uint32 words SeedSequence reads from a non-negative int, low word first."""
-    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's running hash: each call mixes one uint32 array with the next constant."""
-    const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return out ^ (out >> 16)
-
-
-def _seed_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence(entropy).generate_state(4, uint64) per row; entropy is uint32 columns."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    return [words[i] | (words[i + 1] << 32) for i in range(0, 8, 2)]
-
-
-def _mul128(a, b):
-    """a * b mod 2^128, each a (hi, lo) pair of uint64 arrays."""
-    (ah, al), (bh, bl) = a, b
-    a1, a0, b1, b0 = al >> 32, al & _M32, bl >> 32, bl & _M32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + ah * bl + al * bh
-    return hi, (mid << 32) | (p00 & _M32)
-
-
-def _add128(a, b):
-    """a + b mod 2^128, each a (hi, lo) pair of uint64 arrays."""
-    (ah, al), (bh, bl) = a, b
-    lo = al + bl
-    return ah + bh + (lo < al), lo
-
-
-def _limbs(values: list[int]):
-    """Python ints below 2^128 as a (hi, lo) pair of uint64 arrays."""
-    return (
-        np.array([v >> 64 for v in values], dtype=np.uint64),
-        np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64),
-    )
-
-
-def _step(state, inc):
-    """One PCG64 step: state * multiplier + inc."""
-    return _add128(_mul128(state, _limbs([_PCG_MULT])), inc)
-
-
-def _pcg_words(state, inc, count: int) -> np.ndarray:
-    """32-bit words of the first `count` PCG64 outputs of every row, low half first.
-
-    Output t is XSL-RR of the state t steps after `state`, which is
-    M^t state + (M^(t-1) + ... + M + 1) inc for the multiplier M, so all
-    outputs come from one pass over the rows.
-    """
-    mults, sums, a, c = [], [], 1, 0
-    for _ in range(count):
-        a, c = a * _PCG_MULT % 2**128, (c * _PCG_MULT + 1) % 2**128
-        mults.append(a)
-        sums.append(c)
-    (sh, sl), (ih, il) = state, inc
-    hi, lo = _add128(
-        _mul128((sh[:, None], sl[:, None]), _limbs(mults)),
-        _mul128((ih[:, None], il[:, None]), _limbs(sums)),
-    )
-    rot = hi >> 58
-    out = hi ^ lo
-    out = (out >> rot) | (out << ((64 - rot) & 63))
-    return np.stack([out & _M32, out >> 32], axis=-1).reshape(len(out), -1)
-
-
-def _bounded_draws(state, inc, m: int, n: int) -> np.ndarray:
-    """`integers(0, n, size=m)` of the seeded PCG64 generator of every row.
-
-    numpy's buffered 32-bit draws take the low half of each output first;
-    Lemire's method maps a word w to w * n >> 32 and rejects it when the low
-    32 bits of w * n fall below (2^32 - n) % n.  Each row keeps its first m
-    accepted words; while a row is short, all rows draw again with more words.
-    """
-    if m == 0:
-        return np.empty((state.shape[1], 0), dtype=np.int64)
-    threshold = (2**32 - n) % n
-    count, short = 0, m
-    while short > 0:
-        count += -(-short // 2)
-        scaled = _pcg_words(state, inc, count) * np.uint64(n)
-        accepted = (scaled & _M32) >= threshold
-        short = m - int(accepted.sum(axis=1).min())
-    if accepted[:, :m].all():  # no word rejected: each row keeps its first m
-        return (scaled[:, :m] >> 32).astype(np.int64)
-    first = np.argsort(~accepted, axis=1, kind="stable")[:, :m]
-    return (np.take_along_axis(scaled, first, axis=1) >> 32).astype(np.int64)
-
-
-def _pcg_seeds(seed: int, depths: list[int], sequences: int):
-    """PCG64 (state, inc) of `default_rng([seed, m, k])` for each m in depths and k < sequences.
-
-    One pass over every row, depth-major: SeedSequence mixes the uint32 words
-    of seed, then m and k as one word each (every depth is below 2^32), and
-    PCG64 is seeded from its four uint64 words (state 0, inc = initseq<<1 | 1,
-    step, which from 0 gives inc, add initstate, step).
-    """
-    entropy = [np.full(len(depths) * sequences, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    entropy.append(np.repeat(np.array(depths, dtype=np.uint32), sequences))
-    entropy.append(np.tile(np.arange(sequences, dtype=np.uint32), len(depths)))
-    s0, s1, s2, s3 = _seed_states(entropy)
-    inc = ((s2 << 1) | (s3 >> 63), (s3 << 1) | 1)
-    return np.array(_step(_add128(inc, (s0, s1)), inc)), np.array(inc)
-
-
-def _sequence_indices(seed: int, depths: list[int], sequences: int, n: int) -> list[np.ndarray]:
-    """Entry i, row k is `np.random.default_rng([seed, depths[i], k]).integers(0, n, size=depths[i])`.
-
-    Every depth is below 2^32 (`RBConfig` checks it).  All generators are
-    seeded at once by `_pcg_seeds`; the draws then run depth by depth.
-    """
-    if not 2 <= n < 2**32:
-        raise ValueError(f"only 2 <= n < 2^32 draws are reproduced, got n={n}")
-    state, inc = _pcg_seeds(seed, depths, sequences)
-    draws = []
-    for i, m in enumerate(depths):
-        rows = slice(i * sequences, (i + 1) * sequences)
-        draws.append(_bounded_draws(state[:, rows], inc[:, rows], m, n))
-    return draws
-
-
 def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> SurvivalTable:
     """Sample motion-reversal circuits and record exact survival probabilities.
 
-    Sequence k at depth m is exactly
-    `np.random.default_rng([seed, m, k]).integers(0, N, size=m)`; every
-    sequence of the run is drawn up front by `_sequence_indices`.  All
-    sequences of one depth are then composed together, one batched matmul per
-    step; their ideal products come from `CliffordGroup.products`, one
-    table gather per step; and the survivals are one batched dot with the
-    effect.  `RBConfig` keeps depths and `sequences` in [1, 2^32), seed >= 0;
-    a run of more than MAX_APPLICATIONS gate applications raises ConfigError.
+    Depth m's sequences are the rows of
+    `np.random.default_rng([seed, m]).integers(0, N, size=(sequences, m))`,
+    drawn one depth at a time.  All sequences of one depth are composed
+    together, one batched matmul per step; their ideal products come from
+    `CliffordGroup.products`, one table gather per step; and the survivals
+    are one batched dot with the effect.  `RBConfig` keeps depths and
+    `sequences` in [1, 2^32), seed >= 0; a run of more than MAX_APPLICATIONS
+    gate applications raises ConfigError.
     """
     if len(noisy_set) != len(group):
         raise ValueError("noisy set is not index-aligned with the group")
@@ -260,9 +102,9 @@ def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> S
     rho, mu = config.resolve(group.dim)
     noisy_mats = noisy_set.mats
 
-    draws = _sequence_indices(config.seed, config.depths, config.sequences, len(group))
     table = np.empty((config.sequences, len(config.depths)))
-    for di, idx in enumerate(draws):
+    for di, m in enumerate(config.depths):
+        idx = np.random.default_rng([config.seed, m]).integers(0, len(group), size=(config.sequences, m))
         vecs = compose_sequences(noisy_mats, idx, rho[:, None])
         vecs = noisy_mats.take(group.inverse_table.take(group.products(idx)), axis=0) @ vecs
         # mu @ (k, n, 1) rounds like one 1-D dot per sequence; (k, n) @ mu does not

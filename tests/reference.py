@@ -96,14 +96,12 @@ def random_ascent_starts(dim: int, seed: int) -> list[np.ndarray]:
 
 
 def sequence_draws(seed: int, m: int, sequences: int, n: int) -> np.ndarray:
-    """The RB sequence draw by numpy itself, one generator per sequence.
+    """The RB sequences at depth m, by numpy itself: one generator per depth.
 
-    Row k is `np.random.default_rng([seed, m, k]).integers(0, n, size=m)`.
+    Row k is sequence k, and the rows are
+    `np.random.default_rng([seed, m]).integers(0, n, size=(sequences, m))`.
     """
-    return np.array(
-        [np.random.default_rng([seed, m, k]).integers(0, n, size=m) for k in range(sequences)],
-        dtype=np.int64,
-    ).reshape(sequences, m)
+    return np.random.default_rng([seed, m]).integers(0, n, size=(sequences, m))
 
 
 def reference_resample_means(survivals: np.ndarray, bootstrap: int, rng: np.random.Generator) -> np.ndarray:

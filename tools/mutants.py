@@ -33,7 +33,12 @@ correction started reading the asymptotic right error operator instead of
 the order-4 block.  "twirl helper half empty" mutated the helper thread's
 slice of noisy entries, which left when `build_twirl` began running its two
 entry chunks in turn on the calling thread; "twirl entry chunk half skipped"
-mutates each chunk in its place.
+mutates each chunk in its place.  The six mutants of the hand-written PCG64
+draw ("draw words high half first", "every drawn word accepted", "draw fast
+path ignores rejections", "first PCG64 seeding step skipped", "every depth
+seeded with the first depth's m" and "128-bit carry dropped") left with it
+when each depth began drawing from numpy's own generator; "draw seeded
+without the depth" and "rows and depths swapped" mutate that draw.
 
 Left out as equivalent:
 
@@ -274,22 +279,16 @@ MUTANTS = {
         "size=(bootstrap, n_depths, n_seq))",
         "size=(bootstrap, n_seq, n_depths)).transpose(0, 2, 1)",
     ),
-    # the vectorised sequence draw
-    "draw words high half first": (
+    # the sequence draw: one generator per depth, one row per sequence
+    "draw seeded without the depth": (
         "src/rblab/rb.py",
-        "np.stack([out & _M32, out >> 32], axis=-1)",
-        "np.stack([out >> 32, out & _M32], axis=-1)",
+        "np.random.default_rng([config.seed, m])",
+        "np.random.default_rng(config.seed)",
     ),
-    "every drawn word accepted": (
+    "rows and depths swapped": (
         "src/rblab/rb.py",
-        "accepted = (scaled & _M32) >= threshold",
-        "accepted = (scaled & _M32) >= 0",
-    ),
-    # every row keeps its first m words, also a row that rejected some of them
-    "draw fast path ignores rejections": (
-        "src/rblab/rb.py",
-        "if accepted[:, :m].all():",
-        "if True:",
+        "size=(config.sequences, m))",
+        "size=(m, config.sequences)).T",
     ),
     # a mutant that lifts the cap would run the CLI's over-cap configs in full
     "RB work cap one short": (
@@ -307,16 +306,6 @@ MUTANTS = {
         "src/rblab/cli.py",
         'capped("theta_grid", grid_cfg[2], 1, MAX_ANGLES, "angles")',
         'capped("theta_grid", grid_cfg[2], 1, MAX_ANGLES - 1, "angles")',
-    ),
-    "first PCG64 seeding step skipped": (
-        "src/rblab/rb.py",
-        "np.array(_step(_add128(inc, (s0, s1)), inc))",
-        "np.array(_step((s0, s1), inc))",
-    ),
-    "every depth seeded with the first depth's m": (
-        "src/rblab/rb.py",
-        "np.repeat(np.array(depths, dtype=np.uint32), sequences)",
-        "np.repeat(np.array(depths[:1] * len(depths), dtype=np.uint32), sequences)",
     ),
     # the channel-spec table and the models' dimension rules
     "one-qubit channel at any dimension": (
@@ -409,11 +398,6 @@ MUTANTS = {
         "src/rblab/cliffords.py",
         "slots[:, :n] = -self.table[:, ::-1]",
         "slots[:, :n] = self.table[:, ::-1]",
-    ),
-    "128-bit carry dropped": (
-        "src/rblab/rb.py",
-        "return ah + bh + (lo < al), lo",
-        "return ah + bh, lo",
     ),
     "closure digest not checked": (
         "src/rblab/cliffords.py",

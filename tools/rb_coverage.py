@@ -20,20 +20,22 @@ It prints one line per config:
   those fits are left out of it.
 
 It always exits 0.  Measured on a shared 2-vCPU x86-64 machine with one BLAS
-thread, in 97 s all told:
-    composite_d2          covers 951/1000 = 0.951 (se 0.007)  z mean +0.03 (se 0.03)  spread 0.97
+thread, in 75 s all told, on the draws of one generator per depth:
+    composite_d2          covers 934/1000 = 0.934 (se 0.008)  z mean -0.00 (se 0.03)  spread 1.04
     depolarizing_left_d2  covers   0/1000 = 0.000 (se 0.000)  every interval of rounding width
-    overrotation_d2       covers 944/1000 = 0.944 (se 0.007)  z mean +0.03 (se 0.03)  spread 1.00
+    overrotation_d2       covers 943/1000 = 0.943 (se 0.007)  z mean -0.02 (se 0.03)  spread 0.98
     relabeling_d2         covers 1000/1000 = 1.000 (se 0.000)  every interval of rounding width
-    sandwich_d2           covers 920/1000 = 0.920 (se 0.009)  z mean -0.03 (se 0.03)  spread 1.07
-    ztilt_d2              covers 936/1000 = 0.936 (se 0.008)  z mean +0.02 (se 0.03)  spread 1.05
-    ztilt_d4              covers 564/600 = 0.940 (se 0.010)  z mean +0.06 (se 0.04)  spread 1.03
-So `sandwich_d2` falls 3.4 standard errors short of 0.95 and `ztilt_d2` 1.8,
-no config shows a bias in z, and a z spread of 1.03-1.07 on three configs
-(0.97 and 1.00 on the other two) says the bootstrap interval is a few percent
-too narrow there.  The exact
-survivals of `depolarizing_left_d2` fit about 3e-15 off p with a bootstrap
-sd of about 1e-16, so none of its intervals holds p.
+    sandwich_d2           covers 938/1000 = 0.938 (se 0.008)  z mean +0.01 (se 0.03)  spread 1.03
+    ztilt_d2              covers 938/1000 = 0.938 (se 0.008)  z mean -0.02 (se 0.03)  spread 1.03
+    ztilt_d4              covers 563/600 = 0.938 (se 0.010)  z mean +0.03 (se 0.04)  spread 1.02
+So every non-degenerate config falls short of 0.95, by 1.0 to 2.0 standard
+errors (`composite_d2` 2.0, `sandwich_d2` and `ztilt_d2` 1.6, `ztilt_d4`
+1.2, `overrotation_d2` 1.0), no config shows a bias in z, and a z spread of
+1.02-1.04 on four configs (0.98 on `overrotation_d2`) says the bootstrap
+interval is a few percent too narrow there.  The draws of one generator per
+sequence gave 0.920-0.951, with `sandwich_d2` 3.4 standard errors short.  The
+exact survivals of `depolarizing_left_d2` fit about 3e-15 off p with a
+bootstrap sd of about 1e-16, so none of its intervals holds p.
 """
 
 from __future__ import annotations
