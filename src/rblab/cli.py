@@ -6,17 +6,17 @@ first use, so the command only formats library results.  Accepted config
 values, anything else being a configuration error: dim 2 or 4 and seed an
 integer >= 0 (--dim and --seed override them); depths a non-empty list of
 integers below 2^32, >= 0 for curve and correct and, for rb, >= 1 with at
-least 3 distinct values; sequences an integer >= 1 and below 2^32, and for
-rb sequences x sum(depths) at most 10^7 gate applications (rb.MAX_APPLICATIONS,
-about 2 s at d=2); basis identity, corrected or corrected-squared; spam an
-object with optional prep and meas channels; max_depth an integer, >= 1 for
+least 3 distinct values; sequences an integer >= 1, and for rb sequences x
+sum(depths) at most 10^7 gate applications (rb.MAX_APPLICATIONS, about 2 s
+at d=2); basis identity, corrected or corrected-squared; spam an object
+with optional prep and meas channels; max_depth an integer, >= 1 for
 fig-delta and >= 10 for fig-pbloch, whose fits span m = 5..10, and at most
-10^4 rows (MAX_ROWS); theta_grid [start, stop, num] with finite start and stop
-and an integer num >= 1 and at most 300 angles (MAX_ANGLES); cz_epsilon a
-finite number.  Numbers are JSON numbers (not strings or booleans) and
-finite, and a list axis has a finite, non-zero norm; a key no command reads,
-at the top level, in spam, in the model or in a channel spec, is an error
-too.
+10^4 rows (MAX_ROWS); theta_grid [start, stop, num] with finite start, stop
+and stop - start and an integer num >= 1 and at most 300 angles
+(MAX_ANGLES); cz_epsilon a finite number.  Numbers are JSON numbers (not
+strings or booleans) and finite, and a list axis has a finite, non-zero
+norm; a key no command reads, at the top level, in spam, in the model or in
+a channel spec, is an error too.
 
 Every output file starts with '#'-prefixed metadata (tool version, seed, model
 parameters), contains no timestamps, and is byte-identical across reruns of
@@ -87,8 +87,8 @@ def _fmt(value) -> str:
 
 
 def capped(name: str, value, minimum: int, cap: int, unit: str) -> int:
-    """`value` as an int if it is an integer >= minimum and below 2^32, and at most `cap` `unit`."""
-    value = integer(name, value, minimum, bounded=True)
+    """`value` as an int if it is an integer >= minimum and at most `cap` `unit`."""
+    value = integer(name, value, minimum)
     if value > cap:
         raise ConfigError(f"{name}: expected at most {cap} {unit}, got {value}")
     return value
@@ -414,6 +414,7 @@ def cmd_fig_basis(s: _Setup) -> int:
     if not (isinstance(grid_cfg, list) and len(grid_cfg) == 3):
         raise ConfigError(f"theta_grid: expected [start, stop, num], got {grid_cfg!r}")
     start, stop = (finite("theta_grid", x) for x in grid_cfg[:2])
+    finite("theta_grid: stop - start", stop - start)  # an overflowing span makes linspace's angles nan
     thetas = np.linspace(start, stop, capped("theta_grid", grid_cfg[2], 1, MAX_ANGLES, "angles"))
     cz_eps = finite("cz_epsilon", s.cfg.get("cz_epsilon", 0.1 if s.dim == 4 else 0.0))
 

@@ -44,19 +44,17 @@ def finite(name: str, value) -> float:
     return float(value)
 
 
-WORD_END = 2**32  # RB takes each depth as one uint32 word of its seed entropy; sequences share the bound
+WORD_END = 2**32  # RB takes each depth as one uint32 word of its seed entropy
 
 
 def _integral(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)  # a bool is no integer here
 
 
-def integer(name: str, value, minimum: int, bounded: bool = False) -> int:
-    """`value` as an int if it is an integer >= minimum and, if `bounded`, below 2^32."""
+def integer(name: str, value, minimum: int) -> int:
+    """`value` as an int if it is an integer >= minimum."""
     if not _integral(value) or value < minimum:
         raise ConfigError(f"{name}: expected an integer >= {minimum}, got {value!r}")
-    if bounded and value >= WORD_END:
-        raise ConfigError(f"{name}: expected an integer below 2^32, got {value}")
     return int(value)
 
 

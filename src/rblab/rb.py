@@ -44,7 +44,7 @@ MAX_APPLICATIONS = 10**7
 class RBConfig:
     """Depth grid, sequences per depth, and optional SPAM noise around |0...0>.
 
-    Every depth and `sequences` must be an integer in [1, 2^32), and `seed`
+    Depths must be integers in [1, 2^32), `sequences` one >= 1 and `seed`
     one >= 0, or ConfigError is raised; `depths` is kept as a tuple of ints.
     """
 
@@ -56,7 +56,7 @@ class RBConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "depths", tuple(depth_grid(self.depths, 1).tolist()))
-        object.__setattr__(self, "sequences", integer("sequences", self.sequences, 1, bounded=True))
+        object.__setattr__(self, "sequences", integer("sequences", self.sequences, 1))
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
 
     def resolve(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,9 +90,9 @@ def run_rb(group: CliffordGroup, noisy_set: NoisyGateSet, config: RBConfig) -> S
     drawn one depth at a time.  All sequences of one depth are composed
     together, one batched matmul per step; their ideal products come from
     `CliffordGroup.products`, one table gather per step; and the survivals
-    are one batched dot with the effect.  `RBConfig` keeps depths and
-    `sequences` in [1, 2^32), seed >= 0; a run of more than MAX_APPLICATIONS
-    gate applications raises ConfigError.
+    are one batched dot with the effect.  A run of more than MAX_APPLICATIONS
+    gate applications, sequences x sum(depths), raises ConfigError before
+    anything is drawn or allocated.
     """
     if len(noisy_set) != len(group):
         raise ValueError("noisy set is not index-aligned with the group")

@@ -321,17 +321,23 @@ class TestConfigErrors:
             ("curve", {"depths": [1.5, 2.9]}, "depths: expected a non-empty list of integers >= 0, got [1.5, 2.9]"),
             ("rb", {"depths": [1.7, 2, 3]}, "depths: expected a non-empty list of integers >= 1, got [1.7, 2, 3]"),
             ("rb", {"sequences": 2.5}, "sequences: expected an integer >= 1, got 2.5"),
-            ("rb", {"sequences": 2 ** 70}, "sequences: expected an integer below 2^32, got 1180591620717411303424"),
-            ("fig-delta", {"max_depth": 2 ** 70}, "max_depth: expected an integer below 2^32, got"),
-            ("fig-basis", {"theta_grid": [0.0, 0.1, 2 ** 32]}, "theta_grid: expected an integer below 2^32, got"),
+            ("rb", {"sequences": 2 ** 70},
+             "sequences x sum(depths): expected at most 10000000 gate applications, got 301050863282939882373120"),
+            ("fig-delta", {"max_depth": 2 ** 70}, "max_depth: expected at most 10000 rows, got 1180591620717411303424"),
+            ("fig-basis", {"theta_grid": [0.0, 0.1, 2 ** 32]}, "theta_grid: expected at most 300 angles, got 4294967296"),
             # the fit's rule runs before the draw, so two depths of 2^31 never start one
             ("rb", {"depths": [2 ** 31, 2 ** 31, 1]}, "depths: expected at least 3 distinct depths"),
             # over the output caps: each exited 1 with a MemoryError under a 3 GB address space
             ("fig-delta", {"max_depth": 10 ** 9}, "max_depth: expected at most 10000 rows, got 1000000000"),
             ("fig-pbloch", {"max_depth": 10 ** 9}, "max_depth: expected at most 10000 rows, got 1000000000"),
             ("fig-basis", {"theta_grid": [0.0, 0.3, 10 ** 9]}, "theta_grid: expected at most 300 angles, got 1000000000"),
+            # a span past the largest float: exited 2 naming model.theta_z, a key fig-basis does not read,
+            # after two numpy RuntimeWarnings
+            ("fig-basis", {"theta_grid": [1e308, -1e308, 3]},
+             "theta_grid: stop - start: expected a finite number, got -inf"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_request_exits_2_and_names_it(self, tmp_path, capsys, cache, command, payload, message):
         cfg = write_config(tmp_path, {"model": {"kind": "z_tilt", "theta_z": 0.1}, **payload})
         out = tmp_path / "out"

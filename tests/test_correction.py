@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import polar as scipy_polar
 from scipy.optimize import minimize
@@ -513,6 +513,7 @@ class TestGaugeCovariance:
         "model", [NoiseModel.z_tilt(0.1), NoiseModel.over_rotation(0.1)], ids=["z_tilt", "over_rotation"]
     )
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(seed=0)  # its block reads det < 0 under both models, so the orientation is always run
     @settings(max_examples=20, deadline=None)
     def test_single_qubit_haar(self, group24, model, seed):
         self.assert_covariant(group24, model, random_unitary(2, np.random.default_rng(seed)))

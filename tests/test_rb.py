@@ -106,6 +106,18 @@ class TestRunRB:
         with pytest.raises(ConfigError, match=message):
             run_rb(group24, ztilt_noisy, RBConfig(depths=(1, 2, 4), sequences=10))
 
+    def test_sequences_held_by_the_work_cap_alone(self, group24, ztilt_noisy, monkeypatch):
+        config = RBConfig(depths=(1, 2, 3), sequences=2 ** 32)
+        assert config.sequences == 2 ** 32
+
+        def composed(*args):
+            raise AssertionError("run_rb drew and composed sequences over its work cap")
+
+        monkeypatch.setattr("rblab.rb.compose_sequences", composed)
+        message = r"sequences x sum\(depths\): expected at most 10000000 gate applications, got 25769803776"
+        with pytest.raises(ConfigError, match=message):
+            run_rb(group24, ztilt_noisy, config)
+
     def test_no_sequences_rejected(self, group24, ztilt_noisy):
         with pytest.raises(ValueError, match="sequences: expected an integer >= 1, got 0"):
             run_rb(group24, ztilt_noisy, RBConfig(sequences=0))
@@ -119,7 +131,7 @@ class TestRunRB:
             ({"depths": ()}, "depths: expected a non-empty list of integers >= 1, got"),
             ({"depths": (1, 2, 2 ** 64)}, "depths: expected every depth below 2\\^32, got 18446744073709551616"),
             ({"sequences": 2.5}, "sequences: expected an integer >= 1, got 2.5"),
-            ({"sequences": 2 ** 32}, "sequences: expected an integer below 2\\^32, got 4294967296"),
+            ({"sequences": True}, "sequences: expected an integer >= 1, got True"),
             ({"seed": 1.0}, "seed: expected an integer >= 0, got 1.0"),
         ],
     )
